@@ -5,8 +5,14 @@ codebook, is a finite Gaussian mixture. This module optimizes an N-point
 quantizer of that mixture (damped Newton on the distortion gradient with an
 exact tridiagonal Hessian, Lloyd fixed-point steps as fallback), records the
 marginal weights and the companion transition matrices, and chains the layers
-into a tree. All cell integrals are closed-form Gaussian partial moments, so
-building a tree involves no sampling of any kind.
+into a tree. All cell integrals are closed-form Gaussian partial moments,
+taken about the mixture mean so that the distortion does not cancel large
+terms, and building a tree involves no sampling of any kind.
+
+Each layer of ``build_tree`` is one pass: one conditional law, one grid
+optimization, and one transition matrix built from the optimizer's last cell
+masses. ``optimize_grid`` and ``transition_matrix`` expose the two halves of
+that pass on their own.
 
 Voronoi cells are the midpoint intervals of the sorted codewords, with
 infinite outer edges; a point exactly on a midpoint belongs to the cell on
@@ -50,14 +56,17 @@ __all__ = [
 class ConvergenceError(RuntimeError):
     """Grid optimization did not meet the fixed-point tolerance.
 
-    Carries the last iterate and its gradient norm so callers can inspect
-    (or resume from) the failure point.
+    Carries the time step of the layer that stalled, the last iterate and its
+    gradient norm so callers can inspect (or resume from) the failure point.
     """
 
-    def __init__(self, message: str, last_grid: np.ndarray, gradient_norm: float):
+    def __init__(
+        self, message: str, last_grid: np.ndarray, gradient_norm: float, step: int
+    ):
         super().__init__(message)
         self.last_grid = last_grid
         self.gradient_norm = gradient_norm
+        self.step = step
 
 
 class DegenerateDiffusionWarning(UserWarning):
@@ -218,6 +227,13 @@ def _mixture_stats(grid, means, stds, probs):
     infinite ends), and raw is the per-component cell-mass matrix used for
     transition probabilities. Infinite boundaries contribute cdf values of
     exactly 0/1 and pdf values of exactly 0.
+
+    Moments are aggregated over components by two 3-row matrix products,
+    taken about the mixture mean c: component i contributes
+    (m_i - c) m0 + v_i dphi to the first moment and
+    ((m_i - c)^2 + v_i^2) m0 + [v_i phi(b~) ((b - c) + (m_i - c))] differences
+    to the second. Centring keeps the distortion from cancelling terms of
+    size c^2 against each other.
     """
     x = np.asarray(grid, dtype=float)
     n = x.size
@@ -227,11 +243,11 @@ def _mixture_stats(grid, means, stds, probs):
     if n > 1:
         bounds[1:-1] = 0.5 * (x[:-1] + x[1:])
 
-    m = np.asarray(means, dtype=float)[:, None]
-    v = np.asarray(stds, dtype=float)[:, None]
+    m = np.asarray(means, dtype=float)
+    v = np.asarray(stds, dtype=float)
     p = np.asarray(probs, dtype=float)
 
-    a = (bounds[None, :] - m) / v  # standardized boundaries, comps x (n+1)
+    a = (bounds[None, :] - m[:, None]) / v[:, None]  # standardized, comps x (n+1)
     C = np.empty_like(a)
     C[:, 0] = 0.0
     C[:, -1] = 1.0
@@ -240,20 +256,21 @@ def _mixture_stats(grid, means, stds, probs):
     P[:, 1:-1] = normal_pdf(a[:, 1:-1])
 
     raw = np.diff(C, axis=1)  # per-component cell masses
-    M0 = p @ raw
-    dP = P[:, :-1] - P[:, 1:]
-    M1 = p @ (m * raw + v * dP)
+    c = float(p @ m)
+    mc = m - c
+    R = np.stack([p, p * mc, p * (mc * mc + v * v)]) @ raw
+    Q = np.stack([p * v, p * v * mc, p / v]) @ P
 
-    # second partial moment: (m^2+v^2) m0 + v [(lo+m) phi(lo~) - (hi+m) phi(hi~)]
-    t = np.zeros_like(a)
-    finite = np.isfinite(bounds)
-    t[:, finite] = (bounds[None, finite] + m) * P[:, finite]
-    M2 = p @ ((m * m + v * v) * raw + v * (t[:, :-1] - t[:, 1:]))
-    dist = float(np.sum(M2 - 2.0 * x * M1 + x * x * M0))
+    M0 = R[0]
+    M1c = R[1] + Q[0, :-1] - Q[0, 1:]  # first moment about c
+    M1 = M1c + c * M0
+    t = np.zeros(n + 1)
+    t[1:-1] = (bounds[1:-1] - c) * Q[0, 1:-1] + Q[1, 1:-1]
+    xc = x - c
+    dist = float(np.sum((R[2] + t[:-1] - t[1:]) - 2.0 * xc * M1c + xc * xc * M0))
 
     F = np.zeros(n + 1)
-    if n > 1:
-        F[1:-1] = (p / v[:, 0]) @ P[:, 1:-1]
+    F[1:-1] = Q[2, 1:-1]
     return M0, M1, dist, F, raw
 
 
@@ -307,17 +324,19 @@ def _newton_direction(x, M0, F, g):
     return None
 
 
-def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings):
+def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, step: int):
     """Damped-Newton / Lloyd iteration to a stationary grid.
 
     Newton candidates are accepted only if they keep the grid strictly
     increasing and do not increase the distortion (backtracking halves the
     step up to 9 times); otherwise a Lloyd step (codeword <- cell conditional
     mean) is taken. Terminates when the max codeword displacement drops
-    below the fixed-point tolerance.
+    below the fixed-point tolerance, returning the grid, its distortion and
+    the per-component cell masses of the last stats evaluation, which is on
+    that grid.
     """
     x = np.asarray(x0, dtype=float).copy()
-    M0, M1, dist, F, _ = _mixture_stats(x, means, stds, probs)
+    M0, M1, dist, F, raw = _mixture_stats(x, means, stds, probs)
     disp = math.inf
     for _ in range(settings.max_iterations):
         g = 2.0 * (x * M0 - M1)
@@ -347,15 +366,17 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings):
             stats_new = _mixture_stats(cand, means, stds, probs)
         disp = float(np.max(np.abs(x_new - x)))
         x = x_new
-        M0, M1, dist, F, _ = stats_new
+        M0, M1, dist, F, raw = stats_new
         if disp < settings.fixed_point_tol:
-            return x, M0, dist
+            return x, dist, raw
     g = 2.0 * (x * M0 - M1)
     raise ConvergenceError(
-        f"grid optimization stalled: displacement {disp:.3e} after "
-        f"{settings.max_iterations} iterations (tol {settings.fixed_point_tol:g})",
+        f"grid optimization stalled at step {step}: displacement {disp:.3e} "
+        f"after {settings.max_iterations} iterations "
+        f"(tol {settings.fixed_point_tol:g})",
         last_grid=x,
         gradient_norm=float(np.max(np.abs(g))),
+        step=step,
     )
 
 
@@ -366,6 +387,60 @@ def _quantile_start(means, stds, probs, N: int) -> np.ndarray:
     sd = math.sqrt(max(var, 1e-300))
     q = (2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)
     return mu + sd * ndtri(q)
+
+
+def _normalized_transition(step: int, raw) -> TransitionMatrix:
+    """Transition matrix from per-component cell masses.
+
+    Rows telescope to 1 up to roundoff; they are renormalized if off by at
+    most 1e-10 and rejected otherwise, since a larger defect means the grid
+    or cdf is broken upstream.
+    """
+    sums = raw.sum(axis=1)
+    if np.max(np.abs(sums - 1.0)) > 1e-10:
+        raise RuntimeError(
+            f"transition row sums off by {np.max(np.abs(sums - 1.0)):.3e} "
+            f"at step {step}; upstream grid or cdf bug"
+        )
+    return TransitionMatrix(step, raw / sums[:, None])
+
+
+def _quantize_layer(
+    prev: QuantizedLayer,
+    means,
+    stds,
+    N: int,
+    settings: OptimizerSettings,
+    warm_start,
+) -> tuple[QuantizedLayer, TransitionMatrix]:
+    """Optimize the layer after ``prev`` against its conditional mixture
+    (means, stds) and link the two by their transition matrix.
+
+    The transition comes from the optimizer's last cell masses, and the
+    layer's weights are ``prev.weights`` pushed through it, so the
+    propagation invariant holds exactly.
+    """
+    if N < 1:
+        raise ValueError("need at least one codeword")
+    probs = prev.weights
+    if warm_start is not None:
+        x0 = np.asarray(warm_start, dtype=float)
+        if x0.size != N or (N > 1 and not np.all(np.diff(x0) > 0)):
+            raise ValueError("warm_start must be strictly increasing of length N")
+    else:
+        x0 = _quantile_start(means, stds, probs, N)
+    if N == 1:
+        # centroid in closed form; no iteration needed
+        mu = float(probs @ means)
+        x = np.array([mu])
+        dist = float(probs @ (stds**2 + (means - mu) ** 2))
+        raw = np.ones((probs.size, 1))
+    else:
+        x, dist, raw = _optimize_codewords(
+            means, stds, probs, x0, settings, prev.step + 1
+        )
+    tr = _normalized_transition(prev.step, raw)
+    return QuantizedLayer(prev.step + 1, x, probs @ tr.entries, dist), tr
 
 
 def optimize_grid(
@@ -382,27 +457,12 @@ def optimize_grid(
     The returned layer is stationary: each codeword equals the conditional
     mean of its own cell within the fixed-point tolerance. Weights are the
     aggregated cell masses. Raises ConvergenceError when the iteration
-    budget runs out.
+    budget runs out. This is the layer ``build_tree`` would produce from
+    ``prev`` with the same start.
     """
-    if N < 1:
-        raise ValueError("need at least one codeword")
-    settings = settings or OptimizerSettings()
     means, stds = conditional_law(prev, dt, problem)
-    probs = prev.weights
-    if warm_start is not None:
-        x0 = np.asarray(warm_start, dtype=float)
-        if x0.size != N or (N > 1 and not np.all(np.diff(x0) > 0)):
-            raise ValueError("warm_start must be strictly increasing of length N")
-    else:
-        x0 = _quantile_start(means, stds, probs, N)
-    if N == 1:
-        # centroid in closed form; no iteration needed
-        mu = float(probs @ means)
-        var = float(probs @ (stds**2 + (means - mu) ** 2))
-        return QuantizedLayer(prev.step + 1, np.array([mu]), np.array([1.0]), var)
-    x, M0, dist = _optimize_codewords(means, stds, probs, x0, settings)
-    w = M0 / M0.sum()
-    return QuantizedLayer(prev.step + 1, x, w, dist)
+    settings = settings or OptimizerSettings()
+    return _quantize_layer(prev, means, stds, N, settings, warm_start)[0]
 
 
 def transition_matrix(
@@ -418,13 +478,7 @@ def transition_matrix(
     """
     means, stds = conditional_law(prev, dt, problem)
     _, _, _, _, raw = _mixture_stats(next_layer.codewords, means, stds, prev.weights)
-    sums = raw.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-10:
-        raise RuntimeError(
-            f"transition row sums off by {np.max(np.abs(sums - 1.0)):.3e} "
-            f"at step {prev.step}; upstream grid or cdf bug"
-        )
-    return TransitionMatrix(prev.step, raw / sums[:, None])
+    return _normalized_transition(prev.step, raw)
 
 
 def _warm_start_from(prev: QuantizedLayer, means, stds) -> np.ndarray | None:
@@ -455,9 +509,11 @@ def build_tree(
     Layer 0 is a Dirac at ``y0``; layers 1..n carry N codewords each. Each
     layer is optimized against the mixture induced by its predecessor and
     linked to it by a transition matrix, so marginal weights propagate
-    exactly. Layers after the first are warm-started from the previous
-    codebook (shifted by the drift and dilated about the mixture mean);
-    the first layer starts at moment-matched Gaussian quantiles.
+    exactly. Per layer the conditional law is evaluated once, and the
+    transition reuses the optimizer's last cell masses. Layers after the
+    first are warm-started from the previous codebook (shifted by the drift
+    and dilated about the mixture mean); the first layer starts at
+    moment-matched Gaussian quantiles.
     """
     if N < 1:
         raise ValueError("need at least one codeword per layer")
@@ -469,12 +525,7 @@ def build_tree(
         prev = layers[-1]
         means, stds = conditional_law(prev, dt, problem)
         warm = _warm_start_from(prev, means, stds) if prev.size == N else None
-        layer = optimize_grid(prev, dt, problem, N, settings, warm_start=warm)
-        tr = transition_matrix(prev, layer, dt, problem)
-        # marginal weights pushed through the normalized transitions, so the
-        # propagation invariant holds exactly
-        w = prev.weights @ tr.entries
-        layer = QuantizedLayer(layer.step, layer.codewords, w, layer.distortion)
+        layer, tr = _quantize_layer(prev, means, stds, N, settings, warm)
         layers.append(layer)
         transitions.append(tr)
     return QuantizationTree(grid, tuple(layers), tuple(transitions))

@@ -260,6 +260,20 @@ class TestValidation:
         assert "params" in err
 
 
+    def test_stalled_optimizer_names_its_layer(self, capsys, tmp_path):
+        cfg = tmp_path / "stall.json"
+        cfg.write_text(
+            json.dumps({"optimizer": {"max_iterations": 1, "fixed_point_tol": 1e-12}})
+        )
+        code, out, err = run_cli(
+            capsys, "solve", "--config", str(cfg), "--steps", "3", "--quantizers", "5"
+        )
+        assert code == 1
+        assert "u0=" not in out
+        assert err.startswith("error: ConvergenceError:")
+        assert "step 1" in err
+
+
 class TestConsoleScript:
     ARGS = ["solve", "--model", "gbm", "--steps", "3", "--quantizers", "4"]
 

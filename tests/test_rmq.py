@@ -8,6 +8,7 @@ probabilities.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from quantbsde import (
+    BergmanParams,
     BlackScholesParams,
     ConvergenceError,
     DegenerateDiffusionWarning,
@@ -29,6 +31,7 @@ from quantbsde import (
     distortion_gradient,
     euler_operator,
     load_tree,
+    make_bergman,
     make_black_scholes,
     mixture_distortion,
     optimize_grid,
@@ -43,6 +46,7 @@ from oracles import (
     ONE_MINUS_2_OVER_PI,
     SQRT_2_OVER_PI,
     fd_gradient,
+    quad_partial_moments,
     random_mixture,
     random_sorted_grid,
 )
@@ -184,6 +188,45 @@ class TestDistortion:
             got = mixture_distortion(grid, means, stds, probs)
             assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
 
+    def test_matches_quadrature_for_a_mixture_centred_at_100(self):
+        means = np.array([97.0, 100.5, 104.0])
+        stds = np.array([1.5, 3.0, 0.8])
+        probs = np.array([0.3, 0.5, 0.2])
+        grid = np.array([93.0, 97.5, 99.0, 100.2, 102.0, 104.5])
+        got = mixture_distortion(grid, means, stds, probs)
+        assert got == pytest.approx(
+            quad_distortion(grid, means, stds, probs), rel=1e-7, abs=1e-9
+        )
+        M0, M1, _, _, _ = rmq_mod._mixture_stats(grid, means, stds, probs)
+        bounds = np.concatenate(([-np.inf], 0.5 * (grid[:-1] + grid[1:]), [np.inf]))
+        for j in range(grid.size):
+            parts = [
+                quad_partial_moments(bounds[j], bounds[j + 1], m, s)
+                for m, s in zip(means, stds)
+            ]
+            assert M0[j] == pytest.approx(
+                sum(p * q[0] for p, q in zip(probs, parts)), abs=1e-12
+            )
+            assert M1[j] == pytest.approx(
+                sum(p * q[1] for p, q in zip(probs, parts)), rel=1e-11, abs=1e-10
+            )
+
+    def test_shift_invariant_on_a_black_scholes_layer(self):
+        # an N=200 layer with means near 100: moving grid and means together
+        # leaves the distortion unchanged, up to the rounding of the shift
+        problem = make_black_scholes(
+            BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
+        )
+        tree = build_tree(problem, TimeGrid(5, 1.0), 200)
+        prev, layer = tree.layers[3], tree.layers[4]
+        means, stds = conditional_law(prev, tree.time_grid.dt, problem)
+        base = mixture_distortion(layer.codewords, means, stds, prev.weights)
+        for shift in (-100.0, 0.0, 100.0, 1000.0):
+            got = mixture_distortion(
+                layer.codewords + shift, means + shift, stds, prev.weights
+            )
+            assert abs(got - base) <= 1e-10 * base, shift
+
     def test_refining_the_grid_cannot_increase_distortion(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
@@ -277,6 +320,8 @@ class TestOptimizeGrid:
         with pytest.raises(ConvergenceError) as exc:
             optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), 5, settings)
         err = exc.value
+        assert err.step == 1
+        assert "step 1" in str(err)
         assert err.last_grid.shape == (5,)
         assert np.all(np.diff(err.last_grid) > 0)
         assert math.isfinite(err.gradient_norm)
@@ -400,6 +445,76 @@ class TestBuildTree:
     def test_rejects_empty_codebook(self):
         with pytest.raises(ValueError):
             build_tree(gbm_problem(), TimeGrid(5, 0.25), 0)
+
+    @pytest.mark.parametrize(
+        "problem, N",
+        [
+            (
+                make_black_scholes(
+                    BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0),
+                    T=1.0,
+                    y0=100.0,
+                ),
+                20,
+            ),
+            (
+                make_bergman(
+                    BergmanParams(
+                        mu=0.05,
+                        sigma=0.2,
+                        lend_rate=0.01,
+                        borrow_rate=0.06,
+                        strike_low=95.0,
+                        strike_high=105.0,
+                    ),
+                    T=0.25,
+                    y0=100.0,
+                ),
+                10,
+            ),
+        ],
+        ids=["black-scholes", "bergman"],
+    )
+    def test_fused_transitions_match_the_public_wrapper(self, problem, N):
+        tree = build_tree(problem, TimeGrid(5, problem.T), N)
+        dt = tree.time_grid.dt
+        for k, tr in enumerate(tree.transitions):
+            public = transition_matrix(tree.layers[k], tree.layers[k + 1], dt, problem)
+            assert np.array_equal(tr.entries, public.entries)
+
+    def test_floored_diffusion_warns_once_per_layer(self):
+        # sigma(y) = 0.05 + |y| is below the floor at y0 = 0 and on the
+        # central codewords of later layers
+        floor = 0.3
+        problem = FbsdeProblem(
+            drift=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+            diffusion=lambda y: 0.05 + np.abs(np.asarray(y, dtype=float)),
+            driver=lambda t, y, u, v: np.zeros_like(np.asarray(u, dtype=float)),
+            terminal=lambda y: np.asarray(y, dtype=float),
+            T=1.0,
+            y0=0.0,
+            diffusion_floor=floor,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tree = build_tree(problem, TimeGrid(4, 1.0), 6)
+        floored = [
+            la.step
+            for la in tree.layers[:-1]
+            if np.any(problem.diffusion(la.codewords) < floor)
+        ]
+        assert len(floored) >= 2
+        got = [w for w in caught if issubclass(w.category, DegenerateDiffusionWarning)]
+        assert len(got) == len(floored)
+        for step, w in zip(floored, got):
+            assert f"of step {step};" in str(w.message)
+
+    def test_stalled_layer_is_named(self):
+        settings = OptimizerSettings(max_iterations=1, fixed_point_tol=1e-12)
+        with pytest.raises(ConvergenceError) as exc:
+            build_tree(gbm_problem(), TimeGrid(3, 0.25), 5, settings)
+        assert exc.value.step == 1
+        assert "step 1" in str(exc.value)
 
 
 class TestSerialization:
