@@ -1,20 +1,23 @@
 """Interleaved parent/change pairs of the benchmark, written to one JSON file.
 
     python3 bench/pairs.py --rev HEAD~1 --pairs 10 --out BENCH.json \
-        [--workload bs-refine --workload cli] [--seconds 20]
+        [--workload bs-refine --workload cli]
 
 The parent revision ``--rev`` is exported with ``git archive`` into a
 temporary directory, so no worktree is added and nothing under ``.git`` is
 written. The change side is this checkout as it stands on disk. Each pair
 runs ``perfbench/run.py --trace 0`` once on each side with the same seed,
-and the side that runs first alternates from pair to pair, so slow drift of
-the machine falls on both sides alike.
+for the ``run_seconds`` of ``BENCHMARK.json``, and the side that runs first
+alternates from pair to pair, so slow drift of the machine falls on both
+sides alike.
 
 The output holds, per workload, every run's end-to-end metrics, each side's
 median and quartiles per metric, the number of pairs the change won (ties
 count for neither side), and the largest relative u0 difference between the
-two sides. Workloads, run length and each metric's better direction default
-to ``BENCHMARK.json``.
+two sides. Quartiles are ``statistics.quantiles(values, n=4)``, the
+definition ``perfbench/steadiness.py`` reports spreads with. Workloads
+default to all of ``BENCHMARK.json``, and each metric's better direction is
+taken from it.
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ def parse_args(argv=None):
     ap.add_argument("--workload", action="append",
                     help="workload to run; repeat for several (default: all of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10, help="parent/change pairs per workload")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                    help="run length of each benchmark run")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     args.workload = args.workload or [w["name"] for w in spec["workloads"]]
     args.better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    args.seconds = spec["run_seconds"]
     return args
 
 
@@ -83,7 +85,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = statistics.quantiles(values, n=4)
     return {"median": med, "q1": q1, "q3": q3}
 
 
@@ -122,7 +124,7 @@ def main(argv=None) -> int:
                    "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+        "quartiles": "statistics.quantiles(n=4)",
         "python": platform.python_version(),
         "workloads": {},
     }

@@ -455,10 +455,13 @@ def optimize_grid(
 
     The target law is the Gaussian mixture from ``conditional_law(prev)``.
     The returned layer is stationary: each codeword equals the conditional
-    mean of its own cell within the fixed-point tolerance. Weights are the
-    aggregated cell masses. Raises ConvergenceError when the iteration
-    budget runs out. This is the layer ``build_tree`` would produce from
-    ``prev`` with the same start.
+    mean of its own cell within the fixed-point tolerance. Weights are
+    ``prev.weights`` pushed through the normalized transition matrix, which
+    is built from the optimizer's last cell masses and discarded; this is
+    the layer ``build_tree`` would produce from ``prev`` with the same
+    start. Raises ConvergenceError when the iteration budget runs out, and
+    RuntimeError when a transition row sum is off by more than 1e-10 (see
+    ``transition_matrix``).
     """
     means, stds = conditional_law(prev, dt, problem)
     settings = settings or OptimizerSettings()

@@ -122,6 +122,19 @@ class TestSolve:
         assert flag_out.exists()
         assert not cfg_out.exists()
 
+    def test_stalled_optimizer_names_its_layer(self, capsys, tmp_path):
+        cfg = tmp_path / "stall.json"
+        cfg.write_text(
+            json.dumps({"optimizer": {"max_iterations": 1, "fixed_point_tol": 1e-12}})
+        )
+        code, out, err = run_cli(
+            capsys, "solve", "--config", str(cfg), "--steps", "3", "--quantizers", "5"
+        )
+        assert code == 1
+        assert "u0=" not in out
+        assert err.startswith("error: ConvergenceError:")
+        assert "step 1" in err
+
 
 class TestSweep:
     def test_small_grid_writes_csv_and_sidecar(self, capsys, tmp_path):
@@ -258,20 +271,6 @@ class TestValidation:
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert "params" in err
-
-
-    def test_stalled_optimizer_names_its_layer(self, capsys, tmp_path):
-        cfg = tmp_path / "stall.json"
-        cfg.write_text(
-            json.dumps({"optimizer": {"max_iterations": 1, "fixed_point_tol": 1e-12}})
-        )
-        code, out, err = run_cli(
-            capsys, "solve", "--config", str(cfg), "--steps", "3", "--quantizers", "5"
-        )
-        assert code == 1
-        assert "u0=" not in out
-        assert err.startswith("error: ConvergenceError:")
-        assert "step 1" in err
 
 
 class TestConsoleScript:
