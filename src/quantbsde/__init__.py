@@ -11,22 +11,25 @@ in an optional benchmark.
 from .bsde_solver import (
     BackwardSolution,
     ControlLayer,
-    SolverConfig,
     ValueLayer,
     backward_step,
     ps_control_benchmark,
     solve,
     terminal_layer,
 )
-from .gaussian import Interval, normal_cdf, normal_pdf, partial_moments
+from .gaussian import normal_cdf, normal_pdf
 from .model import (
+    MODELS,
     BergmanParams,
     BlackScholesParams,
     FbsdeProblem,
+    GbmParams,
+    ModelSpec,
     bs_control,
     bs_price,
     make_bergman,
     make_black_scholes,
+    make_gbm,
 )
 from .report import (
     HedgeRow,
@@ -36,7 +39,6 @@ from .report import (
     emit_json,
     hedge_compare,
     run_sweep,
-    thread_budget,
 )
 from .rmq import (
     ConvergenceError,

@@ -32,7 +32,6 @@ __all__ = [
     "ValueLayer",
     "ControlLayer",
     "BackwardSolution",
-    "SolverConfig",
     "terminal_layer",
     "backward_step",
     "solve",
@@ -68,21 +67,6 @@ class BackwardSolution:
     u0: float
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Scheme options; this release ships the fully explicit variant only."""
-
-    theta1: float = 1.0
-    theta2: float = 1.0
-    mc_control_paths: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.theta1 != 1.0 or self.theta2 != 1.0:
-            raise ValueError("only the explicit scheme (theta1 = theta2 = 1) is supported")
-        if self.mc_control_paths is not None and self.mc_control_paths < 1:
-            raise ValueError("mc_control_paths must be positive when given")
-
-
 def terminal_layer(tree: QuantizationTree, problem: FbsdeProblem) -> ValueLayer:
     """Payoff evaluated on the last codebook."""
     last = tree.layers[-1]
@@ -110,7 +94,6 @@ def backward_step(
     k: int,
     next_values: ValueLayer,
     problem: FbsdeProblem,
-    config: SolverConfig | None = None,
 ) -> tuple[ValueLayer, ControlLayer]:
     """One explicit backward step from layer k+1 to layer k."""
     if next_values.step != k + 1:
@@ -135,18 +118,14 @@ def backward_step(
     return ValueLayer(k, u), ControlLayer(k, v)
 
 
-def solve(
-    tree: QuantizationTree,
-    problem: FbsdeProblem,
-    config: SolverConfig | None = None,
-) -> BackwardSolution:
+def solve(tree: QuantizationTree, problem: FbsdeProblem) -> BackwardSolution:
     """Run the backward recursion over the whole tree."""
     n = tree.time_grid.n
     values = [None] * (n + 1)
     controls = [None] * n
     values[n] = terminal_layer(tree, problem)
     for k in range(n - 1, -1, -1):
-        values[k], controls[k] = backward_step(tree, k, values[k + 1], problem, config)
+        values[k], controls[k] = backward_step(tree, k, values[k + 1], problem)
     return BackwardSolution(
         tree=tree,
         value_layers=tuple(values),

@@ -12,91 +12,38 @@ import json
 import sys
 
 from . import bsde_solver, report, rmq
-from .model import BergmanParams, BlackScholesParams, make_bergman, make_black_scholes
-
-_BS_DEFAULTS = {
-    "params": {"rate": 0.04, "sigma": 0.25, "strike": 100.0},
-    "T": 1.0,
-    "y0": 100.0,
-}
-_BERGMAN_DEFAULTS = {
-    "params": {
-        "mu": 0.05,
-        "sigma": 0.2,
-        "lend_rate": 0.01,
-        "borrow_rate": 0.06,
-        "strike_low": 95.0,
-        "strike_high": 105.0,
-    },
-    "T": 0.25,
-    "y0": 100.0,
-}
-# diagnostic preset: call payoff, no driver — u0 must equal the quantized
-# terminal expectation exactly
-_GBM_DEFAULTS = {
-    "params": {"mu": 0.05, "sigma": 0.2, "strike": 100.0},
-    "T": 1.0,
-    "y0": 100.0,
-}
+from .model import MODELS
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _number(cfg, key, default):
+    try:
+        return float(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: not a number") from exc
+
+
 def _build_problem(cfg):
-    model = cfg.get("model", "black-scholes")
-    params = dict(cfg.get("params") or {})
-    if model == "black-scholes":
-        merged = {**_BS_DEFAULTS["params"], **params}
-        T = float(cfg.get("T", _BS_DEFAULTS["T"]))
-        y0 = float(cfg.get("y0", _BS_DEFAULTS["y0"]))
-        try:
-            return make_black_scholes(BlackScholesParams(**merged), T, y0)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params: {exc}") from exc
-    if model == "bergman":
-        merged = {**_BERGMAN_DEFAULTS["params"], **params}
-        T = float(cfg.get("T", _BERGMAN_DEFAULTS["T"]))
-        y0 = float(cfg.get("y0", _BERGMAN_DEFAULTS["y0"]))
-        try:
-            return make_bergman(BergmanParams(**merged), T, y0)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params: {exc}") from exc
-    if model == "gbm":
-        merged = {**_GBM_DEFAULTS["params"], **params}
-        T = float(cfg.get("T", _GBM_DEFAULTS["T"]))
-        y0 = float(cfg.get("y0", _GBM_DEFAULTS["y0"]))
-        bs = make_black_scholes(
-            BlackScholesParams(merged["mu"], merged["sigma"], merged["strike"]), T, y0
-        )
-        import numpy as np
-
-        from .model import FbsdeProblem
-
-        return FbsdeProblem(
-            drift=bs.drift,
-            diffusion=bs.diffusion,
-            driver=lambda t, y, u, v: np.zeros_like(np.asarray(u, dtype=float)),
-            terminal=bs.terminal,
-            T=T,
-            y0=y0,
-            diffusion_floor=bs.diffusion_floor,
-            label="gbm",
-            params=merged,
-        )
-    raise ConfigError(f"model: unknown model {model!r} (black-scholes | bergman | gbm)")
+    name = cfg.get("model", "black-scholes")
+    if not isinstance(name, str) or name not in MODELS:
+        raise ConfigError(f"model: unknown model {name!r} ({' | '.join(MODELS)})")
+    spec = MODELS[name]
+    params = cfg.get("params") or {}
+    T = _number(cfg, "T", spec.T)
+    y0 = _number(cfg, "y0", spec.y0)
+    try:
+        return spec.factory(spec.param_type(**{**spec.defaults, **params}), T, y0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: {exc}") from exc
 
 
 def _optimizer_settings(cfg):
     opt = cfg.get("optimizer") or {}
     try:
-        return rmq.OptimizerSettings(
-            max_iterations=int(opt.get("max_iterations", 200)),
-            fixed_point_tol=float(opt.get("fixed_point_tol", 1e-9)),
-            newton_enabled=bool(opt.get("newton_enabled", True)),
-            newton_damping=float(opt.get("newton_damping", 1.0)),
-        )
+        return rmq.OptimizerSettings(**opt)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
 
@@ -127,8 +74,6 @@ def _load_config(args) -> dict:
         cfg["model"] = args.model
     if args.output:
         cfg["output"] = args.output
-    if getattr(args, "seed", None) is not None:
-        cfg.setdefault("mc", {})["seed"] = args.seed
     return cfg
 
 
@@ -232,9 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--model", help="black-scholes | bergman | gbm")
+    common.add_argument("--model", help=" | ".join(MODELS))
     common.add_argument("--output", help="artifact path (JSON for solve, CSV otherwise)")
-    common.add_argument("--seed", type=int, help="seed for Monte Carlo benchmarks")
 
     p_solve = sub.add_parser("solve", parents=[common], help="single solve, prints u0 and v0")
     p_solve.add_argument("--steps", type=int, help="number of time steps")

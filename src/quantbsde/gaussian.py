@@ -1,35 +1,20 @@
-"""Standard-normal primitives and Gaussian partial moments over intervals.
+"""Standard-normal density and distribution function.
 
-Everything downstream (cell masses, distortion, transition probabilities)
-reduces to the three functions in this module. All operations are pure,
-accept scalars or arrays, and treat infinite interval endpoints exactly:
-the density is 0 and the distribution function is 0/1 there, so no NaN can
-leak out of a tail cell.
+Every cell integral downstream (cell masses, distortion, transition
+probabilities) is built from these two functions. Both are pure, accept
+scalars or arrays, and are exact at infinite arguments: the density is 0 and
+the distribution function is 0/1 there, so no NaN can leak out of a tail
+cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An interval on the extended real line; endpoints may be +-inf."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: ({self.lo}, {self.hi})")
 
 
 def normal_pdf(x):
@@ -44,27 +29,3 @@ def normal_cdf(x):
     x = np.asarray(x, dtype=float)
     out = ndtr(x)
     return float(out) if out.ndim == 0 else out
-
-
-def partial_moments(cell: Interval, mean: float, std: float) -> tuple[float, float]:
-    """Zeroth and first moment of N(mean, std^2) restricted to ``cell``.
-
-    Returns ``(m0, m1)`` with ``m0 = P(X in cell)`` and
-    ``m1 = E[X 1{X in cell}]``, computed in closed form:
-
-        m0 = Phi(b) - Phi(a)
-        m1 = mean * m0 + std * (phi(a) - phi(b))
-
-    where ``a, b`` are the standardized endpoints. Infinite endpoints
-    contribute pdf terms of exactly 0.
-
-    Raises ``ValueError`` for ``std <= 0`` (degenerate diffusion must be
-    floored before reaching this layer).
-    """
-    if not std > 0.0:
-        raise ValueError(f"std must be positive, got {std}")
-    a = (cell.lo - mean) / std
-    b = (cell.hi - mean) / std
-    m0 = normal_cdf(b) - normal_cdf(a)
-    m1 = mean * m0 + std * (normal_pdf(a) - normal_pdf(b))
-    return float(m0), float(m1)

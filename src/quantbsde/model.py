@@ -3,17 +3,18 @@
 A decoupled FBSDE here is: a scalar forward diffusion
 ``dY = b(Y) dt + sigma(Y) dW`` started at ``y0``, and a backward pair
 ``(U, V)`` with terminal condition ``U_T = h(Y_T)`` and generator
-``f(t, y, u, v)``. The two built-in models are geometric Brownian motion
-with a discounting driver (vanilla call pricing/hedging) and a
-two-rate borrowing/lending model with a bull-spread payoff, whose driver
-is genuinely nonlinear in ``(u, v)``.
+``f(t, y, u, v)``. The built-in models, registered by name in ``MODELS``,
+are geometric Brownian motion with a discounting driver (vanilla call
+pricing/hedging), the same call with no driver (a diagnostic whose u0 is
+the quantized terminal expectation), and a two-rate borrowing/lending model
+with a bull-spread payoff, whose driver is genuinely nonlinear in ``(u, v)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,12 @@ __all__ = [
     "FbsdeProblem",
     "BlackScholesParams",
     "BergmanParams",
+    "GbmParams",
+    "ModelSpec",
+    "MODELS",
     "make_black_scholes",
     "make_bergman",
+    "make_gbm",
     "bs_price",
     "bs_control",
 ]
@@ -94,6 +99,16 @@ class BergmanParams:
             raise ValueError("lend_rate must not exceed borrow_rate")
         if not (0.0 < self.strike_low < self.strike_high):
             raise ValueError("strikes must satisfy 0 < strike_low < strike_high")
+
+
+@dataclass(frozen=True)
+class GbmParams:
+    """Drift, volatility and strike of the driverless call; ``make_gbm``
+    checks them as ``BlackScholesParams`` with ``rate = mu``."""
+
+    mu: float
+    sigma: float
+    strike: float
 
 
 def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProblem:
@@ -182,6 +197,65 @@ def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:
             "strike_high": K2,
         },
     )
+
+
+def _zero_driver(t, y, u, v):
+    return np.zeros_like(np.asarray(u, dtype=float))
+
+
+def make_gbm(p: GbmParams, T: float, y0: float) -> FbsdeProblem:
+    """Call payoff under geometric Brownian motion with drift ``mu``, no driver.
+
+    The forward part and payoff are those of ``make_black_scholes`` with
+    ``rate = mu``; the driver is zero, so u0 equals the quantized terminal
+    expectation exactly.
+    """
+    bs = make_black_scholes(BlackScholesParams(p.mu, p.sigma, p.strike), T, y0)
+    return replace(
+        bs,
+        driver=_zero_driver,
+        label="gbm",
+        params={"mu": p.mu, "sigma": p.sigma, "strike": p.strike},
+    )
+
+
+class ModelSpec(NamedTuple):
+    """A built-in model: its parameter type, factory ``(params, T, y0)``,
+    default parameters, horizon and start point."""
+
+    param_type: type
+    factory: Callable
+    defaults: dict
+    T: float
+    y0: float
+
+
+MODELS = {
+    "black-scholes": ModelSpec(
+        BlackScholesParams,
+        make_black_scholes,
+        {"rate": 0.04, "sigma": 0.25, "strike": 100.0},
+        1.0,
+        100.0,
+    ),
+    "bergman": ModelSpec(
+        BergmanParams,
+        make_bergman,
+        {
+            "mu": 0.05,
+            "sigma": 0.2,
+            "lend_rate": 0.01,
+            "borrow_rate": 0.06,
+            "strike_low": 95.0,
+            "strike_high": 105.0,
+        },
+        0.25,
+        100.0,
+    ),
+    "gbm": ModelSpec(
+        GbmParams, make_gbm, {"mu": 0.05, "sigma": 0.2, "strike": 100.0}, 1.0, 100.0
+    ),
+}
 
 
 def _d1(p: BlackScholesParams, tau: float, y: float) -> float:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ __all__ = [
     "hedge_compare",
     "emit_csv",
     "emit_json",
-    "thread_budget",
 ]
 
 
@@ -73,58 +70,28 @@ class HedgeRow:
     abs_err: float
 
 
-def thread_budget() -> int:
-    """Worker count for data-parallel sections, from QUANTBSDE_THREADS.
-
-    Unset or 0 means auto (one per CPU); anything else caps the width.
-    """
-    raw = os.environ.get("QUANTBSDE_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
-def _run_cell(problem, N, n, settings):
-    t0 = time.perf_counter()
-    tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, settings)
-    sol = bsde_solver.solve(tree, problem)
-    return sol.u0, time.perf_counter() - t0
-
-
 def run_sweep(
-    spec: SweepSpec,
-    settings: rmq.OptimizerSettings | None = None,
-    max_workers: int | None = None,
+    spec: SweepSpec, settings: rmq.OptimizerSettings | None = None
 ) -> SweepResult:
     """Solve every (N, n) cell of the sweep; failures are recorded in place.
 
-    Cells are independent and deterministic, and run on a thread pool whose
-    width comes from ``max_workers`` or the QUANTBSDE_THREADS budget.
+    Cells run one after another, N-major, so each timing is that cell's own
+    build and solve time.
     """
     qs, ss = spec.quantizer_counts, spec.step_counts
     values = np.full((len(qs), len(ss)), np.nan)
     timings = np.zeros((len(qs), len(ss)))
     errors: dict = {}
-    cells = [(i, j) for i in range(len(qs)) for j in range(len(ss))]
-    workers = max_workers if max_workers else thread_budget()
-
-    def work(ij):
-        i, j = ij
-        return _run_cell(spec.problem, qs[i], ss[j], settings)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(work, ij): ij for ij in cells}
-        for fut, (i, j) in futures.items():
+    problem = spec.problem
+    for i, N in enumerate(qs):
+        for j, n in enumerate(ss):
+            t0 = time.perf_counter()
             try:
-                u0, elapsed = fut.result()
-                values[i, j] = u0
-                timings[i, j] = elapsed
+                tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, settings)
+                values[i, j] = bsde_solver.solve(tree, problem).u0
+                timings[i, j] = time.perf_counter() - t0
             except Exception as exc:  # noqa: BLE001 - recorded per cell
-                errors[(qs[i], ss[j])] = f"{type(exc).__name__}: {exc}"
+                errors[(N, n)] = f"{type(exc).__name__}: {exc}"
     return SweepResult(spec, values, timings, errors)
 
 

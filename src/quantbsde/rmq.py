@@ -168,18 +168,22 @@ class QuantizationTree:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
+    """Iteration budget and fixed-point tolerance of the grid optimizer.
+
+    Values are coerced with ``int``/``float``, so numeric strings from a
+    config file are accepted.
+    """
+
     max_iterations: int = 200
     fixed_point_tol: float = 1e-9
-    newton_enabled: bool = True
-    newton_damping: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        object.__setattr__(self, "fixed_point_tol", float(self.fixed_point_tol))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.fixed_point_tol > 0.0:
             raise ValueError("fixed_point_tol must be positive")
-        if not 0.0 < self.newton_damping <= 1.0:
-            raise ValueError("newton_damping must lie in (0, 1]")
 
 
 def euler_operator(y, z, dt: float, problem: FbsdeProblem):
@@ -341,18 +345,17 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
     for _ in range(settings.max_iterations):
         g = 2.0 * (x * M0 - M1)
         x_new = stats_new = None
-        if settings.newton_enabled:
-            delta = _newton_direction(x, M0, F, g)
-            if delta is not None and np.all(np.isfinite(delta)):
-                lam = settings.newton_damping
-                for _h in range(9):
-                    cand = x + lam * delta
-                    if np.all(np.isfinite(cand)) and np.all(np.diff(cand) > 0):
-                        st = _mixture_stats(cand, means, stds, probs)
-                        if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
-                            x_new, stats_new = cand, st
-                            break
-                    lam *= 0.5
+        delta = _newton_direction(x, M0, F, g)
+        if delta is not None and np.all(np.isfinite(delta)):
+            lam = 1.0
+            for _h in range(9):
+                cand = x + lam * delta
+                if np.all(np.isfinite(cand)) and np.all(np.diff(cand) > 0):
+                    st = _mixture_stats(cand, means, stds, probs)
+                    if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
+                        x_new, stats_new = cand, st
+                        break
+                lam *= 0.5
         if x_new is None:
             # Lloyd step; empty cells keep their codeword. Exact Lloyd maps
             # preserve ordering, so only float noise can produce ties.

@@ -17,7 +17,6 @@ from quantbsde import (
     FbsdeProblem,
     QuantizationTree,
     QuantizedLayer,
-    SolverConfig,
     TimeGrid,
     TransitionMatrix,
     ValueLayer,
@@ -216,14 +215,6 @@ class TestSolve:
         sol_hi = solve(tree, hi)
         for a, b in zip(sol_lo.value_layers, sol_hi.value_layers):
             assert np.all(a.values <= b.values + 1e-12)
-
-    def test_config_rejects_implicit_schemes(self):
-        with pytest.raises(ValueError, match="explicit"):
-            SolverConfig(theta1=0.5)
-        with pytest.raises(ValueError, match="explicit"):
-            SolverConfig(theta2=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(mc_control_paths=0)
 
 
 class TestSamplingBenchmark:

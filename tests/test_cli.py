@@ -265,12 +265,33 @@ class TestValidation:
         assert code == 2
         assert "at least 1" in err
 
-    def test_bad_model_parameters(self, capsys, tmp_path):
+    @pytest.mark.parametrize("model", ["black-scholes", "bergman", "gbm"])
+    @pytest.mark.parametrize(
+        "bad, key",
+        [
+            ({"params": {"sigma": -0.2}}, "params"),
+            ({"params": {"rate_typo": 0.1}}, "params"),
+            ({"params": [1, 2]}, "params"),
+            ({"T": "abc"}, "T"),
+            ({"T": -1}, "T"),
+        ],
+        ids=["bad-sigma", "unknown-param", "non-object-params", "non-numeric-T", "nonpositive-T"],
+    )
+    def test_bad_model_parameters(self, capsys, tmp_path, model, bad, key):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"params": {"sigma": -0.2}}))
+        cfg.write_text(json.dumps({"model": model, **bad}))
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert key in err
+
+    def test_unknown_optimizer_key(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"optimizer": {"max_iteration": 1}}))
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 2
-        assert "params" in err
+        assert "optimizer" in err
+        assert "max_iteration" in err
 
 
 class TestConsoleScript:

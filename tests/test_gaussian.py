@@ -1,15 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
-from quantbsde import Interval, normal_cdf, normal_pdf, partial_moments
+from quantbsde import normal_cdf, normal_pdf
 
 from oracles import (
     CDF_196,
     INV_SQRT_2PI,
     PHI_10,
-    quad_partial_moments,
     series_normal_cdf,
 )
 
@@ -61,77 +58,3 @@ class TestNormalCdf:
         rng = np.random.default_rng(7)
         x = np.sort(rng.normal(0.0, 3.0, 1000))
         assert np.all(np.diff(normal_cdf(x)) >= 0.0)
-
-
-class TestInterval:
-    def test_rejects_reversed_endpoints(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Interval(math.nan, 1.0)
-
-    def test_allows_infinite_ends(self):
-        cell = Interval(-math.inf, math.inf)
-        assert cell.lo == -math.inf and cell.hi == math.inf
-
-
-class TestPartialMoments:
-    def test_whole_line_gives_mass_and_mean(self):
-        m0, m1 = partial_moments(Interval(-math.inf, math.inf), 3.0, 1.0)
-        assert m0 == pytest.approx(1.0, abs=1e-15)
-        assert m1 == pytest.approx(3.0, abs=1e-14)
-
-    def test_left_half_line_standard_normal(self):
-        m0, m1 = partial_moments(Interval(-math.inf, 0.0), 0.0, 1.0)
-        assert m0 == pytest.approx(0.5, abs=1e-15)
-        assert m1 == pytest.approx(-INV_SQRT_2PI, abs=1e-15)
-
-    def test_right_half_line_scaled(self):
-        m0, m1 = partial_moments(Interval(0.0, math.inf), 0.0, 2.0)
-        assert m0 == pytest.approx(0.5, abs=1e-15)
-        assert m1 == pytest.approx(2.0 * INV_SQRT_2PI, abs=1e-15)
-
-    def test_rejects_degenerate_std(self):
-        with pytest.raises(ValueError):
-            partial_moments(Interval(0.0, 1.0), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            partial_moments(Interval(0.0, 1.0), 0.0, -1.0)
-
-    def test_partition_sums(self):
-        # any partition of the line must recover total mass and mean
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            mean = float(rng.normal(0, 5))
-            std = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
-            cuts = np.sort(rng.normal(mean, 3 * std, 9))
-            edges = [-math.inf, *cuts, math.inf]
-            s0 = s1 = 0.0
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                m0, m1 = partial_moments(Interval(float(lo), float(hi)), mean, std)
-                s0 += m0
-                s1 += m1
-            assert s0 == pytest.approx(1.0, abs=1e-12)
-            assert s1 == pytest.approx(mean, abs=1e-12 * max(1.0, abs(mean)))
-
-    def test_against_quadrature_oracle(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(1000):
-            mean = float(rng.normal(0.0, 10.0))
-            std = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
-            kind = rng.integers(0, 4)
-            a = mean + float(rng.uniform(-8, 8)) * std
-            b = mean + float(rng.uniform(-8, 8)) * std
-            lo, hi = min(a, b), max(a, b)
-            if kind == 1:
-                lo = -math.inf
-            elif kind == 2:
-                hi = math.inf
-            elif kind == 3:
-                lo, hi = -math.inf, math.inf
-            m0, m1 = partial_moments(Interval(lo, hi), mean, std)
-            q0, q1 = quad_partial_moments(lo, hi, mean, std)
-            scale = max(1.0, abs(mean) + std)
-            assert m0 == pytest.approx(q0, abs=1e-10)
-            assert m1 == pytest.approx(q1, abs=1e-10 * scale)

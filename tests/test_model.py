@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from quantbsde import (
+    MODELS,
     BergmanParams,
     BlackScholesParams,
     FbsdeProblem,
+    GbmParams,
     bs_control,
     bs_price,
     make_bergman,
     make_black_scholes,
+    make_gbm,
 )
 
 from oracles import BS_CONTROL_ATM, BS_PRICE_ATM, quad_call_price
@@ -172,6 +175,33 @@ class TestBergmanProblem:
 
     def test_label(self):
         assert self.problem.label == "bergman"
+
+
+class TestGbmProblem:
+    def test_call_model_without_a_driver(self):
+        gbm = make_gbm(GbmParams(mu=0.05, sigma=0.2, strike=100.0), T=1.0, y0=100.0)
+        bs = make_black_scholes(BlackScholesParams(0.05, 0.2, 100.0), T=1.0, y0=100.0)
+        y = np.array([50.0, 100.0, 150.0])
+        for name in ("drift", "diffusion", "terminal"):
+            assert np.array_equal(getattr(gbm, name)(y), getattr(bs, name)(y))
+        assert np.array_equal(gbm.driver(0.0, y, y, y), np.zeros(3))
+        assert gbm.diffusion_floor == bs.diffusion_floor
+        assert gbm.label == "gbm"
+        assert gbm.params == {"mu": 0.05, "sigma": 0.2, "strike": 100.0}
+
+    def test_parameters_are_checked_as_the_call_model(self):
+        with pytest.raises(ValueError, match="sigma"):
+            make_gbm(GbmParams(mu=0.05, sigma=-0.2, strike=100.0), T=1.0, y0=100.0)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_defaults_build_the_named_model(self, name):
+        spec = MODELS[name]
+        problem = spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+        assert problem.label == name
+        assert problem.params == spec.defaults
+        assert (problem.T, problem.y0) == (spec.T, spec.y0)
 
 
 class TestParameterValidation:

@@ -3,12 +3,14 @@
 import csv
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 
 import quantbsde.rmq as rmq_mod
 from quantbsde import (
+    BergmanParams,
     BlackScholesParams,
     SweepResult,
     SweepSpec,
@@ -17,10 +19,10 @@ from quantbsde import (
     emit_csv,
     emit_json,
     hedge_compare,
+    make_bergman,
     make_black_scholes,
     run_sweep,
     solve,
-    thread_budget,
 )
 
 BS = BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0)
@@ -36,25 +38,6 @@ def small_spec(bs_problem):
     return SweepSpec(bs_problem, quantizer_counts=(5, 8), step_counts=(4, 6))
 
 
-class TestThreadBudget:
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("QUANTBSDE_THREADS", "3")
-        assert thread_budget() == 3
-
-    def test_zero_and_unset_mean_auto(self, monkeypatch):
-        monkeypatch.setenv("QUANTBSDE_THREADS", "0")
-        auto = thread_budget()
-        assert auto >= 1
-        monkeypatch.delenv("QUANTBSDE_THREADS")
-        assert thread_budget() == auto
-
-    def test_garbage_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv("QUANTBSDE_THREADS", "many")
-        assert thread_budget() >= 1
-        monkeypatch.setenv("QUANTBSDE_THREADS", "-4")
-        assert thread_budget() >= 1
-
-
 class TestRunSweep:
     def test_single_cell_matches_direct_solve(self, bs_problem):
         spec = SweepSpec(bs_problem, (10,), (5,))
@@ -65,13 +48,18 @@ class TestRunSweep:
         assert not result.failed
         assert result.timings[0, 0] > 0.0
 
-    def test_worker_count_does_not_change_values(self, small_spec, monkeypatch):
-        one = run_sweep(small_spec, max_workers=1)
-        two = run_sweep(small_spec, max_workers=2)
-        assert np.array_equal(one.values, two.values)
-        monkeypatch.setenv("QUANTBSDE_THREADS", "2")
-        env = run_sweep(small_spec)
-        assert np.array_equal(one.values, env.values)
+    def test_timings_are_per_cell(self):
+        # cells run one at a time, so their own times cannot add up to more
+        # than the sweep's wall time
+        problem = make_bergman(
+            BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0
+        )
+        spec = SweepSpec(problem, (5, 10, 20), (5, 10, 20))
+        t0 = time.perf_counter()
+        result = run_sweep(spec)
+        wall = time.perf_counter() - t0
+        assert np.all(result.timings > 0.0)
+        assert result.timings.sum() <= wall
 
     def test_cell_failures_are_isolated(self, bs_problem, monkeypatch):
         real = rmq_mod.build_tree
@@ -83,7 +71,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(rmq_mod, "build_tree", flaky)
         spec = SweepSpec(bs_problem, (5, 13), (4,))
-        result = run_sweep(spec, max_workers=1)
+        result = run_sweep(spec)
         assert result.failed
         assert list(result.errors) == [(13, 4)]
         assert "RuntimeError: injected failure" in result.errors[(13, 4)]
@@ -138,7 +126,7 @@ class TestHedgeCompare:
 
 class TestEmission:
     def test_sweep_csv_layout(self, small_spec, tmp_path):
-        result = run_sweep(small_spec, max_workers=1)
+        result = run_sweep(small_spec)
         path = tmp_path / "sweep.csv"
         emit_csv(result, path)
         with open(path, newline="") as fh:
@@ -162,7 +150,7 @@ class TestEmission:
             else real(problem, grid, N, settings),
         )
         spec = SweepSpec(bs_problem, (5, 13), (4,))
-        result = run_sweep(spec, max_workers=1)
+        result = run_sweep(spec)
         path = tmp_path / "sweep.csv"
         emit_csv(result, path)
         with open(path, newline="") as fh:
@@ -199,7 +187,7 @@ class TestEmission:
 
         monkeypatch.setattr(rmq_mod, "build_tree", flaky)
         spec = SweepSpec(bs_problem, (5, 13), (4,))
-        result = run_sweep(spec, max_workers=1)
+        result = run_sweep(spec)
         path = tmp_path / "sweep.json"
         emit_json(result, path)
         doc = json.loads(path.read_text())

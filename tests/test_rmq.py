@@ -243,6 +243,38 @@ class TestDistortion:
             mixture_distortion([1.0, 0.0], [0.0], [1.0], [1.0])
 
 
+class TestCellMoments:
+    """Per-cell M0/M1 of ``_mixture_stats`` for a single Gaussian component.
+
+    The outer cells are half lines, and a one-point grid is the whole line.
+    """
+
+    def test_against_quadrature_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            mean = float(rng.normal(0.0, 10.0))
+            std = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+            grid = np.sort(mean + rng.uniform(-8, 8, int(rng.integers(1, 5))) * std)
+            M0, M1, _, _, _ = rmq_mod._mixture_stats(grid, [mean], [std], [1.0])
+            bounds = np.concatenate(([-np.inf], 0.5 * (grid[:-1] + grid[1:]), [np.inf]))
+            scale = max(1.0, abs(mean) + std)
+            for j in range(grid.size):
+                q0, q1 = quad_partial_moments(bounds[j], bounds[j + 1], mean, std)
+                assert M0[j] == pytest.approx(q0, abs=1e-10)
+                assert M1[j] == pytest.approx(q1, abs=1e-10 * scale)
+
+    def test_partition_sums(self):
+        # the cells partition the line, so they recover total mass and mean
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            mean = float(rng.normal(0, 5))
+            std = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
+            grid = np.sort(rng.normal(mean, 3 * std, 10))
+            M0, M1, _, _, _ = rmq_mod._mixture_stats(grid, [mean], [std], [1.0])
+            assert M0.sum() == pytest.approx(1.0, abs=1e-12)
+            assert M1.sum() == pytest.approx(mean, abs=1e-12 * max(1.0, abs(mean)))
+
+
 class TestDistortionGradient:
     def test_zero_at_the_two_point_optimum(self):
         g = distortion_gradient(
@@ -596,7 +628,3 @@ class TestDataTypes:
             OptimizerSettings(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerSettings(fixed_point_tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerSettings(newton_damping=0.0)
-        with pytest.raises(ValueError):
-            OptimizerSettings(newton_damping=1.5)
