@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bsde_solver, report, rmq
@@ -21,9 +22,12 @@ class ConfigError(ValueError):
 
 def _number(cfg, key, default):
     try:
-        return float(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: not a number") from exc
+        val = float(cfg.get(key, default))
+    except (TypeError, ValueError):
+        val = math.nan
+    if not math.isfinite(val):
+        raise ConfigError(f"{key}: not a finite number")
+    return val
 
 
 def _build_problem(cfg):
@@ -48,17 +52,38 @@ def _optimizer_settings(cfg):
         raise ConfigError(f"optimizer: {exc}") from exc
 
 
-def _positive_int(cfg, key, default):
-    try:
-        val = int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: not an integer") from exc
-    if val < 1:
-        raise ConfigError(f"{key}: must be at least 1")
-    return val
+def _integers(cfg, key, default=None, least=1, many=False):
+    """``cfg[key]`` as an integer of at least ``least``, or with ``many`` as a
+    non-empty list of them, given as a JSON list or a comma-separated string.
+
+    An integer is a JSON integer, an integral float or a string of digits;
+    booleans, fractions and non-finite numbers are not.
+    """
+    raw = cfg.get(key, default)
+    items = raw if many else [raw]
+    if isinstance(items, str):
+        items = [tok for tok in items.replace(" ", "").split(",") if tok]
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"{key}: needs a non-empty list of integers")
+    vals = []
+    for item in items:
+        if (isinstance(item, str) and item.removeprefix("-").isdecimal()) or (
+            isinstance(item, float) and item.is_integer()
+        ):
+            item = int(item)
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise ConfigError(f"{key}: {raw!r}: not {'integers' if many else 'an integer'}")
+        if item < least:
+            raise ConfigError(f"{key}: must be at least {least}")
+        vals.append(item)
+    return vals if many else vals[0]
 
 
 def _load_config(args) -> dict:
+    """The config file's settings with every flag that was given copied over.
+
+    sweep's --steps and --quantizers override the lists of its "sweep" section.
+    """
     cfg = {}
     if args.config:
         try:
@@ -70,65 +95,52 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config: top level must be a JSON object")
-    if args.model:
-        cfg["model"] = args.model
-    if args.output:
-        cfg["output"] = args.output
+    section = cfg
+    if args.command == "sweep":
+        section = cfg.setdefault("sweep", {})
+        if not isinstance(section, dict):
+            raise ConfigError("sweep: must be a JSON object")
+    for key in ("model", "output", "steps", "quantizers", "hedge_steps"):
+        val = getattr(args, key, None)
+        if val is not None:
+            (section if key in ("steps", "quantizers") else cfg)[key] = val
+    if "output" in cfg and not (isinstance(cfg["output"], str) and cfg["output"]):
+        raise ConfigError(f"output: {cfg['output']!r} is not a non-empty path")
     return cfg
 
 
-def _parse_count_list(text):
-    try:
-        items = [int(tok) for tok in str(text).replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"count list {text!r}: not integers") from exc
-    if not items:
-        raise ConfigError("count list is empty")
-    return items
+def _build_and_solve(cfg):
+    """Build the configured problem's quantization tree and solve it backward."""
+    problem = _build_problem(cfg)
+    n = _integers(cfg, "steps", 20)
+    N = _integers(cfg, "quantizers", 50)
+    tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, _optimizer_settings(cfg))
+    return problem, bsde_solver.solve(tree, problem)
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    if args.steps is not None:
-        cfg["steps"] = args.steps
-    if args.quantizers is not None:
-        cfg["quantizers"] = args.quantizers
-    problem = _build_problem(cfg)
-    n = _positive_int(cfg, "steps", 20)
-    N = _positive_int(cfg, "quantizers", 50)
-    settings = _optimizer_settings(cfg)
-
-    tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, settings)
-    sol = bsde_solver.solve(tree, problem)
-    v0 = float(sol.control_layers[0].controls[0])
-    print(f"u0={sol.u0:.4f}")
-    print(f"v0={v0:.4f}")
+    _, sol = _build_and_solve(cfg)
     out = cfg.get("output")
     if out:
-        rmq.save_tree(tree, out, solution=sol)
+        rmq.save_tree(sol.tree, out, solution=sol)
+    print(f"u0={sol.u0:.4f}")
+    print(f"v0={float(sol.control_layers[0].controls[0]):.4f}")
+    if out:
         print(f"output={out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    sweep_cfg = dict(cfg.get("sweep") or {})
-    if args.quantizers is not None:
-        sweep_cfg["quantizers"] = _parse_count_list(args.quantizers)
-    if args.steps is not None:
-        sweep_cfg["steps"] = _parse_count_list(args.steps)
-    if "quantizers" not in sweep_cfg or "steps" not in sweep_cfg:
-        raise ConfigError("sweep: needs 'quantizers' and 'steps' lists")
-    problem = _build_problem(cfg)
-    spec = report.SweepSpec(
-        problem,
-        tuple(sweep_cfg["quantizers"]),
-        tuple(sweep_cfg["steps"]),
-    )
+    sweep = cfg["sweep"]
+    quantizers = _integers(sweep, "quantizers", many=True)
+    steps = _integers(sweep, "steps", many=True)
+    spec = report.SweepSpec(_build_problem(cfg), quantizers, steps)
     result = report.run_sweep(spec, _optimizer_settings(cfg))
     out = cfg.get("output", "sweep.csv")
     report.emit_csv(result, out)
-    report.emit_json(result, str(out) + ".json")
+    report.emit_json(result, out + ".json")
     print(f"cells={result.values.size}")
     print(f"failures={len(result.errors)}")
     print(f"output={out}")
@@ -139,24 +151,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_hedge(args) -> int:
     cfg = _load_config(args)
-    if args.steps is not None:
-        cfg["steps"] = args.steps
-    if args.quantizers is not None:
-        cfg["quantizers"] = args.quantizers
-    if args.hedge_steps is not None:
-        cfg["hedge_steps"] = _parse_count_list(args.hedge_steps)
-    problem = _build_problem(cfg)
-    n = _positive_int(cfg, "steps", 20)
-    N = _positive_int(cfg, "quantizers", 50)
-    steps = cfg.get("hedge_steps", [5, 10, 15])
-    if not isinstance(steps, (list, tuple)):
-        raise ConfigError("hedge_steps: must be a list of step indices")
-    for k in steps:
-        if not 0 <= int(k) < n:
-            raise ConfigError(f"hedge_steps: step {k} out of range [0, {n - 1}]")
-
-    tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, _optimizer_settings(cfg))
-    sol = bsde_solver.solve(tree, problem)
+    steps = _integers(cfg, "hedge_steps", [5, 10, 15], least=0, many=True)
+    problem, sol = _build_and_solve(cfg)
     try:
         rows = report.hedge_compare(sol, problem, steps)
     except ValueError as exc:
@@ -181,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="artifact path (JSON for solve, CSV otherwise)")
 
     p_solve = sub.add_parser("solve", parents=[common], help="single solve, prints u0 and v0")
-    p_solve.add_argument("--steps", type=int, help="number of time steps")
-    p_solve.add_argument("--quantizers", type=int, help="codewords per layer")
+    p_solve.add_argument("--steps", help="number of time steps")
+    p_solve.add_argument("--quantizers", help="codewords per layer")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="(N, n) convergence table to CSV")
@@ -191,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_hedge = sub.add_parser("hedge", parents=[common], help="control vs closed form to CSV")
-    p_hedge.add_argument("--steps", type=int, help="number of time steps")
-    p_hedge.add_argument("--quantizers", type=int, help="codewords per layer")
+    p_hedge.add_argument("--steps", help="number of time steps")
+    p_hedge.add_argument("--quantizers", help="codewords per layer")
     p_hedge.add_argument("--hedge-steps", dest="hedge_steps", help="comma-separated step indices")
     p_hedge.set_defaults(func=cmd_hedge)
     return parser

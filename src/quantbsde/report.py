@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class SweepSpec:
     step_counts: tuple
 
     def __post_init__(self) -> None:
-        qs = tuple(int(q) for q in self.quantizer_counts)
-        ss = tuple(int(s) for s in self.step_counts)
+        qs = tuple(operator.index(q) for q in self.quantizer_counts)
+        ss = tuple(operator.index(s) for s in self.step_counts)
         object.__setattr__(self, "quantizer_counts", qs)
         object.__setattr__(self, "step_counts", ss)
         if any(q < 1 for q in qs) or any(s < 1 for s in ss):
@@ -114,7 +115,7 @@ def hedge_compare(
     dt = solution.tree.time_grid.dt
     rows: list[HedgeRow] = []
     for k in steps:
-        k = int(k)
+        k = operator.index(k)
         if not 0 <= k <= n - 1:
             raise ValueError(f"hedge step {k} out of range [0, {n - 1}]")
         layer = solution.tree.layers[k]

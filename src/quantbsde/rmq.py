@@ -170,15 +170,18 @@ class QuantizationTree:
 class OptimizerSettings:
     """Iteration budget and fixed-point tolerance of the grid optimizer.
 
-    Values are coerced with ``int``/``float``, so numeric strings from a
-    config file are accepted.
+    Values are coerced with ``float``, so numeric strings from a config file
+    are accepted; ``max_iterations`` must be integral and not a boolean.
     """
 
     max_iterations: int = 200
     fixed_point_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        iterations = float(self.max_iterations)
+        if isinstance(self.max_iterations, bool) or not iterations.is_integer():
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        object.__setattr__(self, "max_iterations", int(iterations))
         object.__setattr__(self, "fixed_point_tol", float(self.fixed_point_tol))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")

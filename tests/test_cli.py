@@ -25,6 +25,7 @@ from quantbsde import load_tree
 from quantbsde.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +122,21 @@ class TestSolve:
         assert code == 0
         assert flag_out.exists()
         assert not cfg_out.exists()
+
+    def test_unwritable_output_prints_nothing(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--steps",
+            "3",
+            "--quantizers",
+            "4",
+            "--output",
+            str(tmp_path / "absent" / "run.rmq.json"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_stalled_optimizer_names_its_layer(self, capsys, tmp_path):
         cfg = tmp_path / "stall.json"
@@ -274,13 +290,70 @@ class TestValidation:
             ({"params": [1, 2]}, "params"),
             ({"T": "abc"}, "T"),
             ({"T": -1}, "T"),
+            ({"T": "inf"}, "T"),
+            ({"y0": "nan"}, "y0"),
+            ({"optimizer": {"max_iterations": 2.5}}, "max_iterations"),
         ],
-        ids=["bad-sigma", "unknown-param", "non-object-params", "non-numeric-T", "nonpositive-T"],
+        ids=[
+            "bad-sigma",
+            "unknown-param",
+            "non-object-params",
+            "non-numeric-T",
+            "nonpositive-T",
+            "infinite-T",
+            "nan-y0",
+            "fractional-max-iterations",
+        ],
     )
     def test_bad_model_parameters(self, capsys, tmp_path, model, bad, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"model": model, **bad}))
         code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "command, settings, flags, key",
+        [
+            ("solve", {"steps": 2.7, "quantizers": 4}, [], "steps"),
+            ("solve", {"steps": True, "quantizers": 4}, [], "steps"),
+            ("solve", {"steps": 3, "quantizers": 4.5}, [], "quantizers"),
+            ("hedge", {"steps": 3, "quantizers": 4, "hedge_steps": ["a"]}, [], "hedge_steps"),
+            ("hedge", {"steps": 3, "quantizers": 4, "hedge_steps": [1.9]}, [], "hedge_steps"),
+            ("sweep", {"sweep": {"quantizers": [2.7], "steps": [3]}}, [], "quantizers"),
+            ("sweep", {"sweep": {"quantizers": ["a"], "steps": [3]}}, [], "quantizers"),
+            ("sweep", {"sweep": {"quantizers": 5, "steps": [3]}}, [], "quantizers"),
+            ("sweep", {"sweep": {"quantizers": [0], "steps": [3]}}, [], "quantizers"),
+            ("sweep", {"sweep": [1]}, [], "sweep"),
+            ("sweep", {}, ["--quantizers", "0", "--steps", "3"], "quantizers"),
+            ("solve", {"steps": 3, "quantizers": 4, "output": 1}, [], "output"),
+            ("solve", {"steps": 3, "quantizers": 4, "output": ""}, [], "output"),
+            ("sweep", {"sweep": {"quantizers": [3], "steps": [2]}, "output": ""}, [], "output"),
+        ],
+        ids=[
+            "fractional-steps",
+            "boolean-steps",
+            "fractional-quantizers",
+            "non-numeric-hedge-step",
+            "fractional-hedge-step",
+            "fractional-sweep-quantizers",
+            "non-numeric-sweep-quantizers",
+            "scalar-sweep-quantizers",
+            "zero-sweep-quantizers",
+            "non-object-sweep",
+            "zero-quantizers-flag",
+            "non-string-output",
+            "empty-output",
+            "empty-sweep-output",
+        ],
+    )
+    def test_bad_setting_is_a_config_error(
+        self, capsys, tmp_path, command, settings, flags, key
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), *flags)
         assert code == 2
         assert out == ""
         assert key in err
@@ -292,6 +365,25 @@ class TestValidation:
         assert code == 2
         assert "optimizer" in err
         assert "max_iteration" in err
+
+
+class TestReadmeConfig:
+    """The config example under "Command line" in README.md runs as shown."""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "hedge"])
+    def test_example_runs(self, capsys, tmp_path, command):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("## Command line"):]
+        block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        settings = json.loads(block)
+        settings["output"] = str(tmp_path / Path(settings["output"]).name)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 0, err
+        assert stdout_dict(out)["output"] == settings["output"]
+        if command == "solve":
+            assert stdout_dict(out)["u0"] == "11.8058"
 
 
 class TestConsoleScript:

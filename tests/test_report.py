@@ -83,6 +83,8 @@ class TestRunSweep:
             SweepSpec(bs_problem, (0,), (5,))
         with pytest.raises(ValueError):
             SweepSpec(bs_problem, (5,), (-1,))
+        with pytest.raises(TypeError):
+            SweepSpec(bs_problem, (2.7,), (3,))
 
 
 class TestHedgeCompare:
@@ -122,6 +124,8 @@ class TestHedgeCompare:
             hedge_compare(sol, bs_problem, [5])
         with pytest.raises(ValueError, match="out of range"):
             hedge_compare(sol, bs_problem, [-1])
+        with pytest.raises(TypeError):
+            hedge_compare(sol, bs_problem, [1.9])
 
 
 class TestEmission:

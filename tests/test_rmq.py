@@ -628,3 +628,5 @@ class TestDataTypes:
             OptimizerSettings(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerSettings(fixed_point_tol=0.0)
+        with pytest.raises(ValueError, match="integer"):
+            OptimizerSettings(max_iterations=2.5)
