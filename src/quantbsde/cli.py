@@ -21,8 +21,10 @@ class ConfigError(ValueError):
 
 
 def _number(cfg, key, default):
+    """``cfg[key]`` as a finite float; a boolean is not a number."""
+    raw = cfg.get(key, default)
     try:
-        val = float(cfg.get(key, default))
+        val = math.nan if isinstance(raw, bool) else float(raw)
     except (TypeError, ValueError):
         val = math.nan
     if not math.isfinite(val):
@@ -39,9 +41,13 @@ def _build_problem(cfg):
     T = _number(cfg, "T", spec.T)
     y0 = _number(cfg, "y0", spec.y0)
     try:
-        return spec.factory(spec.param_type(**{**spec.defaults, **params}), T, y0)
+        params = spec.param_type(**{**spec.defaults, **params})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"params: {exc}") from exc
+    try:
+        return spec.factory(params, T, y0)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _optimizer_settings(cfg):

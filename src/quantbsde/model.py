@@ -13,7 +13,8 @@ with a bull-spread payoff, whose driver is genuinely nonlinear in ``(u, v)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,6 +71,20 @@ def _default_floor(sigma_at_y0: float, y0: float) -> float:
     return 1e-8 * abs(y0) * abs(sigma_at_y0)
 
 
+def _check_numbers(params) -> None:
+    """Every field of ``params`` is a finite real number; a boolean is not."""
+    for f in fields(params):
+        val = getattr(params, f.name)
+        if isinstance(val, bool) or not isinstance(val, Real) or not math.isfinite(val):
+            raise ValueError(f"{f.name} must be a finite number, got {val!r}")
+
+
+def _check_gbm_start(y0: float) -> None:
+    """A geometric Brownian motion lives on (0, inf): it cannot start at y0 <= 0."""
+    if not y0 > 0.0:
+        raise ValueError(f"y0 must be positive for a geometric Brownian motion, got {y0!r}")
+
+
 @dataclass(frozen=True)
 class BlackScholesParams:
     rate: float
@@ -77,6 +92,7 @@ class BlackScholesParams:
     strike: float
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         if not self.strike > 0.0:
@@ -93,6 +109,7 @@ class BergmanParams:
     strike_high: float
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         if self.lend_rate > self.borrow_rate:
@@ -103,12 +120,16 @@ class BergmanParams:
 
 @dataclass(frozen=True)
 class GbmParams:
-    """Drift, volatility and strike of the driverless call; ``make_gbm``
-    checks them as ``BlackScholesParams`` with ``rate = mu``."""
+    """Drift, volatility and strike of the driverless call, checked as
+    ``BlackScholesParams`` with ``rate = mu``."""
 
     mu: float
     sigma: float
     strike: float
+
+    def __post_init__(self) -> None:
+        _check_numbers(self)
+        BlackScholesParams(self.mu, self.sigma, self.strike)
 
 
 def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProblem:
@@ -118,8 +139,9 @@ def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProbl
     ``h(y) = (y - K)+``; driver ``f(t, y, u, v) = -r u``, i.e. plain
     discounting of the value, so the value process is the discounted
     conditional expectation of the payoff and the control is the
-    delta-hedge scaled by ``sigma y``.
+    delta-hedge scaled by ``sigma y``. Raises ValueError unless y0 > 0.
     """
+    _check_gbm_start(y0)
     r, s, K = p.rate, p.sigma, p.strike
 
     def drift(y):
@@ -158,8 +180,10 @@ def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:
 
     with lending rate ``r`` and borrowing rate ``R``. The ``min`` term
     switches the financing rate whenever the replicating portfolio
-    borrows, which makes the generator nonlinear in ``(u, v)``.
+    borrows, which makes the generator nonlinear in ``(u, v)``. Raises
+    ValueError unless y0 > 0.
     """
+    _check_gbm_start(y0)
     mu, s = p.mu, p.sigma
     r, R = p.lend_rate, p.borrow_rate
     K1, K2 = p.strike_low, p.strike_high

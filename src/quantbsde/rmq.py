@@ -25,12 +25,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.special import ndtr, ndtri
 
-from .gaussian import normal_pdf
+from .gaussian import cdf_and_pdf
 from .model import FbsdeProblem
 
 __all__ = [
@@ -171,7 +170,8 @@ class OptimizerSettings:
     """Iteration budget and fixed-point tolerance of the grid optimizer.
 
     Values are coerced with ``float``, so numeric strings from a config file
-    are accepted; ``max_iterations`` must be integral and not a boolean.
+    are accepted; neither may be a boolean, ``max_iterations`` must be
+    integral and ``fixed_point_tol`` finite.
     """
 
     max_iterations: int = 200
@@ -181,12 +181,14 @@ class OptimizerSettings:
         iterations = float(self.max_iterations)
         if isinstance(self.max_iterations, bool) or not iterations.is_integer():
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        if isinstance(self.fixed_point_tol, bool):
+            raise ValueError(f"fixed_point_tol must be a number, got {self.fixed_point_tol!r}")
         object.__setattr__(self, "max_iterations", int(iterations))
         object.__setattr__(self, "fixed_point_tol", float(self.fixed_point_tol))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.fixed_point_tol > 0.0:
-            raise ValueError("fixed_point_tol must be positive")
+        if not 0.0 < self.fixed_point_tol < math.inf:
+            raise ValueError("fixed_point_tol must be positive and finite")
 
 
 def euler_operator(y, z, dt: float, problem: FbsdeProblem):
@@ -225,6 +227,13 @@ def conditional_law(
     return means, stds
 
 
+# The cdf is evaluated only on standardized boundaries inside this band.
+# From a = 8.2924 up it rounds to exactly 1; below the band it is taken as 0,
+# which drops at most Phi(-8.5) = 9.5e-18 of mass per entry. The pdf is 0
+# outside the band, and infinite outer boundaries fall outside it.
+_BAND_LO, _BAND_HI = -8.5, 8.3
+
+
 def _mixture_stats(grid, means, stds, probs):
     """Aggregated cell statistics of a Gaussian mixture over Voronoi cells.
 
@@ -233,7 +242,8 @@ def _mixture_stats(grid, means, stds, probs):
     mixture density at the interior cell boundaries (padded with zeros at the
     infinite ends), and raw is the per-component cell-mass matrix used for
     transition probabilities. Infinite boundaries contribute cdf values of
-    exactly 0/1 and pdf values of exactly 0.
+    exactly 0/1 and pdf values of exactly 0, and so do finite ones outside
+    the band (_BAND_LO, _BAND_HI) of standardized values.
 
     Moments are aggregated over components by two 3-row matrix products,
     taken about the mixture mean c: component i contributes
@@ -254,19 +264,18 @@ def _mixture_stats(grid, means, stds, probs):
     v = np.asarray(stds, dtype=float)
     p = np.asarray(probs, dtype=float)
 
-    a = (bounds[None, :] - m[:, None]) / v[:, None]  # standardized, comps x (n+1)
-    C = np.empty_like(a)
-    C[:, 0] = 0.0
-    C[:, -1] = 1.0
-    C[:, 1:-1] = ndtr(a[:, 1:-1])
+    a = bounds[None, :] - m[:, None]
+    a /= v[:, None]  # standardized, comps x (n+1)
+    band = (a > _BAND_LO) & (a < _BAND_HI)
+    C = (a >= _BAND_HI).astype(float)
     P = np.zeros_like(a)
-    P[:, 1:-1] = normal_pdf(a[:, 1:-1])
+    C[band], P[band] = cdf_and_pdf(a[band])
 
-    raw = np.diff(C, axis=1)  # per-component cell masses
+    raw = C[:, 1:] - C[:, :-1]  # per-component cell masses
     c = float(p @ m)
     mc = m - c
-    R = np.stack([p, p * mc, p * (mc * mc + v * v)]) @ raw
-    Q = np.stack([p * v, p * v * mc, p / v]) @ P
+    R = np.array([p, p * mc, p * (mc * mc + v * v)]) @ raw
+    Q = np.array([p * v, p * v * mc, p / v]) @ P
 
     M0 = R[0]
     M1c = R[1] + Q[0, :-1] - Q[0, 1:]  # first moment about c
@@ -274,7 +283,7 @@ def _mixture_stats(grid, means, stds, probs):
     t = np.zeros(n + 1)
     t[1:-1] = (bounds[1:-1] - c) * Q[0, 1:-1] + Q[1, 1:-1]
     xc = x - c
-    dist = float(np.sum((R[2] + t[:-1] - t[1:]) - 2.0 * xc * M1c + xc * xc * M0))
+    dist = float(((R[2] + t[:-1] - t[1:]) - 2.0 * xc * M1c + xc * xc * M0).sum())
 
     F = np.zeros(n + 1)
     F[1:-1] = Q[2, 1:-1]
@@ -304,30 +313,54 @@ def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     return 2.0 * (x * M0 - M1)
 
 
+def _solve_tridiagonal_spd(diag, off, rhs):
+    """Solve the symmetric tridiagonal system with diagonal ``diag`` and
+    off-diagonal ``off`` by an LDL^T factorization, in plain Python lists.
+
+    Returns None as soon as a pivot is not positive (NaN included), which is
+    exactly when the matrix is not positive definite.
+    """
+    n = len(diag)
+    d = [0.0] * n
+    ell = [0.0] * n
+    y = [0.0] * n
+    piv = diag[0]
+    if not piv > 0.0:
+        return None
+    d[0], y[0] = piv, rhs[0]
+    for j in range(1, n):
+        lj = off[j - 1] / d[j - 1]
+        piv = diag[j] - lj * off[j - 1]
+        if not piv > 0.0:
+            return None
+        ell[j], d[j], y[j] = lj, piv, rhs[j] - lj * y[j - 1]
+    y[-1] /= d[-1]
+    for j in range(n - 2, -1, -1):
+        y[j] = y[j] / d[j] - ell[j + 1] * y[j + 1]
+    return y
+
+
 def _newton_direction(x, M0, F, g):
     """Solve H delta = -g for the tridiagonal distortion Hessian.
 
     H_jj = 2 M0_j - (dx_{j-1}/2) F_j - (dx_j/2) F_{j+1},
     H_{j,j+1} = -(dx_j/2) F_{j+1}, with F the mixture density at the interior
     boundaries. The Hessian can lose definiteness in near-empty tail cells;
-    a Levenberg shift escalates until the Cholesky factorization succeeds.
+    a Levenberg shift escalates until the LDL^T factorization has positive
+    pivots.
     """
-    dx = np.diff(x)
-    off = -0.5 * dx * F[1:-1]
-    diag = 2.0 * M0.copy()
+    off = -0.5 * (x[1:] - x[:-1]) * F[1:-1]
+    diag = 2.0 * M0
     diag[:-1] += off
     diag[1:] += off
-    scale = max(float(np.max(np.abs(diag))), 1e-300)
-    ab = np.empty((2, x.size))
+    scale = max(float(np.abs(diag).max()), 1e-300)
+    diag, off, rhs = diag.tolist(), off.tolist(), (-g).tolist()
     shift = 0.0
     for _ in range(12):
-        ab[0, 0] = 0.0
-        ab[0, 1:] = off
-        ab[1, :] = diag + shift
-        try:
-            return solveh_banded(ab, -g, lower=False)
-        except np.linalg.LinAlgError:
-            shift = scale * 1e-12 if shift == 0.0 else shift * 100.0
+        delta = _solve_tridiagonal_spd([dj + shift for dj in diag], off, rhs)
+        if delta is not None:
+            return np.array(delta)
+        shift = scale * 1e-12 if shift == 0.0 else shift * 100.0
     return None
 
 
@@ -349,11 +382,11 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
         g = 2.0 * (x * M0 - M1)
         x_new = stats_new = None
         delta = _newton_direction(x, M0, F, g)
-        if delta is not None and np.all(np.isfinite(delta)):
+        if delta is not None and np.isfinite(delta).all():
             lam = 1.0
             for _h in range(9):
                 cand = x + lam * delta
-                if np.all(np.isfinite(cand)) and np.all(np.diff(cand) > 0):
+                if np.isfinite(cand).all() and (cand[1:] > cand[:-1]).all():
                     st = _mixture_stats(cand, means, stds, probs)
                     if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
                         x_new, stats_new = cand, st
@@ -370,7 +403,7 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
                 bad = np.diff(cand) <= 0
             x_new = cand
             stats_new = _mixture_stats(cand, means, stds, probs)
-        disp = float(np.max(np.abs(x_new - x)))
+        disp = float(np.abs(x_new - x).max())
         x = x_new
         M0, M1, dist, F, raw = stats_new
         if disp < settings.fixed_point_tol:
@@ -391,8 +424,9 @@ def _quantile_start(means, stds, probs, N: int) -> np.ndarray:
     mu = float(probs @ means)
     var = float(probs @ (stds**2 + means**2)) - mu * mu
     sd = math.sqrt(max(var, 1e-300))
-    q = (2.0 * np.arange(1, N + 1) - 1.0) / (2.0 * N)
-    return mu + sd * ndtri(q)
+    inv_cdf = NormalDist().inv_cdf
+    q = [(2.0 * j - 1.0) / (2.0 * N) for j in range(1, N + 1)]
+    return mu + sd * np.array([inv_cdf(qj) for qj in q])
 
 
 def _normalized_transition(step: int, raw) -> TransitionMatrix:
@@ -521,7 +555,9 @@ def build_tree(
     exactly. Per layer the conditional law is evaluated once, and the
     transition reuses the optimizer's last cell masses. Layers after the
     first are warm-started from the previous codebook (shifted by the drift
-    and dilated about the mixture mean); the first layer starts at
+    and dilated about the mixture mean), plus the previous layer's miss:
+    its optimized codewords minus its own shift-and-dilate start, kept only
+    if the sum is strictly increasing. The first layer starts at
     moment-matched Gaussian quantiles.
     """
     if N < 1:
@@ -530,11 +566,18 @@ def build_tree(
     dt = grid.dt
     layers = [QuantizedLayer(0, np.array([problem.y0]), np.array([1.0]), 0.0)]
     transitions = []
+    miss = None
     for k in range(grid.n):
         prev = layers[-1]
         means, stds = conditional_law(prev, dt, problem)
         warm = _warm_start_from(prev, means, stds) if prev.size == N else None
-        layer, tr = _quantize_layer(prev, means, stds, N, settings, warm)
+        start = warm
+        if warm is not None and miss is not None:
+            carried = warm + miss
+            if (carried[1:] > carried[:-1]).all():
+                start = carried
+        layer, tr = _quantize_layer(prev, means, stds, N, settings, start)
+        miss = None if warm is None else layer.codewords - warm
         layers.append(layer)
         transitions.append(tr)
     return QuantizationTree(grid, tuple(layers), tuple(transitions))

@@ -1,6 +1,7 @@
 """Command-line behaviour, exercised in-process through cli.main.
 
-The console-script check alone runs the CLI in a fresh interpreter.
+Only the console-script checks run the CLI, or import the package, in a
+fresh interpreter.
 """
 
 import csv
@@ -293,6 +294,11 @@ class TestValidation:
             ({"T": "inf"}, "T"),
             ({"y0": "nan"}, "y0"),
             ({"optimizer": {"max_iterations": 2.5}}, "max_iterations"),
+            ({"T": True}, "T"),
+            ({"params": {"sigma": True}}, "sigma"),
+            ({"y0": -5}, "y0"),
+            ({"y0": 0}, "y0"),
+            ({"optimizer": {"fixed_point_tol": "inf"}}, "fixed_point_tol"),
         ],
         ids=[
             "bad-sigma",
@@ -303,6 +309,11 @@ class TestValidation:
             "infinite-T",
             "nan-y0",
             "fractional-max-iterations",
+            "boolean-T",
+            "boolean-sigma",
+            "negative-y0",
+            "zero-y0",
+            "infinite-fixed-point-tol",
         ],
     )
     def test_bad_model_parameters(self, capsys, tmp_path, model, bad, key):
@@ -420,3 +431,20 @@ class TestConsoleScript:
             )
             assert proc.returncode == 0, proc.stderr
             assert "u0=" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        """scipy is a test-only dependency: the package and its CLI run without it."""
+        src_dir = str(Path(quantbsde.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, quantbsde, quantbsde.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

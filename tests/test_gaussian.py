@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from quantbsde import normal_cdf, normal_pdf
+from quantbsde.gaussian import cdf_and_pdf
 
 from oracles import (
     CDF_196,
@@ -58,3 +61,47 @@ class TestNormalCdf:
         rng = np.random.default_rng(7)
         x = np.sort(rng.normal(0.0, 3.0, 1000))
         assert np.all(np.diff(normal_cdf(x)) >= 0.0)
+
+
+class TestAgainstCephes:
+    """The numpy cdf follows the cephes ``ndtr`` that scipy ships; scipy is a
+    test-only dependency, imported here and nowhere in the package."""
+
+    # the branch edges of a = x sqrt(2): |x| = sqrt(1/2), 1 and 8
+    EDGES = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+
+    def test_matches_ndtr_on_a_dense_grid(self):
+        from scipy.special import ndtr
+
+        edges = np.concatenate([self.EDGES, -self.EDGES])
+        a = np.concatenate(
+            [
+                np.linspace(-37.5, 9.0, 400_001),
+                edges,
+                np.nextafter(edges, np.inf),
+                np.nextafter(edges, -np.inf),
+            ]
+        )
+        got, want = normal_cdf(a), ndtr(a)
+        normal = want >= 1e-300
+        rel = np.abs(got[normal] - want[normal]) / want[normal]
+        assert rel.max() <= 1e-15
+        assert np.abs(got[~normal] - want[~normal]).max() <= 1e-300
+
+    def test_exact_limits_and_nan(self):
+        out = normal_cdf(np.array([-np.inf, np.inf, np.nan, -1e300, 1e300]))
+        assert out[0] == 0.0 and out[1] == 1.0
+        assert np.isnan(out[2])
+        assert out[3] == 0.0 and out[4] == 1.0
+        assert math.isnan(normal_cdf(math.nan))
+
+    def test_keeps_the_input_shape(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert normal_cdf(x).shape == (3, 4)
+        assert np.array_equal(normal_cdf(x).ravel(), normal_cdf(x.ravel()))
+
+    def test_shared_pdf_matches_the_density(self):
+        a = np.linspace(-8.5, 8.3, 10_001)
+        cdf, pdf = cdf_and_pdf(a)
+        assert np.array_equal(cdf, normal_cdf(a))
+        assert np.max(np.abs(pdf - normal_pdf(a)) / normal_pdf(a)) <= 5e-14

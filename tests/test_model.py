@@ -237,6 +237,23 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             make_black_scholes(BS, T=0.0, y0=100.0)
 
+    @pytest.mark.parametrize("y0", [-5.0, 0.0, math.nan])
+    def test_gbm_models_reject_a_nonpositive_start(self, y0):
+        gbm = GbmParams(mu=0.05, sigma=0.2, strike=100.0)
+        cases = [(make_black_scholes, BS), (make_gbm, gbm), (make_bergman, BERGMAN)]
+        for factory, params in cases:
+            with pytest.raises(ValueError, match="y0"):
+                factory(params, 1.0, y0)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.2", math.inf, math.nan])
+    def test_params_must_be_finite_numbers(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            BlackScholesParams(rate=0.04, sigma=bad, strike=100.0)
+        with pytest.raises(ValueError, match="mu"):
+            GbmParams(mu=bad, sigma=0.2, strike=100.0)
+        with pytest.raises(ValueError, match="lend_rate"):
+            BergmanParams(0.05, 0.2, bad, 0.06, 95.0, 105.0)
+
     def test_problem_rejects_degenerate_diffusion_at_start(self):
         with pytest.raises(ValueError):
             FbsdeProblem(

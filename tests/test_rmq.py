@@ -243,6 +243,66 @@ class TestDistortion:
             mixture_distortion([1.0, 0.0], [0.0], [1.0], [1.0])
 
 
+class TestBandedKernel:
+    """The stats kernel evaluates the cdf only on standardized boundaries in
+    (-8.5, 8.3) and takes the exact limits outside."""
+
+    def test_one_point_grid_has_no_interior_boundary(self):
+        means, stds, probs = [-1.0, 2.0], [0.5, 3.0], [0.25, 0.75]
+        M0, M1, dist, F, raw = rmq_mod._mixture_stats([0.3], means, stds, probs)
+        assert raw.tolist() == [[1.0], [1.0]]
+        assert F.tolist() == [0.0, 0.0]
+        assert M0 == pytest.approx([1.0], abs=1e-15)
+        assert M1 == pytest.approx([1.25], rel=1e-15)
+        assert dist == pytest.approx(0.25 * (0.25 + 1.3**2) + 0.75 * (9.0 + 1.7**2), rel=1e-14)
+
+    def test_saturated_entries_are_exact(self):
+        # boundaries at -20, -10, 0 and 9.5 standard deviations
+        grid = [-21.0, -19.0, -1.0, 1.0, 18.0]
+        _, _, _, F, raw = rmq_mod._mixture_stats(grid, [0.0], [1.0], [1.0])
+        assert raw.tolist() == [[0.0, 0.0, 0.5, 0.5, 0.0]]
+        assert F[[0, 1, 2, 4, 5]].tolist() == [0.0] * 5
+        assert F[3] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+
+
+class TestNewtonSolve:
+    @pytest.mark.parametrize("n", [2, 5, 200])
+    def test_ldlt_matches_a_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.uniform(0.1, 1.0, n)
+        diag[:-1] += np.abs(off)
+        diag[1:] += np.abs(off)
+        rhs = rng.normal(size=n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        got = rmq_mod._solve_tridiagonal_spd(diag.tolist(), off.tolist(), rhs.tolist())
+        want = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_ldlt_reports_a_nonpositive_pivot(self):
+        assert rmq_mod._solve_tridiagonal_spd([1.0, 1.0], [2.0], [1.0, 1.0]) is None
+        assert rmq_mod._solve_tridiagonal_spd([0.0, 1.0], [0.0], [1.0, 1.0]) is None
+        assert rmq_mod._solve_tridiagonal_spd([math.nan], [], [1.0]) is None
+
+    def test_indefinite_hessian_takes_the_shift_path(self, monkeypatch):
+        pivots_ok = []
+        real = rmq_mod._solve_tridiagonal_spd
+
+        def spy(diag, off, rhs):
+            out = real(diag, off, rhs)
+            pivots_ok.append(out is not None)
+            return out
+
+        monkeypatch.setattr(rmq_mod, "_solve_tridiagonal_spd", spy)
+        x = np.array([0.0, 1.0, 2.0])
+        M0 = np.array([0.5, 1e-20, 0.5])
+        F = np.array([0.0, 1.0, 1.0, 0.0])  # middle diagonal 2e-20 - 1 < 0
+        g = np.array([0.1, -0.2, 0.1])
+        delta = rmq_mod._newton_direction(x, M0, F, g)
+        assert pivots_ok[0] is False and pivots_ok[-1] is True
+        assert delta is not None and np.all(np.isfinite(delta))
+
+
 class TestCellMoments:
     """Per-cell M0/M1 of ``_mixture_stats`` for a single Gaussian component.
 
@@ -630,3 +690,5 @@ class TestDataTypes:
             OptimizerSettings(fixed_point_tol=0.0)
         with pytest.raises(ValueError, match="integer"):
             OptimizerSettings(max_iterations=2.5)
+        with pytest.raises(ValueError, match="finite"):
+            OptimizerSettings(fixed_point_tol="inf")
