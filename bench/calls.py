@@ -1,0 +1,119 @@
+"""Stats-kernel calls per RMQ layer on the benchmark's two build workloads.
+
+    python3 bench/calls.py --out CALLS.json [--rev HEAD~1]
+
+Every call of ``rmq._mixture_stats`` is counted, and attributed to the
+layer whose ``rmq._quantize_layer`` is running, by wrapping both functions.
+The cases are the bs-refine ladder (Black-Scholes call, N=200,
+n = 10, 20, 40, 80) and the 30 cells of the Bergman sweep
+(N in 5, 10, 15, 20, 50, 100 and n in 5, 10, 20, 50, 100), with the
+parameters of ``perfbench/workloads.py``. Each case records its total
+calls, the calls of each layer, the mean over the warm-started layers 2..n
+and its u0 at full precision.
+
+With ``--rev`` the same counts are also taken on that revision, exported
+with ``git archive`` into a temporary directory as ``bench/pairs.py`` does,
+and the output holds both sides and the largest relative u0 difference.
+Each side is counted in its own interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from pairs import ROOT, export, git
+
+LADDER = (200, (10, 20, 40, 80))
+SWEEP = ((5, 10, 15, 20, 50, 100), (5, 10, 20, 50, 100))
+
+
+def count(src: Path) -> dict:
+    """Count kernel calls with the package found under ``src``."""
+    sys.path.insert(0, str(src))
+    from quantbsde import bsde_solver, model, rmq
+
+    real_stats, real_layer = rmq._mixture_stats, rmq._quantize_layer
+    per_layer: list = []
+
+    def stats(*args, **kwargs):
+        per_layer[-1] += 1
+        return real_stats(*args, **kwargs)
+
+    def layer(*args, **kwargs):
+        per_layer.append(0)
+        return real_layer(*args, **kwargs)
+
+    rmq._mixture_stats, rmq._quantize_layer = stats, layer
+
+    def case(problem, N: int, n: int) -> dict:
+        per_layer.clear()
+        tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N)
+        later = per_layer[1:]
+        return {"N": N, "n": n, "calls": sum(per_layer),
+                "later_mean": sum(later) / len(later) if later else None,
+                "per_layer": list(per_layer), "u0": bsde_solver.solve(tree, problem).u0}
+
+    bs = model.make_black_scholes(model.BlackScholesParams(0.04, 0.25, 100.0), 1.0, 100.0)
+    bergman = model.make_bergman(
+        model.BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), 0.25, 100.0)
+    N, steps = LADDER
+    ladder = [case(bs, N, n) for n in steps]
+    sweep = [case(bergman, N, n) for N in SWEEP[0] for n in SWEEP[1]]
+    return {"bs-refine": {"calls": sum(c["calls"] for c in ladder), "cases": ladder},
+            "bergman-sweep": {"calls": sum(c["calls"] for c in sweep), "cases": sweep}}
+
+
+def count_in_child(src: Path) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def u0_agreement(parent: dict, change: dict) -> dict:
+    worst, at = 0.0, None
+    for workload, side in parent.items():
+        for a, b in zip(side["cases"], change[workload]["cases"]):
+            rel = abs(a["u0"] - b["u0"]) / abs(a["u0"])
+            if at is None or rel > worst:
+                worst, at = rel, f"{workload} N={a['N']},n={a['n']}"
+    return {"max_rel_diff": worst, "at": at}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", help="JSON file to write")
+    ap.add_argument("--rev", help="also count on this revision")
+    ap.add_argument("--src", help="count with the package under this directory and "
+                                  "print the counts as JSON on stdout")
+    args = ap.parse_args(argv)
+    if args.src:
+        json.dump(count(Path(args.src)), sys.stdout)
+        return 0
+    if not args.out:
+        ap.error("--out is required")
+    doc = {"command": [Path(sys.argv[0]).name, *(argv if argv is not None else sys.argv[1:])],
+           "change": {"head": git("rev-parse", "HEAD"),
+                      "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+           "counts": count_in_child(ROOT / "src")}
+    if args.rev:
+        with tempfile.TemporaryDirectory(prefix="calls-parent-") as tmp:
+            export(git("rev-parse", args.rev), Path(tmp))
+            parent = count_in_child(Path(tmp) / "src")
+        doc["parent"] = {"rev": git("rev-parse", args.rev), "counts": parent}
+        doc["u0_agreement"] = u0_agreement(parent, doc["counts"])
+    for workload, side in doc["counts"].items():
+        before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
+        print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -62,9 +62,10 @@ _TU = (
 _PQ, _RS, _TU = (np.array(c)[:, :, None] for c in (_PQ, _RS, _TU))
 
 
-def _horner2(x, coefs):
-    """Numerator and denominator rows of a rational in ``x``."""
-    y = coefs[0] * x
+def _horner2(x, coefs, out):
+    """Numerator and denominator rows of a rational in ``x``, written to the
+    2-row array ``out``."""
+    y = np.multiply(coefs[0], x, out=out)
     y += coefs[1]
     for c in coefs[2:]:
         y *= x
@@ -72,35 +73,61 @@ def _horner2(x, coefs):
     return y
 
 
-def cdf_and_pdf(a) -> tuple[np.ndarray, np.ndarray]:
+class CdfBuffers:
+    """Work arrays for ``cdf_and_pdf`` on up to ``size`` points.
+
+    Reusing one instance across calls spares allocating, and page-faulting
+    in, a dozen arrays per call. The results of a call are views into it,
+    valid until its next call.
+    """
+
+    def __init__(self, size: int):
+        self.rows = np.empty((6, size))
+        self.mask = np.empty(size, dtype=bool)
+
+
+def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Phi(a) and phi(a) of a finite 1-d float array, sharing one exp.
 
-    NaN passes through; infinite entries are the caller's to handle (see
+    Written into ``out`` (fresh buffers if None) and returned as views of it;
+    ``a`` may be ``out.rows[0, :a.size]``, which is overwritten. NaN passes
+    through; infinite entries are the caller's to handle (see
     ``normal_cdf``). Each branch keeps the cephes order of operations.
     """
-    x = a * _SQRT1_2
-    z = np.abs(x)
-    e = np.multiply(x, x)
+    n = a.size
+    w = CdfBuffers(n) if out is None else out
+    # rows: x, |x|, exp(-x^2), pdf, and the numerator (which becomes the
+    # cdf) and denominator of the 1 <= |x| < 8 rational
+    x, z, e, pdf = w.rows[:4, :n]
+    np.multiply(a, _SQRT1_2, out=x)
+    np.abs(x, out=z)
+    np.multiply(x, x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    pdf = e * _INV_SQRT_2PI
+    np.multiply(e, _INV_SQRT_2PI, out=pdf)
     # cdf = erfc(|x|)/2 = Phi(-|a|) on 1 <= |x| < 8, reflected where a > 0
-    pq = _horner2(z, _PQ)
+    pq = _horner2(z, _PQ, w.rows[4:, :n])
     cdf = np.multiply(e, pq[0], out=pq[0])
     cdf /= pq[1]
     cdf *= 0.5
-    if z.size and z.max() >= 8.0:
+    if n and z.max() >= 8.0:
         far = np.flatnonzero(z >= 8.0)
-        rs = _horner2(z[far], _RS)
+        rs = _horner2(z[far], _RS, np.empty((2, far.size)))
         cdf[far] = 0.5 * (e[far] * rs[0] / rs[1])
-    np.subtract(1.0, cdf, out=cdf, where=x > 0.0)
+    np.subtract(1.0, cdf, out=cdf, where=np.greater(x, 0.0, out=w.mask[:n]))
     # |x| < 1: cephes takes 1 - erf(|x|) from sqrt(1/2) on, which rounds to
     # the same double as 0.5 + 0.5 erf(x) because erf(|x|) >= 1/2 there.
-    near = z < 1.0
-    if near.any():
-        xs = x[near]
-        tu = _horner2(xs * xs, _TU)
-        cdf[near] = 0.5 + 0.5 * (xs * tu[0] / tu[1])
+    near = np.less(z, 1.0, out=w.mask[:n])
+    n_near = np.count_nonzero(near)
+    if n_near:
+        # x, |x|, exp(-x^2) and the denominator are spent; reuse their rows
+        xs = np.compress(near, x, out=w.rows[5, :n_near])
+        tu = _horner2(np.multiply(xs, xs, out=w.rows[0, :n_near]), _TU, w.rows[1:3, :n_near])
+        t = np.multiply(xs, tu[0], out=tu[0])
+        t /= tu[1]
+        t *= 0.5
+        t += 0.5
+        cdf[near] = t
     return cdf, pdf
 
 

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from .gaussian import cdf_and_pdf
+from .gaussian import CdfBuffers, cdf_and_pdf
 from .model import FbsdeProblem
 
 __all__ = [
@@ -74,16 +76,28 @@ class DegenerateDiffusionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform mesh t_k = k T / n, k = 0..n."""
+    """Uniform mesh t_k = k T / n, k = 0..n.
+
+    ``n`` is an integer (``operator.index``; not a boolean) of at least 1,
+    and ``T`` a positive finite real number.
+    """
 
     n: int
     T: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None or isinstance(self.n, bool):
+            raise ValueError(f"number of time steps must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
+        if n < 1:
             raise ValueError("need at least one time step")
-        if not self.T > 0.0:
-            raise ValueError("horizon must be positive")
+        T = self.T
+        if isinstance(T, bool) or not isinstance(T, numbers.Real) or not 0.0 < T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {T!r}")
 
     @property
     def dt(self) -> float:
@@ -209,11 +223,18 @@ def conditional_law(
     Component i is N(m_i, v_i^2) with m_i = y_i + dt b(y_i) and
     v_i = sqrt(dt) max(|sigma(y_i)|, floor). Falling back to the floor is
     reported through a DegenerateDiffusionWarning (with the count of floored
-    nodes), never silently.
+    nodes), never silently. A drift or diffusion that is not finite at some
+    node raises ValueError naming the step and the count of such nodes.
     """
     y = source.codewords
-    means = y + dt * np.asarray(problem.drift(y), dtype=float)
+    drift = np.asarray(problem.drift(y), dtype=float)
     sig = np.abs(np.asarray(problem.diffusion(y), dtype=float))
+    bad = int(np.count_nonzero(~(np.isfinite(drift) & np.isfinite(sig))))
+    if bad:
+        raise ValueError(
+            f"drift or diffusion is not finite at {bad} node(s) of step {source.step}"
+        )
+    means = y + dt * drift
     floored = int(np.sum(sig < problem.diffusion_floor))
     if floored:
         warnings.warn(
@@ -234,7 +255,25 @@ def conditional_law(
 _BAND_LO, _BAND_HI = -8.5, 8.3
 
 
-def _mixture_stats(grid, means, stds, probs):
+class _StatsWork:
+    """Work arrays of ``_mixture_stats`` for K components and n codewords:
+    the K x (n+1) tables and the cdf's work arrays.
+
+    Passing one instance to every stats call of a layer's optimization
+    allocates, and page-faults in, these arrays once per layer instead of
+    once per call. The cell masses ``raw`` (K x n) reuse the memory of the
+    density table ``P`` once it is spent.
+    """
+
+    def __init__(self, comps: int, n: int):
+        shape = (comps, n + 1)
+        self.C, self.P = np.empty((2,) + shape)
+        self.raw = self.P.reshape(-1)[: comps * n].reshape(comps, n)
+        self.band, self.above = np.empty((2,) + shape, dtype=bool)
+        self.cdf = CdfBuffers(comps * (n + 1))
+
+
+def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
     """Aggregated cell statistics of a Gaussian mixture over Voronoi cells.
 
     Returns (M0, M1, distortion, F, raw) where, for cell j,
@@ -251,6 +290,10 @@ def _mixture_stats(grid, means, stds, probs):
     ((m_i - c)^2 + v_i^2) m0 + [v_i phi(b~) ((b - c) + (m_i - c))] differences
     to the second. Centring keeps the distortion from cancelling terms of
     size c^2 against each other.
+
+    The tables are written into ``work`` (fresh arrays if None), which must
+    match the shape of (means, grid); the returned ``raw`` is a view of it
+    and is overwritten by the next call that shares ``work``.
     """
     x = np.asarray(grid, dtype=float)
     n = x.size
@@ -264,18 +307,23 @@ def _mixture_stats(grid, means, stds, probs):
     v = np.asarray(stds, dtype=float)
     p = np.asarray(probs, dtype=float)
 
-    a = bounds[None, :] - m[:, None]
-    a /= v[:, None]  # standardized, comps x (n+1)
-    band = (a > _BAND_LO) & (a < _BAND_HI)
-    C = (a >= _BAND_HI).astype(float)
-    P = np.zeros_like(a)
-    C[band], P[band] = cdf_and_pdf(a[band])
+    w = _StatsWork(m.size, n) if work is None else work
+    C, P = w.C, w.P
+    a = np.subtract(bounds[None, :], m[:, None], out=C)
+    a /= v[:, None]  # standardized, comps x (n+1); C replaces it below
+    band = np.greater(a, _BAND_LO, out=w.band)
+    band &= np.less(a, _BAND_HI, out=w.above)
+    # the in-band values go to the row where cdf_and_pdf keeps a/sqrt(2)
+    in_band = np.compress(band.ravel(), a, out=w.cdf.rows[0, : np.count_nonzero(band)])
+    np.copyto(C, np.greater_equal(a, _BAND_HI, out=w.above))
+    P.fill(0.0)
+    C[band], P[band] = cdf_and_pdf(in_band, w.cdf)
 
-    raw = C[:, 1:] - C[:, :-1]  # per-component cell masses
     c = float(p @ m)
     mc = m - c
-    R = np.array([p, p * mc, p * (mc * mc + v * v)]) @ raw
     Q = np.array([p * v, p * v * mc, p / v]) @ P
+    raw = np.subtract(C[:, 1:], C[:, :-1], out=w.raw)  # per-component cell masses
+    R = np.array([p, p * mc, p * (mc * mc + v * v)]) @ raw
 
     M0 = R[0]
     M1c = R[1] + Q[0, :-1] - Q[0, 1:]  # first moment about c
@@ -373,10 +421,12 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
     mean) is taken. Terminates when the max codeword displacement drops
     below the fixed-point tolerance, returning the grid, its distortion and
     the per-component cell masses of the last stats evaluation, which is on
-    that grid.
+    that grid. All stats calls share one set of work arrays, and the cell
+    masses returned are a view of it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    M0, M1, dist, F, raw = _mixture_stats(x, means, stds, probs)
+    work = _StatsWork(means.size, x.size)
+    M0, M1, dist, F, raw = _mixture_stats(x, means, stds, probs, work)
     disp = math.inf
     for _ in range(settings.max_iterations):
         g = 2.0 * (x * M0 - M1)
@@ -387,7 +437,7 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
             for _h in range(9):
                 cand = x + lam * delta
                 if np.isfinite(cand).all() and (cand[1:] > cand[:-1]).all():
-                    st = _mixture_stats(cand, means, stds, probs)
+                    st = _mixture_stats(cand, means, stds, probs, work)
                     if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
                         x_new, stats_new = cand, st
                         break
@@ -402,7 +452,7 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
                 cand[idx + 1] = np.nextafter(cand[idx], np.inf)
                 bad = np.diff(cand) <= 0
             x_new = cand
-            stats_new = _mixture_stats(cand, means, stds, probs)
+            stats_new = _mixture_stats(cand, means, stds, probs, work)
         disp = float(np.abs(x_new - x).max())
         x = x_new
         M0, M1, dist, F, raw = stats_new
@@ -479,7 +529,7 @@ def _quantize_layer(
         x, dist, raw = _optimize_codewords(
             means, stds, probs, x0, settings, prev.step + 1
         )
-    tr = _normalized_transition(prev.step, raw)
+    tr = _normalized_transition(prev.step, raw)  # copies raw out of work
     return QuantizedLayer(prev.step + 1, x, probs @ tr.entries, dist), tr
 
 
@@ -541,6 +591,17 @@ def _warm_start_from(prev: QuantizedLayer, means, stds) -> np.ndarray | None:
     return x0
 
 
+def _extrapolate(misses):
+    """Next value of the polynomial through the last one, two or three
+    misses (oldest first), one layer apart."""
+    if len(misses) == 1:
+        return misses[0]
+    if len(misses) == 2:
+        return 2.0 * misses[1] - misses[0]
+    m0, m1, m2 = misses
+    return 3.0 * (m2 - m1) + m0
+
+
 def build_tree(
     problem: FbsdeProblem,
     grid: TimeGrid,
@@ -555,10 +616,12 @@ def build_tree(
     exactly. Per layer the conditional law is evaluated once, and the
     transition reuses the optimizer's last cell masses. Layers after the
     first are warm-started from the previous codebook (shifted by the drift
-    and dilated about the mixture mean), plus the previous layer's miss:
-    its optimized codewords minus its own shift-and-dilate start, kept only
-    if the sum is strictly increasing. The first layer starts at
-    moment-matched Gaussian quantiles.
+    and dilated about the mixture mean), plus the extrapolated miss. A
+    layer's miss is its optimized codewords minus its own shift-and-dilate
+    start; the last one, two or three misses are extrapolated by a constant,
+    linear or quadratic polynomial in k, and the sum is kept only if it is
+    strictly increasing. The first layer starts at moment-matched Gaussian
+    quantiles.
     """
     if N < 1:
         raise ValueError("need at least one codeword per layer")
@@ -566,18 +629,18 @@ def build_tree(
     dt = grid.dt
     layers = [QuantizedLayer(0, np.array([problem.y0]), np.array([1.0]), 0.0)]
     transitions = []
-    miss = None
+    misses = []  # the last three misses, oldest first
     for k in range(grid.n):
         prev = layers[-1]
         means, stds = conditional_law(prev, dt, problem)
         warm = _warm_start_from(prev, means, stds) if prev.size == N else None
         start = warm
-        if warm is not None and miss is not None:
-            carried = warm + miss
+        if warm is not None and misses:
+            carried = warm + _extrapolate(misses)
             if (carried[1:] > carried[:-1]).all():
                 start = carried
         layer, tr = _quantize_layer(prev, means, stds, N, settings, start)
-        miss = None if warm is None else layer.codewords - warm
+        misses = [] if warm is None else [*misses[-2:], layer.codewords - warm]
         layers.append(layer)
         transitions.append(tr)
     return QuantizationTree(grid, tuple(layers), tuple(transitions))
@@ -626,27 +689,58 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
 
 
 def load_tree(path) -> tuple[QuantizationTree, dict | None]:
-    """Load a serialized tree; returns (tree, solution-dict-or-None)."""
+    """Load a serialized tree; returns (tree, solution-dict-or-None).
+
+    A file that is not version-1 tree JSON, lacks a key, holds a field of the
+    wrong type or value, or carries a solution whose ``values``/``controls``
+    do not match the layer sizes raises ValueError naming ``path``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a quantization-tree file: {path}")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported tree format version {doc.get('version')}")
+    try:
+        tree = _tree_from_doc(doc)
+        solution = doc.get("solution")
+        if solution is not None:
+            _check_solution(solution, tree)
+    except KeyError as exc:
+        raise ValueError(f"malformed tree file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed tree file {path}: {exc}") from exc
+    return tree, solution
+
+
+def _tree_from_doc(doc: dict) -> QuantizationTree:
     tg = TimeGrid(doc["time_grid"]["n"], doc["time_grid"]["T"])
-    layers = tuple(
-        QuantizedLayer(
-            la["step"],
-            np.array(la["codewords"]),
-            np.array(la["weights"]),
-            la["distortion"],
+    layers, transitions = [], []
+    for k, la in enumerate(doc["layers"]):
+        if la["step"] != k:
+            raise ValueError(f"layer {k} has step {la['step']!r}")
+        layers.append(
+            QuantizedLayer(k, np.array(la["codewords"]), np.array(la["weights"]),
+                           la["distortion"])
         )
-        for la in doc["layers"]
-    )
-    transitions = tuple(
-        TransitionMatrix(
-            tr["step"], np.array(tr["entries"]).reshape(tr["shape"])
-        )
-        for tr in doc["transitions"]
-    )
-    return QuantizationTree(tg, layers, transitions), doc.get("solution")
+    for k, tr in enumerate(doc["transitions"]):
+        if tr["step"] != k:
+            raise ValueError(f"transition {k} has step {tr['step']!r}")
+        transitions.append(TransitionMatrix(k, np.array(tr["entries"]).reshape(tr["shape"])))
+    return QuantizationTree(tg, layers, transitions)
+
+
+def _check_solution(solution: dict, tree: QuantizationTree) -> None:
+    """The solution's value layers 0..n and control layers 0..n-1 must have
+    the sizes of the tree's layers, and u0 must be a number."""
+    sizes = [la.size for la in tree.layers]
+    if [len(v) for v in solution["values"]] != sizes:
+        raise ValueError("solution values do not match the layer sizes")
+    if [len(c) for c in solution["controls"]] != sizes[:-1]:
+        raise ValueError("solution controls do not match the layer sizes")
+    u0 = solution["u0"]
+    if isinstance(u0, bool) or not isinstance(u0, numbers.Real):
+        raise ValueError(f"solution u0 must be a number, got {u0!r}")

@@ -6,6 +6,7 @@ minimizer for the two-point optimum, and Monte Carlo for transition
 probabilities.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -36,6 +37,7 @@ from quantbsde import (
     mixture_distortion,
     optimize_grid,
     save_tree,
+    solve,
     transition_matrix,
 )
 import quantbsde.rmq as rmq_mod
@@ -263,6 +265,54 @@ class TestBandedKernel:
         assert raw.tolist() == [[0.0, 0.0, 0.5, 0.5, 0.0]]
         assert F[[0, 1, 2, 4, 5]].tolist() == [0.0] * 5
         assert F[3] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+
+
+class TestKernelWork:
+    """The stats kernel's reusable work arrays, and the warm start that
+    extrapolates the last layers' misses."""
+
+    def test_reused_work_matches_fresh_calls(self):
+        # one work object across grids and mixtures of one shape whose
+        # in-band share ranges from a few entries to all of them
+        rng = np.random.default_rng(2024)
+        K, n = 7, 12
+        work = rmq_mod._StatsWork(K, n)
+        for spread in (0.01, 0.3, 1.0, 3.0, 10.0, 60.0, 1.0, 0.01):
+            means = rng.normal(100.0, 2.0, K)
+            stds = rng.uniform(0.2, 2.0, K)
+            probs = rng.dirichlet(np.ones(K))
+            grid = 100.0 + spread * np.sort(rng.normal(0.0, 3.0, n))
+            assert np.all(np.diff(grid) > 0)
+            fresh = rmq_mod._mixture_stats(grid, means, stds, probs)
+            reused = rmq_mod._mixture_stats(grid, means, stds, probs, work)
+            for got, want in zip(reused, fresh):
+                assert np.array_equal(got, want), spread
+
+    def test_extrapolation_is_exact_on_polynomial_misses(self):
+        k = np.arange(5.0)[:, None]
+        cols = np.array([[1.0, -2.0, 0.5]])
+        const, lin, quad_ = cols + 0 * k, cols + 3.0 * k, cols + 3.0 * k - 0.25 * k * k
+        assert np.array_equal(rmq_mod._extrapolate([const[0]]), const[1])
+        assert np.array_equal(rmq_mod._extrapolate(list(lin[:2])), lin[2])
+        assert np.array_equal(rmq_mod._extrapolate(list(quad_[1:4])), quad_[4])
+
+    def test_black_scholes_50_20_takes_fewer_kernel_calls(self, monkeypatch):
+        calls = []
+        real = rmq_mod._mixture_stats
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rmq_mod, "_mixture_stats", counted)
+        problem = make_black_scholes(
+            BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
+        )
+        tree = build_tree(problem, TimeGrid(20, 1.0), 50)
+        # carrying only the previous layer's miss took 113 calls
+        assert len(calls) < 113
+        u0 = solve(tree, problem).u0
+        assert abs(u0 - 11.805803960132348) <= 1e-12 * 11.805803960132348
 
 
 class TestNewtonSolve:
@@ -601,6 +651,18 @@ class TestBuildTree:
         for step, w in zip(floored, got):
             assert f"of step {step};" in str(w.message)
 
+    def test_non_finite_drift_names_its_layer(self):
+        # drift is NaN above 105, which layer 1 already reaches at N=50
+        problem = dataclasses.replace(
+            gbm_problem(mu=0.04, sigma=0.25, T=1.0),
+            drift=lambda y: np.where(np.asarray(y) > 105.0, np.nan, 0.04 * np.asarray(y)),
+        )
+        layer1 = build_tree(problem, TimeGrid(1, 0.1), 50).layers[1]
+        bad = int(np.sum(layer1.codewords > 105.0))
+        assert bad > 0
+        with pytest.raises(ValueError, match=rf"not finite at {bad} node\(s\) of step 1$"):
+            build_tree(problem, TimeGrid(10, 1.0), 50)
+
     def test_stalled_layer_is_named(self):
         settings = OptimizerSettings(max_iterations=1, fixed_point_tol=1e-12)
         with pytest.raises(ConvergenceError) as exc:
@@ -635,6 +697,49 @@ class TestSerialization:
         path = tmp_path / "future.rmq.json"
         path.write_text(json.dumps({"format": "quantbsde-tree", "version": 2}))
         with pytest.raises(ValueError, match="version"):
+            load_tree(path)
+
+
+class TestMalformedTreeFiles:
+    """Every malformed file is a ValueError that names the file."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        problem = gbm_problem()
+        tree = build_tree(problem, TimeGrid(3, 0.25), 4)
+        path = tmp_path / "run.rmq.json"
+        save_tree(tree, path, solution=solve(tree, problem))
+        return path, json.loads(path.read_text())
+
+    def test_well_formed_file_loads_with_its_solution(self, saved):
+        path, doc = saved
+        tree, solution = load_tree(path)
+        assert tree.time_grid == TimeGrid(3, 0.25)
+        assert solution == doc["solution"]
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda doc: doc.pop("layers"), "missing key 'layers'"),
+            (lambda doc: doc["time_grid"].update(n="3"), "number of time steps must be an integer"),
+            (lambda doc: doc["layers"][1].update(step="1"), "layer 1 has step '1'"),
+            (lambda doc: doc["solution"]["values"][1].pop(), "solution values do not match"),
+            (lambda doc: doc["solution"]["controls"][1].pop(), "solution controls do not match"),
+        ],
+        ids=["missing-key", "string-n", "string-step", "short-values", "short-controls"],
+    )
+    def test_is_a_value_error_naming_the_file(self, saved, spoil, message):
+        path, doc = saved
+        spoil(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"run\.rmq\.json: {message}"):
+            load_tree(path)
+
+    def test_truncated_file(self, saved):
+        path, _ = saved
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match=r"run\.rmq\.json: not a JSON file"):
             load_tree(path)
 
 
@@ -692,3 +797,15 @@ class TestDataTypes:
             OptimizerSettings(max_iterations=2.5)
         with pytest.raises(ValueError, match="finite"):
             OptimizerSettings(fixed_point_tol="inf")
+
+    @pytest.mark.parametrize(
+        "n, T", [(2.5, 1.0), (True, 1.0), (4, math.inf)],
+        ids=["fractional-n", "boolean-n", "infinite-T"],
+    )
+    def test_time_grid_rejects_bad_inputs(self, n, T):
+        with pytest.raises(ValueError):
+            TimeGrid(n, T)
+
+    def test_time_grid_takes_integer_like_n(self):
+        grid = TimeGrid(np.int64(4), 1.0)
+        assert grid.n == 4 and type(grid.n) is int
