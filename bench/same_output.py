@@ -1,0 +1,108 @@
+"""Byte-for-byte comparison of the CLI's output with a parent revision's.
+
+    python3 bench/same_output.py --rev HEAD~1
+
+The parent revision ``--rev`` is exported with ``git archive`` into a
+temporary directory (``pairs.export``); the change side is this checkout as
+it stands on disk. On each side every case runs the CLI in a fresh
+interpreter, in an empty directory of its own. The cases are the
+``quantbsde`` commands of README.md's "Command line" section and its JSON
+config example, run through ``solve``, ``sweep`` and ``hedge``; both sides
+take them from this checkout's README.
+
+Compared byte for byte: the exit code, stdout, stderr and every file a case
+writes (CSV tables, ``.rmq.json`` trees, the sweep's JSON sidecar). The
+sidecar is compared with its ``timings_seconds`` removed, since wall-clock
+times differ from run to run. Prints one line per case and exits 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from pairs import ROOT, export, git
+
+CONFIG = "run.json"
+
+
+def readme_cases() -> list:
+    """(name, argv, config text or None) for each README command."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Command line"):]
+    section = section[: section.index("\n## ", 1)]
+    cases = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.DOTALL):
+        for line in block.splitlines():
+            if line.startswith("quantbsde ") and "--config" not in line:
+                argv = shlex.split(line)[1:]
+                cases.append((" ".join(argv), argv, None))
+    config = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    for command in ("solve", "sweep", "hedge"):
+        argv = [command, "--config", CONFIG]
+        cases.append((" ".join(argv), argv, config))
+    return cases
+
+
+def run_case(src: Path, workdir: Path, argv: list, config: str | None) -> dict:
+    """Run one case with the package under ``src``; return what it left."""
+    workdir.mkdir(parents=True)
+    if config is not None:
+        (workdir / CONFIG).write_text(config, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from quantbsde.cli import entry; entry()", *argv],
+        cwd=workdir, env=env, capture_output=True)
+    out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
+           "stderr": proc.stderr}
+    for path in sorted(workdir.iterdir()):
+        if path.name != CONFIG:
+            out[path.name] = comparable(path.read_bytes())
+    return out
+
+
+def comparable(data: bytes) -> bytes:
+    """The file's bytes, or for a sweep sidecar its bytes without the timings."""
+    try:
+        doc = json.loads(data)
+    except (UnicodeDecodeError, ValueError):
+        return data
+    if not (isinstance(doc, dict) and "timings_seconds" in doc):
+        return data
+    del doc["timings_seconds"]
+    return json.dumps(doc, indent=2).encode()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rev", required=True, help="parent revision to compare against")
+    args = ap.parse_args(argv)
+    parent_sha = git("rev-parse", args.rev)
+    differ = 0
+    cases = readme_cases()
+    with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
+        parent_root = Path(tmp) / "parent"
+        export(parent_sha, parent_root)
+        for i, (name, case_argv, config) in enumerate(cases):
+            sides = [run_case(root / "src", Path(tmp) / side / str(i), case_argv, config)
+                     for side, root in (("parent", parent_root), ("change", ROOT))]
+            keys = sorted(set(sides[0]) | set(sides[1]))
+            bad = [k for k in keys if sides[0].get(k) != sides[1].get(k)]
+            differ += bool(bad)
+            print(f"{'DIFF' if bad else 'same'}  {name}"
+                  + (f"  ({', '.join(bad)})" if bad else ""))
+    print(f"same_output: {len(cases)} cases against {parent_sha[:12]}, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

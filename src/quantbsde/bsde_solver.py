@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem
-from .rmq import DegenerateDiffusionWarning, QuantizationTree, euler_operator
+from .rmq import QuantizationTree, _floored_diffusion, euler_operator
 
 __all__ = [
     "ValueLayer",
@@ -73,29 +73,14 @@ def terminal_layer(tree: QuantizationTree, problem: FbsdeProblem) -> ValueLayer:
     return ValueLayer(last.step, problem.terminal(last.codewords))
 
 
-def _floored_sigma(problem: FbsdeProblem, y: np.ndarray) -> np.ndarray:
-    """Sign-preserving floor of sigma(y); exact zeros floor to +eps."""
-    s = np.asarray(problem.diffusion(y), dtype=float)
-    eps = problem.diffusion_floor
-    below = np.abs(s) < eps
-    if np.any(below):
-        warnings.warn(
-            f"|sigma| below {eps:g} at {int(below.sum())} node(s); "
-            "flooring before inversion",
-            DegenerateDiffusionWarning,
-            stacklevel=3,
-        )
-        s = np.where(below, np.where(s < 0.0, -eps, eps), s)
-    return s
-
-
 def backward_step(
     tree: QuantizationTree,
     k: int,
     next_values: ValueLayer,
     problem: FbsdeProblem,
 ) -> tuple[ValueLayer, ControlLayer]:
-    """One explicit backward step from layer k+1 to layer k."""
+    """One explicit backward step from layer k+1 to layer k; sigma is
+    floored as in ``conditional_law``, and the warning names step k."""
     if next_values.step != k + 1:
         raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
     dt = tree.time_grid.dt
@@ -106,7 +91,7 @@ def backward_step(
 
     E1 = P @ u_next
     E2 = P @ (u_next * y_next) - y * E1
-    s = _floored_sigma(problem, y)
+    s = _floored_diffusion(problem, y, k)
     v = E2 / (dt * s) - E1 * np.asarray(problem.drift(y), dtype=float) / s
     f_val = np.asarray(problem.driver(k * dt, y, E1, v), dtype=float)
     if np.any(np.isnan(f_val)):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bsde_solver, report, rmq
@@ -20,38 +19,26 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(cfg, key, default):
-    """``cfg[key]`` as a finite float; a boolean is not a number."""
-    raw = cfg.get(key, default)
-    try:
-        val = math.nan if isinstance(raw, bool) else float(raw)
-    except (TypeError, ValueError):
-        val = math.nan
-    if not math.isfinite(val):
-        raise ConfigError(f"{key}: not a finite number")
-    return val
-
-
 def _build_problem(cfg):
     name = cfg.get("model", "black-scholes")
     if not isinstance(name, str) or name not in MODELS:
         raise ConfigError(f"model: unknown model {name!r} ({' | '.join(MODELS)})")
     spec = MODELS[name]
     params = cfg.get("params") or {}
-    T = _number(cfg, "T", spec.T)
-    y0 = _number(cfg, "y0", spec.y0)
     try:
         params = spec.param_type(**{**spec.defaults, **params})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"params: {exc}") from exc
     try:
-        return spec.factory(params, T, y0)
+        return spec.factory(params, cfg.get("T", spec.T), cfg.get("y0", spec.y0))
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _optimizer_settings(cfg):
     opt = cfg.get("optimizer") or {}
+    if isinstance(opt, dict) and "max_iterations" in opt:
+        opt = {**opt, "max_iterations": _integers(opt, "max_iterations")}
     try:
         return rmq.OptimizerSettings(**opt)
     except (TypeError, ValueError) as exc:
@@ -215,3 +202,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -13,7 +13,7 @@ with a bull-spread payoff, whose driver is genuinely nonlinear in ``(u, v)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Real
 from typing import Callable, NamedTuple
 
@@ -41,10 +41,11 @@ class FbsdeProblem:
     """A decoupled Markovian FBSDE in one dimension.
 
     ``drift``/``diffusion``/``terminal`` are vectorized maps on the state;
-    ``driver`` takes ``(t, y, u, v)``. ``diffusion_floor`` is the epsilon
-    used wherever ``1/sigma`` or a conditional standard deviation would
-    degenerate. ``label``/``params`` identify built-in models so reports
-    can locate a closed-form oracle.
+    ``driver`` takes ``(t, y, u, v)``. ``T`` and ``y0`` are finite real
+    numbers, not booleans, stored as floats, and ``T`` is positive.
+    ``diffusion_floor`` is the epsilon used wherever ``1/sigma`` or a
+    conditional standard deviation would degenerate. ``label``/``params``
+    identify built-in models so reports can locate a closed-form oracle.
     """
 
     drift: Callable
@@ -58,6 +59,8 @@ class FbsdeProblem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "T", _finite_number("T", self.T))
+        object.__setattr__(self, "y0", _finite_number("y0", self.y0))
         if not self.T > 0.0:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if not self.diffusion_floor > 0.0:
@@ -67,22 +70,18 @@ class FbsdeProblem:
             raise ValueError("diffusion must be nonzero at the start point y0")
 
 
-def _default_floor(sigma_at_y0: float, y0: float) -> float:
-    return 1e-8 * abs(y0) * abs(sigma_at_y0)
+def _finite_number(name: str, value) -> float:
+    """``value`` as a float if it is a finite real number and not a boolean;
+    ValueError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _check_numbers(params) -> None:
     """Every field of ``params`` is a finite real number; a boolean is not."""
     for f in fields(params):
-        val = getattr(params, f.name)
-        if isinstance(val, bool) or not isinstance(val, Real) or not math.isfinite(val):
-            raise ValueError(f"{f.name} must be a finite number, got {val!r}")
-
-
-def _check_gbm_start(y0: float) -> None:
-    """A geometric Brownian motion lives on (0, inf): it cannot start at y0 <= 0."""
-    if not y0 > 0.0:
-        raise ValueError(f"y0 must be positive for a geometric Brownian motion, got {y0!r}")
+        _finite_number(f.name, getattr(params, f.name))
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,34 @@ class GbmParams:
         BlackScholesParams(self.mu, self.sigma, self.strike)
 
 
+def _gbm_problem(p, mu, driver, terminal, T, y0, label: str) -> FbsdeProblem:
+    """Geometric Brownian motion ``b(y) = mu y``, ``sigma(y) = p.sigma y``
+    under ``driver`` and ``terminal``, with the default diffusion floor
+    ``1e-8 y0 sigma(y0)`` and ``params`` the fields of ``p``. Raises
+    ValueError unless y0 is a positive finite number.
+    """
+    y0 = _finite_number("y0", y0)
+    if not y0 > 0.0:
+        raise ValueError(f"y0 must be positive for a geometric Brownian motion, got {y0!r}")
+    s = p.sigma
+
+    def drift(y):
+        return mu * np.asarray(y, dtype=float)
+
+    def diffusion(y):
+        return s * np.asarray(y, dtype=float)
+
+    floor = 1e-8 * y0 * (s * y0)
+    return FbsdeProblem(drift, diffusion, driver, terminal, T, y0, floor, label, asdict(p))
+
+
+def _call_payoff(strike: float) -> Callable:
+    def terminal(y):
+        return np.maximum(np.asarray(y, dtype=float) - strike, 0.0)
+
+    return terminal
+
+
 def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProblem:
     """Call option under geometric Brownian motion with rate-``r`` drift.
 
@@ -141,32 +168,12 @@ def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProbl
     conditional expectation of the payoff and the control is the
     delta-hedge scaled by ``sigma y``. Raises ValueError unless y0 > 0.
     """
-    _check_gbm_start(y0)
-    r, s, K = p.rate, p.sigma, p.strike
-
-    def drift(y):
-        return r * np.asarray(y, dtype=float)
-
-    def diffusion(y):
-        return s * np.asarray(y, dtype=float)
+    r = p.rate
 
     def driver(t, y, u, v):
         return -r * np.asarray(u, dtype=float)
 
-    def terminal(y):
-        return np.maximum(np.asarray(y, dtype=float) - K, 0.0)
-
-    return FbsdeProblem(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
-        terminal=terminal,
-        T=T,
-        y0=y0,
-        diffusion_floor=_default_floor(s * y0, y0),
-        label="black-scholes",
-        params={"rate": r, "sigma": s, "strike": K},
-    )
+    return _gbm_problem(p, r, driver, _call_payoff(p.strike), T, y0, "black-scholes")
 
 
 def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:
@@ -183,16 +190,9 @@ def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:
     borrows, which makes the generator nonlinear in ``(u, v)``. Raises
     ValueError unless y0 > 0.
     """
-    _check_gbm_start(y0)
     mu, s = p.mu, p.sigma
     r, R = p.lend_rate, p.borrow_rate
     K1, K2 = p.strike_low, p.strike_high
-
-    def drift(y):
-        return mu * np.asarray(y, dtype=float)
-
-    def diffusion(y):
-        return s * np.asarray(y, dtype=float)
 
     def driver(t, y, u, v):
         u = np.asarray(u, dtype=float)
@@ -203,24 +203,7 @@ def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:
         y = np.asarray(y, dtype=float)
         return np.maximum(y - K1, 0.0) - 2.0 * np.maximum(y - K2, 0.0)
 
-    return FbsdeProblem(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
-        terminal=terminal,
-        T=T,
-        y0=y0,
-        diffusion_floor=_default_floor(s * y0, y0),
-        label="bergman",
-        params={
-            "mu": mu,
-            "sigma": s,
-            "lend_rate": r,
-            "borrow_rate": R,
-            "strike_low": K1,
-            "strike_high": K2,
-        },
-    )
+    return _gbm_problem(p, mu, driver, terminal, T, y0, "bergman")
 
 
 def _zero_driver(t, y, u, v):
@@ -232,15 +215,9 @@ def make_gbm(p: GbmParams, T: float, y0: float) -> FbsdeProblem:
 
     The forward part and payoff are those of ``make_black_scholes`` with
     ``rate = mu``; the driver is zero, so u0 equals the quantized terminal
-    expectation exactly.
+    expectation exactly. Raises ValueError unless y0 > 0.
     """
-    bs = make_black_scholes(BlackScholesParams(p.mu, p.sigma, p.strike), T, y0)
-    return replace(
-        bs,
-        driver=_zero_driver,
-        label="gbm",
-        params={"mu": p.mu, "sigma": p.sigma, "strike": p.strike},
-    )
+    return _gbm_problem(p, p.mu, _zero_driver, _call_payoff(p.strike), T, y0, "gbm")
 
 
 class ModelSpec(NamedTuple):

@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+def _index(value) -> int:
+    """``operator.index(value)`` (TypeError for a fraction); ValueError for a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"a count or step must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A model plus the sorted lists of quantizer and step counts to cross."""
@@ -40,8 +47,8 @@ class SweepSpec:
     step_counts: tuple
 
     def __post_init__(self) -> None:
-        qs = tuple(operator.index(q) for q in self.quantizer_counts)
-        ss = tuple(operator.index(s) for s in self.step_counts)
+        qs = tuple(_index(q) for q in self.quantizer_counts)
+        ss = tuple(_index(s) for s in self.step_counts)
         object.__setattr__(self, "quantizer_counts", qs)
         object.__setattr__(self, "step_counts", ss)
         if any(q < 1 for q in qs) or any(s < 1 for s in ss):
@@ -108,14 +115,12 @@ def hedge_compare(
     """
     if problem.label != "black-scholes":
         raise ValueError("hedge comparison needs the black-scholes model (closed-form control)")
-    p = BlackScholesParams(
-        problem.params["rate"], problem.params["sigma"], problem.params["strike"]
-    )
+    p = BlackScholesParams(**problem.params)
     n = solution.tree.time_grid.n
     dt = solution.tree.time_grid.dt
     rows: list[HedgeRow] = []
     for k in steps:
-        k = operator.index(k)
+        k = _index(k)
         if not 0 <= k <= n - 1:
             raise ValueError(f"hedge step {k} out of range [0, {n - 1}]")
         layer = solution.tree.layers[k]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gaussian import CdfBuffers, cdf_and_pdf
-from .model import FbsdeProblem
+from .model import FbsdeProblem, _finite_number
 
 __all__ = [
     "TimeGrid",
@@ -74,6 +73,35 @@ class DegenerateDiffusionWarning(UserWarning):
     """The diffusion coefficient fell below the floor somewhere on a grid."""
 
 
+def _floored_diffusion(problem: FbsdeProblem, y, step: int) -> np.ndarray:
+    """sigma(y) with |sigma| floored at ``problem.diffusion_floor``, sign kept
+    and exact zeros to +floor; a DegenerateDiffusionWarning names the count of
+    floored nodes and ``step``."""
+    s = np.asarray(problem.diffusion(y), dtype=float)
+    eps = problem.diffusion_floor
+    below = np.abs(s) < eps
+    floored = int(np.count_nonzero(below))
+    if floored:
+        warnings.warn(
+            f"diffusion below floor {eps:g} at {floored} node(s) of step {step}; flooring",
+            DegenerateDiffusionWarning,
+            stacklevel=3,
+        )
+        s = np.where(below, np.where(s < 0.0, -eps, eps), s)
+    return s
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int of at least 1 (``operator.index``; not a boolean),
+    else ValueError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    n = operator.index(value)
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform mesh t_k = k T / n, k = 0..n.
@@ -86,18 +114,9 @@ class TimeGrid:
     T: float
 
     def __post_init__(self) -> None:
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            n = None
-        if n is None or isinstance(self.n, bool):
-            raise ValueError(f"number of time steps must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", n)
-        if n < 1:
-            raise ValueError("need at least one time step")
-        T = self.T
-        if isinstance(T, bool) or not isinstance(T, numbers.Real) or not 0.0 < T < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {T!r}")
+        object.__setattr__(self, "n", _count("number of time steps", self.n))
+        if not _finite_number("horizon T", self.T) > 0.0:
+            raise ValueError(f"horizon T must be positive, got {self.T!r}")
 
     @property
     def dt(self) -> float:
@@ -124,14 +143,14 @@ class QuantizedLayer:
         object.__setattr__(self, "weights", w)
         if cw.ndim != 1 or cw.size < 1:
             raise ValueError("codewords must be a nonempty 1-d array")
-        if cw.size > 1 and not np.all(np.diff(cw) > 0):
-            raise ValueError("codewords must be strictly increasing")
+        if not (np.isfinite(cw).all() and np.all(np.diff(cw) > 0)):
+            raise ValueError("codewords must be finite and strictly increasing")
         if w.shape != cw.shape:
             raise ValueError("weights and codewords must have matching shape")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if self.distortion < 0:
-            raise ValueError("distortion must be nonnegative")
+        if not 0.0 <= self.distortion < math.inf:
+            raise ValueError("distortion must be nonnegative and finite")
 
     @property
     def size(self) -> int:
@@ -150,9 +169,9 @@ class TransitionMatrix:
         object.__setattr__(self, "entries", e)
         if e.ndim != 2:
             raise ValueError("entries must be a matrix")
-        if np.any(e < 0) or np.any(e > 1):
+        if not np.all((e >= 0) & (e <= 1)):
             raise ValueError("entries must lie in [0, 1]")
-        if np.max(np.abs(e.sum(axis=1) - 1.0)) > 1e-10:
+        if not np.max(np.abs(e.sum(axis=1) - 1.0)) <= 1e-10:
             raise ValueError("every row must sum to 1 within 1e-10")
 
 
@@ -175,7 +194,7 @@ class QuantizationTree:
             if tr.entries.shape != (a.size, b.size):
                 raise ValueError(f"transition {k} shape does not match its layers")
             pushed = a.weights @ tr.entries
-            if np.max(np.abs(pushed - b.weights)) > 1e-10:
+            if not np.max(np.abs(pushed - b.weights)) <= 1e-10:
                 raise ValueError(f"weight propagation violated at step {k}")
 
 
@@ -183,26 +202,19 @@ class QuantizationTree:
 class OptimizerSettings:
     """Iteration budget and fixed-point tolerance of the grid optimizer.
 
-    Values are coerced with ``float``, so numeric strings from a config file
-    are accepted; neither may be a boolean, ``max_iterations`` must be
-    integral and ``fixed_point_tol`` finite.
+    ``max_iterations`` is an integer (``operator.index``; not a boolean) of
+    at least 1, and ``fixed_point_tol`` a positive finite real number.
     """
 
     max_iterations: int = 200
     fixed_point_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        iterations = float(self.max_iterations)
-        if isinstance(self.max_iterations, bool) or not iterations.is_integer():
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if isinstance(self.fixed_point_tol, bool):
-            raise ValueError(f"fixed_point_tol must be a number, got {self.fixed_point_tol!r}")
-        object.__setattr__(self, "max_iterations", int(iterations))
-        object.__setattr__(self, "fixed_point_tol", float(self.fixed_point_tol))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.fixed_point_tol < math.inf:
-            raise ValueError("fixed_point_tol must be positive and finite")
+        object.__setattr__(self, "max_iterations", _count("max_iterations", self.max_iterations))
+        tol = _finite_number("fixed_point_tol", self.fixed_point_tol)
+        object.__setattr__(self, "fixed_point_tol", tol)
+        if not tol > 0.0:
+            raise ValueError(f"fixed_point_tol must be positive, got {tol!r}")
 
 
 def euler_operator(y, z, dt: float, problem: FbsdeProblem):
@@ -228,24 +240,13 @@ def conditional_law(
     """
     y = source.codewords
     drift = np.asarray(problem.drift(y), dtype=float)
-    sig = np.abs(np.asarray(problem.diffusion(y), dtype=float))
+    sig = np.abs(_floored_diffusion(problem, y, source.step))
     bad = int(np.count_nonzero(~(np.isfinite(drift) & np.isfinite(sig))))
     if bad:
         raise ValueError(
             f"drift or diffusion is not finite at {bad} node(s) of step {source.step}"
         )
-    means = y + dt * drift
-    floored = int(np.sum(sig < problem.diffusion_floor))
-    if floored:
-        warnings.warn(
-            f"diffusion below floor {problem.diffusion_floor:g} at {floored} "
-            f"node(s) of step {source.step}; flooring",
-            DegenerateDiffusionWarning,
-            stacklevel=2,
-        )
-        sig = np.maximum(sig, problem.diffusion_floor)
-    stds = math.sqrt(dt) * sig
-    return means, stds
+    return y + dt * drift, math.sqrt(dt) * sig
 
 
 # The cdf is evaluated only on standardized boundaries inside this band.
@@ -487,7 +488,7 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
     or cdf is broken upstream.
     """
     sums = raw.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-10:
+    if not np.max(np.abs(sums - 1.0)) <= 1e-10:
         raise RuntimeError(
             f"transition row sums off by {np.max(np.abs(sums - 1.0)):.3e} "
             f"at step {step}; upstream grid or cdf bug"
@@ -496,39 +497,19 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
 
 
 def _quantize_layer(
-    prev: QuantizedLayer,
-    means,
-    stds,
-    N: int,
-    settings: OptimizerSettings,
-    warm_start,
+    prev: QuantizedLayer, means, stds, N: int, settings: OptimizerSettings, start
 ) -> tuple[QuantizedLayer, TransitionMatrix]:
     """Optimize the layer after ``prev`` against its conditional mixture
-    (means, stds) and link the two by their transition matrix.
+    (means, stds), from ``start`` or, if None, from moment-matched
+    quantiles, and link the two by their transition matrix.
 
     The transition comes from the optimizer's last cell masses, and the
     layer's weights are ``prev.weights`` pushed through it, so the
     propagation invariant holds exactly.
     """
-    if N < 1:
-        raise ValueError("need at least one codeword")
     probs = prev.weights
-    if warm_start is not None:
-        x0 = np.asarray(warm_start, dtype=float)
-        if x0.size != N or (N > 1 and not np.all(np.diff(x0) > 0)):
-            raise ValueError("warm_start must be strictly increasing of length N")
-    else:
-        x0 = _quantile_start(means, stds, probs, N)
-    if N == 1:
-        # centroid in closed form; no iteration needed
-        mu = float(probs @ means)
-        x = np.array([mu])
-        dist = float(probs @ (stds**2 + (means - mu) ** 2))
-        raw = np.ones((probs.size, 1))
-    else:
-        x, dist, raw = _optimize_codewords(
-            means, stds, probs, x0, settings, prev.step + 1
-        )
+    x0 = _quantile_start(means, stds, probs, N) if start is None else start
+    x, dist, raw = _optimize_codewords(means, stds, probs, x0, settings, prev.step + 1)
     tr = _normalized_transition(prev.step, raw)  # copies raw out of work
     return QuantizedLayer(prev.step + 1, x, probs @ tr.entries, dist), tr
 
@@ -539,7 +520,6 @@ def optimize_grid(
     problem: FbsdeProblem,
     N: int,
     settings: OptimizerSettings | None = None,
-    warm_start=None,
 ) -> QuantizedLayer:
     """Optimize the next layer's N-point codebook given the previous layer.
 
@@ -549,13 +529,15 @@ def optimize_grid(
     ``prev.weights`` pushed through the normalized transition matrix, which
     is built from the optimizer's last cell masses and discarded; this is
     the layer ``build_tree`` would produce from ``prev`` with the same
-    start. Raises ConvergenceError when the iteration budget runs out, and
-    RuntimeError when a transition row sum is off by more than 1e-10 (see
-    ``transition_matrix``).
+    start, the moment-matched quantiles. ``N`` follows the count rule of
+    ``TimeGrid.n``. Raises ConvergenceError when the iteration budget runs
+    out, and RuntimeError when a transition row sum is off by more than 1e-10
+    (see ``transition_matrix``).
     """
+    N = _count("codeword count N", N)
     means, stds = conditional_law(prev, dt, problem)
     settings = settings or OptimizerSettings()
-    return _quantize_layer(prev, means, stds, N, settings, warm_start)[0]
+    return _quantize_layer(prev, means, stds, N, settings, None)[0]
 
 
 def transition_matrix(
@@ -621,10 +603,9 @@ def build_tree(
     start; the last one, two or three misses are extrapolated by a constant,
     linear or quadratic polynomial in k, and the sum is kept only if it is
     strictly increasing. The first layer starts at moment-matched Gaussian
-    quantiles.
+    quantiles. ``N`` follows the count rule of ``TimeGrid.n``.
     """
-    if N < 1:
-        raise ValueError("need at least one codeword per layer")
+    N = _count("codeword count N", N)
     settings = settings or OptimizerSettings()
     dt = grid.dt
     layers = [QuantizedLayer(0, np.array([problem.y0]), np.array([1.0]), 0.0)]
@@ -692,8 +673,9 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     """Load a serialized tree; returns (tree, solution-dict-or-None).
 
     A file that is not version-1 tree JSON, lacks a key, holds a field of the
-    wrong type or value, or carries a solution whose ``values``/``controls``
-    do not match the layer sizes raises ValueError naming ``path``.
+    wrong type or value (NaN included), or carries a solution whose
+    ``values``/``controls`` do not match the layer sizes or hold anything but
+    finite numbers raises ValueError naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -735,12 +717,14 @@ def _tree_from_doc(doc: dict) -> QuantizationTree:
 
 def _check_solution(solution: dict, tree: QuantizationTree) -> None:
     """The solution's value layers 0..n and control layers 0..n-1 must have
-    the sizes of the tree's layers, and u0 must be a number."""
+    the sizes of the tree's layers and hold finite numbers, as must u0."""
     sizes = [la.size for la in tree.layers]
     if [len(v) for v in solution["values"]] != sizes:
         raise ValueError("solution values do not match the layer sizes")
     if [len(c) for c in solution["controls"]] != sizes[:-1]:
         raise ValueError("solution controls do not match the layer sizes")
-    u0 = solution["u0"]
-    if isinstance(u0, bool) or not isinstance(u0, numbers.Real):
-        raise ValueError(f"solution u0 must be a number, got {u0!r}")
+    for key in ("values", "controls"):
+        for row in solution[key]:
+            if not all(type(x) in (int, float) and math.isfinite(x) for x in row):
+                raise ValueError(f"solution {key} must be finite numbers")
+    _finite_number("solution u0", solution["u0"])

@@ -7,6 +7,7 @@ against its own closed-form limit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from quantbsde import (
     BlackScholesParams,
     ControlLayer,
+    DegenerateDiffusionWarning,
     FbsdeProblem,
     QuantizationTree,
     QuantizedLayer,
@@ -185,6 +187,27 @@ class TestBackwardStep:
         )
         with pytest.raises(RuntimeError, match=r"step 0, node 0"):
             backward_step(tree, 0, ValueLayer(1, np.ones(3)), problem)
+
+    def test_floored_sigma_warning_names_its_step(self):
+        # sigma(y) = 0.05 + |y| is below the floor 0.3 at 2 codewords of layer 3
+        problem = FbsdeProblem(
+            drift=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+            diffusion=lambda y: 0.05 + np.abs(np.asarray(y, dtype=float)),
+            driver=lambda t, y, u, v: np.zeros_like(np.asarray(u, dtype=float)),
+            terminal=lambda y: np.asarray(y, dtype=float),
+            T=1.0,
+            y0=0.0,
+            diffusion_floor=0.3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDiffusionWarning)
+            tree = build_tree(problem, TimeGrid(4, 1.0), 6)
+        floored = int(np.sum(problem.diffusion(tree.layers[3].codewords) < 0.3))
+        assert floored > 0
+        nxt = terminal_layer(tree, problem)
+        message = rf"at {floored} node\(s\) of step 3;"
+        with pytest.warns(DegenerateDiffusionWarning, match=message):
+            backward_step(tree, 3, nxt, problem)
 
 
 class TestSolve:

@@ -108,6 +108,15 @@ class TestSolve:
         assert code == 0
         assert "u0=" in out
 
+    @pytest.mark.parametrize("iterations", [200.0, "200"])
+    def test_integer_like_max_iterations_runs(self, capsys, tmp_path, iterations):
+        cfg = tmp_path / "run.json"
+        settings = {"steps": 3, "quantizers": 4, "optimizer": {"max_iterations": iterations}}
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 0, err
+        assert "u0=" in out
+
     def test_flag_overrides_config_output(self, capsys, tmp_path):
         cfg_out = tmp_path / "from_config.json"
         flag_out = tmp_path / "from_flag.json"
@@ -299,6 +308,10 @@ class TestValidation:
             ({"y0": -5}, "y0"),
             ({"y0": 0}, "y0"),
             ({"optimizer": {"fixed_point_tol": "inf"}}, "fixed_point_tol"),
+            ({"T": "1.0"}, "T"),
+            ({"y0": "100"}, "y0"),
+            ({"optimizer": {"fixed_point_tol": "1e-9"}}, "fixed_point_tol"),
+            ({"optimizer": {"max_iterations": "2e2"}}, "max_iterations"),
         ],
         ids=[
             "bad-sigma",
@@ -314,6 +327,10 @@ class TestValidation:
             "negative-y0",
             "zero-y0",
             "infinite-fixed-point-tol",
+            "string-T",
+            "string-y0",
+            "string-fixed-point-tol",
+            "string-max-iterations",
         ],
     )
     def test_bad_model_parameters(self, capsys, tmp_path, model, bad, key):
@@ -431,6 +448,23 @@ class TestConsoleScript:
             )
             assert proc.returncode == 0, proc.stderr
             assert "u0=" in proc.stdout
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        """`python -m quantbsde.cli` runs the CLI like the console script."""
+        src_dir = str(Path(quantbsde.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantbsde.cli", *self.ARGS],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^u0=", proc.stdout, re.MULTILINE)
 
     def test_import_loads_no_scipy(self):
         """scipy is a test-only dependency: the package and its CLI run without it."""

@@ -31,6 +31,18 @@ BERGMAN = BergmanParams(
 )
 
 
+def _problem(T=1.0, y0=100.0):
+    return FbsdeProblem(
+        drift=lambda y: 0.0 * y,
+        diffusion=lambda y: 0.2 + 0.0 * y,
+        driver=lambda t, y, u, v: 0.0 * u,
+        terminal=lambda y: y,
+        T=T,
+        y0=y0,
+        diffusion_floor=1e-6,
+    )
+
+
 class TestBlackScholesClosedForms:
     def test_atm_price_frozen_value(self):
         assert bs_price(BS, 0.0, 1.0, 100.0) == pytest.approx(BS_PRICE_ATM, abs=1e-12)
@@ -203,6 +215,34 @@ class TestRegistry:
         assert problem.params == spec.defaults
         assert (problem.T, problem.y0) == (spec.T, spec.y0)
 
+    @pytest.mark.parametrize(
+        "factory, params, want",
+        [
+            (make_black_scholes, BS, [("rate", 0.04), ("sigma", 0.25), ("strike", 100.0)]),
+            (
+                make_bergman,
+                BERGMAN,
+                [
+                    ("mu", 0.05),
+                    ("sigma", 0.2),
+                    ("lend_rate", 0.01),
+                    ("borrow_rate", 0.06),
+                    ("strike_low", 95.0),
+                    ("strike_high", 105.0),
+                ],
+            ),
+            (
+                make_gbm,
+                GbmParams(mu=0.05, sigma=0.2, strike=100.0),
+                [("mu", 0.05), ("sigma", 0.2), ("strike", 100.0)],
+            ),
+        ],
+        ids=["black-scholes", "bergman", "gbm"],
+    )
+    def test_params_keep_their_keys_and_order(self, factory, params, want):
+        # the sweep's JSON sidecar writes this dict as it stands
+        assert list(factory(params, 1.0, 100.0).params.items()) == want
+
 
 class TestParameterValidation:
     def test_bs_params_reject_bad_sigma_or_strike(self):
@@ -237,13 +277,33 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             make_black_scholes(BS, T=0.0, y0=100.0)
 
-    @pytest.mark.parametrize("y0", [-5.0, 0.0, math.nan])
+    @pytest.mark.parametrize("T", [True, math.inf, "1.0"])
+    def test_horizon_must_be_a_finite_number(self, T):
+        gbm = GbmParams(mu=0.05, sigma=0.2, strike=100.0)
+        cases = [(make_black_scholes, BS), (make_gbm, gbm), (make_bergman, BERGMAN)]
+        for factory, params in cases:
+            with pytest.raises(ValueError, match="T"):
+                factory(params, T, 100.0)
+        with pytest.raises(ValueError, match="T"):
+            _problem(T=T)
+
+    @pytest.mark.parametrize("y0", [-5.0, 0.0, math.nan, math.inf, True, "100"])
     def test_gbm_models_reject_a_nonpositive_start(self, y0):
         gbm = GbmParams(mu=0.05, sigma=0.2, strike=100.0)
         cases = [(make_black_scholes, BS), (make_gbm, gbm), (make_bergman, BERGMAN)]
         for factory, params in cases:
             with pytest.raises(ValueError, match="y0"):
                 factory(params, 1.0, y0)
+
+    @pytest.mark.parametrize("y0", [math.inf, math.nan, True])
+    def test_problem_start_must_be_a_finite_number(self, y0):
+        with pytest.raises(ValueError, match="y0"):
+            _problem(y0=y0)
+
+    def test_problem_stores_floats(self):
+        problem = _problem(T=1, y0=2)
+        assert (problem.T, problem.y0) == (1.0, 2.0)
+        assert type(problem.T) is float and type(problem.y0) is float
 
     @pytest.mark.parametrize("bad", [True, False, "0.2", math.inf, math.nan])
     def test_params_must_be_finite_numbers(self, bad):

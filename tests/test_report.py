@@ -85,6 +85,8 @@ class TestRunSweep:
             SweepSpec(bs_problem, (5,), (-1,))
         with pytest.raises(TypeError):
             SweepSpec(bs_problem, (2.7,), (3,))
+        with pytest.raises(ValueError, match="True"):
+            SweepSpec(bs_problem, (True,), (4,))
 
 
 class TestHedgeCompare:
@@ -126,6 +128,8 @@ class TestHedgeCompare:
             hedge_compare(sol, bs_problem, [-1])
         with pytest.raises(TypeError):
             hedge_compare(sol, bs_problem, [1.9])
+        with pytest.raises(ValueError, match="True"):
+            hedge_compare(sol, bs_problem, [True])
 
 
 class TestEmission:

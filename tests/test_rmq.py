@@ -443,19 +443,10 @@ class TestOptimizeGrid:
             d = mixture_distortion(cand, means, stds, [1.0])
             assert d >= layer.distortion - 1e-12 * layer.distortion
 
-    def test_warm_start_validation(self):
-        with pytest.raises(ValueError):
-            optimize_grid(
-                dirac(0.0), 1.0, unit_gaussian_problem(), 3, warm_start=[0.0, 1.0]
-            )
-        with pytest.raises(ValueError):
-            optimize_grid(
-                dirac(0.0),
-                1.0,
-                unit_gaussian_problem(),
-                3,
-                warm_start=[1.0, 0.0, 2.0],
-            )
+    @pytest.mark.parametrize("N", [True, 2.5], ids=["boolean", "fractional"])
+    def test_rejects_a_non_integer_codeword_count(self, N):
+        with pytest.raises(ValueError, match="codeword count N must be an integer"):
+            optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), N)
 
     def test_exhausted_budget_raises_with_diagnostics(self):
         settings = OptimizerSettings(max_iterations=1, fixed_point_tol=1e-12)
@@ -587,6 +578,19 @@ class TestBuildTree:
     def test_rejects_empty_codebook(self):
         with pytest.raises(ValueError):
             build_tree(gbm_problem(), TimeGrid(5, 0.25), 0)
+
+    @pytest.mark.parametrize("N", [True, 2.5], ids=["boolean", "fractional"])
+    def test_rejects_a_non_integer_codeword_count(self, N):
+        with pytest.raises(ValueError, match="codeword count N must be an integer"):
+            build_tree(gbm_problem(), TimeGrid(5, 0.25), N)
+
+    def test_single_codeword_price_is_pinned(self):
+        # the optimizer's Newton step from the quantile start is the centroid
+        problem = make_black_scholes(
+            BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
+        )
+        tree = build_tree(problem, TimeGrid(20, 1.0), 1)
+        assert solve(tree, problem).u0 == 3.916904601358432
 
     @pytest.mark.parametrize(
         "problem, N",
@@ -725,8 +729,15 @@ class TestMalformedTreeFiles:
             (lambda doc: doc["layers"][1].update(step="1"), "layer 1 has step '1'"),
             (lambda doc: doc["solution"]["values"][1].pop(), "solution values do not match"),
             (lambda doc: doc["solution"]["controls"][1].pop(), "solution controls do not match"),
+            (lambda doc: doc["layers"][1].update(weights=[math.nan] * 4), "weights must be"),
+            (lambda doc: doc["transitions"][0].update(entries=[math.nan] * 4), "entries must lie"),
+            (lambda doc: doc["layers"][2].update(distortion=math.nan), "distortion must be"),
+            (lambda doc: doc["solution"]["values"][1].__setitem__(0, "1.5"),
+             "solution values must be finite numbers"),
+            (lambda doc: doc["solution"].update(u0=math.nan), "solution u0 must be a finite"),
         ],
-        ids=["missing-key", "string-n", "string-step", "short-values", "short-controls"],
+        ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
+             "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0"],
     )
     def test_is_a_value_error_naming_the_file(self, saved, spoil, message):
         path, doc = saved
@@ -771,6 +782,11 @@ class TestDataTypes:
     def test_transition_rejects_bad_row_sums(self):
         with pytest.raises(ValueError):
             TransitionMatrix(0, np.array([[0.5, 0.4]]))
+
+    def test_layer_rejects_a_nan_codeword(self):
+        # a single codeword has no ordering to violate
+        with pytest.raises(ValueError, match="codewords"):
+            QuantizedLayer(1, np.array([math.nan]), np.array([1.0]), 0.0)
 
     def test_tree_rejects_mismatched_counts(self):
         grid = TimeGrid(2, 1.0)
