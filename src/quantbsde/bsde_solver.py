@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .model import FbsdeProblem
-from .rmq import QuantizationTree, _floored_diffusion, euler_operator
+from .rmq import QuantizationTree, _count, _floored_diffusion, euler_operator
 
 __all__ = [
     "ValueLayer",
@@ -133,10 +134,13 @@ def ps_control_benchmark(
     is projected onto the next codebook, and the control is estimated as
     E[u_{k+1}(projection) * Z] / sqrt(dt). Deterministic for a fixed seed.
     Source nodes with zero marginal mass have no defined estimate; they are
-    reported with a warning and filled with NaN.
+    reported with a warning and filled with NaN. ``paths`` follows the count
+    rule of ``TimeGrid.n``, and ``k`` must be a step 0..n-1 of the tree.
     """
-    if paths < 1:
-        raise ValueError("paths must be positive")
+    paths = _count("paths", paths)
+    n = tree.time_grid.n
+    if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k < n:
+        raise ValueError(f"step k must be an integer in 0..{n - 1}, got {k!r}")
     if next_values.step != k + 1:
         raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
     dt = tree.time_grid.dt

@@ -41,11 +41,12 @@ class FbsdeProblem:
     """A decoupled Markovian FBSDE in one dimension.
 
     ``drift``/``diffusion``/``terminal`` are vectorized maps on the state;
-    ``driver`` takes ``(t, y, u, v)``. ``T`` and ``y0`` are finite real
-    numbers, not booleans, stored as floats, and ``T`` is positive.
-    ``diffusion_floor`` is the epsilon used wherever ``1/sigma`` or a
-    conditional standard deviation would degenerate. ``label``/``params``
-    identify built-in models so reports can locate a closed-form oracle.
+    ``driver`` takes ``(t, y, u, v)``. ``T``, ``y0`` and ``diffusion_floor``
+    are finite real numbers, not booleans, stored as floats; ``T`` and
+    ``diffusion_floor`` are positive. ``diffusion_floor`` is the epsilon used
+    wherever ``1/sigma`` or a conditional standard deviation would degenerate.
+    ``label``/``params`` identify built-in models so reports can locate a
+    closed-form oracle.
     """
 
     drift: Callable
@@ -59,8 +60,8 @@ class FbsdeProblem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "T", _finite_number("T", self.T))
-        object.__setattr__(self, "y0", _finite_number("y0", self.y0))
+        for name in ("T", "y0", "diffusion_floor"):
+            object.__setattr__(self, name, _finite_number(name, getattr(self, name)))
         if not self.T > 0.0:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if not self.diffusion_floor > 0.0:

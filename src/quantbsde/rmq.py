@@ -635,9 +635,14 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
     """Serialize a tree (optionally with a backward solution) as JSON.
 
     The conventional file extension is ``.rmq.json``. Floats are written
-    with full round-trip precision.
+    with full round-trip precision. The file is the text of one
+    ``json.dumps`` of the document {format, version, time_grid, layers,
+    transitions[, solution]}, but it is written one transition at a time,
+    each through its own ``json.dumps`` (CPython's C encoder), so at most
+    one transition's entries are held as Python floats: the transitions
+    carry N² entries per step, against N per layer.
     """
-    doc = {
+    head = json.dumps({
         "format": _FORMAT,
         "version": _VERSION,
         "time_grid": {"n": tree.time_grid.n, "T": tree.time_grid.T},
@@ -650,23 +655,23 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
             }
             for la in tree.layers
         ],
-        "transitions": [
-            {
-                "step": tr.step,
-                "shape": list(tr.entries.shape),
-                "entries": tr.entries.ravel().tolist(),
-            }
-            for tr in tree.transitions
-        ],
-    }
+    })
+    tail = "]"
     if solution is not None:
-        doc["solution"] = {
+        tail += ', "solution": ' + json.dumps({
             "u0": solution.u0,
             "values": [vl.values.tolist() for vl in solution.value_layers],
             "controls": [cl.controls.tolist() for cl in solution.control_layers],
-        }
+        })
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(head[:-1] + ', "transitions": [')
+        for i, tr in enumerate(tree.transitions):
+            fh.write((", " if i else "") + json.dumps({
+                "step": tr.step,
+                "shape": list(tr.entries.shape),
+                "entries": tr.entries.ravel().tolist(),
+            }))
+        fh.write(tail + "}")
 
 
 def load_tree(path) -> tuple[QuantizationTree, dict | None]:

@@ -287,6 +287,31 @@ class TestSamplingBenchmark:
                 tree, problem, 2, ValueLayer(2, np.zeros(8)), 100, 1
             )
 
+    @pytest.mark.parametrize("paths", [2.5, True, "100"])
+    def test_paths_follow_the_count_rule(self, paths):
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(3, 1.0), 4)
+        with pytest.raises(ValueError, match="paths must be an integer"):
+            ps_control_benchmark(tree, problem, 1, ValueLayer(2, np.zeros(4)), paths, 1)
+
+    def test_paths_take_integer_likes(self):
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(3, 1.0), 4)
+        args = (tree, problem, 1, solve(tree, problem).value_layers[2])
+        a = ps_control_benchmark(*args, paths=np.int64(500), seed=3)
+        b = ps_control_benchmark(*args, paths=500, seed=3)
+        assert np.array_equal(a.controls, b.controls)
+
+    @pytest.mark.parametrize("k", [-1, 3, 1.0, True])
+    def test_step_must_lie_in_the_tree(self, k):
+        # k=-1 with a layer-0 value layer used to pass the step check and
+        # estimate on the last layer
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(3, 1.0), 4)
+        nxt = ValueLayer(0, np.zeros(4)) if k == -1 else ValueLayer(2, np.zeros(4))
+        with pytest.raises(ValueError, match=r"step k must be an integer in 0\.\.2"):
+            ps_control_benchmark(tree, problem, k, nxt, 100, 1)
+
     def test_converges_to_its_closed_form_limit(self):
         # E[u(proj(Y)) Z] has an exact expression through Gaussian pdf
         # differences at the standardized cell boundaries

@@ -1,5 +1,6 @@
 """Model definitions: built-in problems, closed forms, and their contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -326,6 +327,16 @@ class TestParameterValidation:
                 diffusion_floor=1e-6,
             )
 
+    @pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-6"])
+    def test_floor_must_be_a_finite_number(self, floor):
+        problem = make_black_scholes(BS, 1.0, 100.0)
+        with pytest.raises(ValueError, match="diffusion_floor must be a finite number"):
+            dataclasses.replace(problem, diffusion_floor=floor)
+
+    def test_problem_stores_the_floor_as_a_float(self):
+        problem = dataclasses.replace(make_black_scholes(BS, 1.0, 100.0), diffusion_floor=1)
+        assert type(problem.diffusion_floor) is float and problem.diffusion_floor == 1.0
+
     def test_problem_rejects_nonpositive_floor(self):
         with pytest.raises(ValueError):
             FbsdeProblem(
@@ -337,3 +348,5 @@ class TestParameterValidation:
                 y0=100.0,
                 diffusion_floor=0.0,
             )
+        with pytest.raises(ValueError, match="diffusion_floor must be positive"):
+            dataclasses.replace(make_black_scholes(BS, 1.0, 100.0), diffusion_floor=-1e-6)

@@ -691,6 +691,45 @@ class TestSerialization:
         for ta, tb in zip(loaded.transitions, tree.transitions):
             assert np.array_equal(ta.entries, tb.entries)
 
+    @pytest.mark.parametrize(
+        "N, n, with_solution",
+        [(6, 8, True), (6, 8, False), (5, 1, True), (5, 1, False), (1, 4, True), (1, 1, False)],
+    )
+    def test_file_is_one_dumps_of_the_v1_document(self, tmp_path, N, n, with_solution):
+        # the writer streams the transitions one at a time; the text must be
+        # that of json.dumps on the whole document, keys in the v1 order
+        problem = gbm_problem()
+        tree = build_tree(problem, TimeGrid(n, 0.25), N)
+        sol = solve(tree, problem) if with_solution else None
+        doc = {
+            "format": "quantbsde-tree",
+            "version": 1,
+            "time_grid": {"n": n, "T": 0.25},
+            "layers": [
+                {"step": la.step, "codewords": la.codewords.tolist(),
+                 "weights": la.weights.tolist(), "distortion": la.distortion}
+                for la in tree.layers
+            ],
+            "transitions": [
+                {"step": tr.step, "shape": list(tr.entries.shape),
+                 "entries": tr.entries.ravel().tolist()}
+                for tr in tree.transitions
+            ],
+        }
+        if with_solution:
+            doc["solution"] = {
+                "u0": sol.u0,
+                "values": [vl.values.tolist() for vl in sol.value_layers],
+                "controls": [cl.controls.tolist() for cl in sol.control_layers],
+            }
+        path = tmp_path / "tree.rmq.json"
+        save_tree(tree, path, solution=sol)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc)
+        loaded, solution = load_tree(path)
+        assert solution == doc.get("solution")
+        for ta, tb in zip(loaded.transitions, tree.transitions):
+            assert np.array_equal(ta.entries, tb.entries)
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else"}))
