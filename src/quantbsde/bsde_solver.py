@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .model import FbsdeProblem
-from .rmq import QuantizationTree, _count, _floored_diffusion, euler_operator
+from .rmq import QuantizationTree, _count, _floored_diffusion, _integer, euler_operator
 
 __all__ = [
     "ValueLayer",
@@ -138,9 +137,10 @@ def ps_control_benchmark(
     rule of ``TimeGrid.n``, and ``k`` must be a step 0..n-1 of the tree.
     """
     paths = _count("paths", paths)
+    k = _integer("step k", k)
     n = tree.time_grid.n
-    if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k < n:
-        raise ValueError(f"step k must be an integer in 0..{n - 1}, got {k!r}")
+    if not 0 <= k < n:
+        raise ValueError(f"step k must be in 0..{n - 1}, got {k}")
     if next_values.step != k + 1:
         raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
     dt = tree.time_grid.dt

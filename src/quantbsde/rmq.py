@@ -91,12 +91,18 @@ def _floored_diffusion(problem: FbsdeProblem, y, step: int) -> np.ndarray:
     return s
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int of at least 1 (``operator.index``; not a boolean),
-    else ValueError naming ``name``."""
+def _integer(name: str, value) -> int:
+    """``value`` as an int (``operator.index``; not a boolean), else
+    ValueError naming ``name``."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    n = operator.index(value)
+    return operator.index(value)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int of at least 1 (the ``_integer`` rule), else
+    ValueError naming ``name``."""
+    n = _integer(name, value)
     if n < 1:
         raise ValueError(f"{name} must be at least 1, got {n}")
     return n
