@@ -17,7 +17,7 @@ from .bsde_solver import (
     solve,
     terminal_layer,
 )
-from .gaussian import normal_cdf, normal_pdf
+from .gaussian import normal_cdf
 from .model import (
     MODELS,
     BergmanParams,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem
-from .rmq import QuantizationTree, _count, _floored_diffusion, _integer, euler_operator
+from .rmq import QuantizationTree, _floored_diffusion, _integer, euler_operator
 
 __all__ = [
     "ValueLayer",
@@ -79,8 +79,10 @@ def backward_step(
     next_values: ValueLayer,
     problem: FbsdeProblem,
 ) -> tuple[ValueLayer, ControlLayer]:
-    """One explicit backward step from layer k+1 to layer k; sigma is
-    floored as in ``conditional_law``, and the warning names step k."""
+    """One explicit backward step from layer k+1 to layer k, for a step k
+    in 0..n-1 (``_integer``); sigma is floored as in ``conditional_law``,
+    and the warning names step k."""
+    k = _integer("step k", k, 0, tree.time_grid.n)
     if next_values.step != k + 1:
         raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
     dt = tree.time_grid.dt
@@ -133,14 +135,13 @@ def ps_control_benchmark(
     is projected onto the next codebook, and the control is estimated as
     E[u_{k+1}(projection) * Z] / sqrt(dt). Deterministic for a fixed seed.
     Source nodes with zero marginal mass have no defined estimate; they are
-    reported with a warning and filled with NaN. ``paths`` follows the count
-    rule of ``TimeGrid.n``, and ``k`` must be a step 0..n-1 of the tree.
+    reported with a warning and filled with NaN. Through ``_integer``,
+    ``paths`` is at least 1, ``k`` a step 0..n-1 of the tree and ``seed``
+    at least 0.
     """
-    paths = _count("paths", paths)
-    k = _integer("step k", k)
-    n = tree.time_grid.n
-    if not 0 <= k < n:
-        raise ValueError(f"step k must be in 0..{n - 1}, got {k}")
+    paths = _integer("paths", paths, 1)
+    k = _integer("step k", k, 0, tree.time_grid.n)
+    seed = _integer("seed", seed, 0)
     if next_values.step != k + 1:
         raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
     dt = tree.time_grid.dt

@@ -1,10 +1,10 @@
-"""Standard-normal density and distribution function.
+"""Standard-normal distribution function and density.
 
 Every cell integral downstream (cell masses, distortion, transition
-probabilities) is built from these two functions. Both are pure, accept
-scalars or arrays, and are exact at infinite arguments: the density is 0 and
-the distribution function is 0/1 there, so no NaN can leak out of a tail
-cell.
+probabilities) is built from ``cdf_and_pdf``, which returns Phi and phi of a
+finite 1-d array with one shared exp. ``normal_cdf`` is its pure form for
+scalars or arrays of any shape, exact 0/1 at infinite arguments, so no NaN
+can leak out of a tail cell.
 
 The distribution function is numpy arithmetic on the rational Chebyshev
 approximations of erf and erfc of Cody, "Rational Chebyshev approximations
@@ -129,13 +129,6 @@ def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarra
         t += 0.5
         cdf[near] = t
     return cdf, pdf
-
-
-def normal_pdf(x):
-    """Density of N(0,1). Exactly 0 at +-inf; even in x."""
-    x = np.asarray(x, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return float(out) if out.ndim == 0 else out
 
 
 def normal_cdf(x):

@@ -60,12 +60,10 @@ class FbsdeProblem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("T", "y0", "diffusion_floor"):
-            object.__setattr__(self, name, _finite_number(name, getattr(self, name)))
-        if not self.T > 0.0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
-        if not self.diffusion_floor > 0.0:
-            raise ValueError("diffusion_floor must be positive")
+        object.__setattr__(self, "T", _positive("horizon T", self.T))
+        object.__setattr__(self, "y0", _finite_number("y0", self.y0))
+        floor = _positive("diffusion_floor", self.diffusion_floor)
+        object.__setattr__(self, "diffusion_floor", floor)
         s0 = float(self.diffusion(self.y0))
         if not abs(s0) > 0.0:
             raise ValueError("diffusion must be nonzero at the start point y0")
@@ -79,10 +77,20 @@ def _finite_number(name: str, value) -> float:
     return float(value)
 
 
-def _check_numbers(params) -> None:
-    """Every field of ``params`` is a finite real number; a boolean is not."""
+def _positive(name: str, value) -> float:
+    """``_finite_number(name, value)`` if it is positive; ValueError naming
+    ``name`` otherwise."""
+    x = _finite_number(name, value)
+    if not x > 0.0:
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def _check_numbers(params, positive=()) -> None:
+    """Every field of ``params`` is a finite real number, and those named in
+    ``positive`` are positive; a boolean is not a number."""
     for f in fields(params):
-        _finite_number(f.name, getattr(params, f.name))
+        (_positive if f.name in positive else _finite_number)(f.name, getattr(params, f.name))
 
 
 @dataclass(frozen=True)
@@ -92,11 +100,7 @@ class BlackScholesParams:
     strike: float
 
     def __post_init__(self) -> None:
-        _check_numbers(self)
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.strike > 0.0:
-            raise ValueError("strike must be positive")
+        _check_numbers(self, positive=("sigma", "strike"))
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,7 @@ class BergmanParams:
     strike_high: float
 
     def __post_init__(self) -> None:
-        _check_numbers(self)
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        _check_numbers(self, positive=("sigma",))
         if self.lend_rate > self.borrow_rate:
             raise ValueError("lend_rate must not exceed borrow_rate")
         if not (0.0 < self.strike_low < self.strike_high):
@@ -128,8 +130,7 @@ class GbmParams:
     strike: float
 
     def __post_init__(self) -> None:
-        _check_numbers(self)
-        BlackScholesParams(self.mu, self.sigma, self.strike)
+        _check_numbers(self, positive=("sigma", "strike"))
 
 
 def _gbm_problem(p, mu, driver, terminal, T, y0, label: str) -> FbsdeProblem:
@@ -138,9 +139,7 @@ def _gbm_problem(p, mu, driver, terminal, T, y0, label: str) -> FbsdeProblem:
     ``1e-8 y0 sigma(y0)`` and ``params`` the fields of ``p``. Raises
     ValueError unless y0 is a positive finite number.
     """
-    y0 = _finite_number("y0", y0)
-    if not y0 > 0.0:
-        raise ValueError(f"y0 must be positive for a geometric Brownian motion, got {y0!r}")
+    y0 = _positive("y0", y0)
     s = p.sigma
 
     def drift(y):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import time
 from dataclasses import dataclass
 
@@ -31,28 +30,20 @@ __all__ = [
 ]
 
 
-def _index(value) -> int:
-    """``operator.index(value)`` (TypeError for a fraction); ValueError for a boolean."""
-    if isinstance(value, bool):
-        raise ValueError(f"a count or step must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """A model plus the sorted lists of quantizer and step counts to cross."""
+    """A model plus the sorted lists of quantizer and step counts to cross,
+    each an integer of at least 1 (``rmq._integer``)."""
 
     problem: FbsdeProblem
     quantizer_counts: tuple
     step_counts: tuple
 
     def __post_init__(self) -> None:
-        qs = tuple(_index(q) for q in self.quantizer_counts)
-        ss = tuple(_index(s) for s in self.step_counts)
+        qs = tuple(rmq._integer("quantizer count", q, 1) for q in self.quantizer_counts)
+        ss = tuple(rmq._integer("step count", s, 1) for s in self.step_counts)
         object.__setattr__(self, "quantizer_counts", qs)
         object.__setattr__(self, "step_counts", ss)
-        if any(q < 1 for q in qs) or any(s < 1 for s in ss):
-            raise ValueError("quantizer and step counts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,8 @@ def hedge_compare(
     """Node-level comparison of the quantized control with the closed form.
 
     Only the call model has an exact control; any other problem is rejected.
-    Steps must lie in [0, n-1] — there is no control on the terminal layer.
+    Steps are integers in 0..n-1 (``rmq._integer``): there is no control on
+    the terminal layer.
     """
     if problem.label != "black-scholes":
         raise ValueError("hedge comparison needs the black-scholes model (closed-form control)")
@@ -120,9 +112,7 @@ def hedge_compare(
     dt = solution.tree.time_grid.dt
     rows: list[HedgeRow] = []
     for k in steps:
-        k = _index(k)
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"hedge step {k} out of range [0, {n - 1}]")
+        k = rmq._integer("hedge step", k, 0, n)
         layer = solution.tree.layers[k]
         v_hat = solution.control_layers[k].controls
         for cw, vh in zip(layer.codewords, v_hat):

@@ -31,7 +31,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gaussian import CdfBuffers, cdf_and_pdf
-from .model import FbsdeProblem, _finite_number
+from .model import FbsdeProblem, _finite_number, _positive
 
 __all__ = [
     "TimeGrid",
@@ -91,38 +91,34 @@ def _floored_diffusion(problem: FbsdeProblem, y, step: int) -> np.ndarray:
     return s
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int (``operator.index``; not a boolean), else
-    ValueError naming ``name``."""
+def _integer(name: str, value, least: int, below: int | None = None) -> int:
+    """``value`` as an int (``operator.index``; not a boolean) of at least
+    ``least`` and, if ``below`` is given, less than ``below``; else
+    ValueError naming ``name``. The one rule for every integer argument."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int of at least 1 (the ``_integer`` rule), else
-    ValueError naming ``name``."""
-    n = _integer(name, value)
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n}")
-    return n
+    i = operator.index(value)
+    if below is None and i < least:
+        raise ValueError(f"{name} must be at least {least}, got {i}")
+    if below is not None and not least <= i < below:
+        raise ValueError(f"{name} must be in {least}..{below - 1}, got {i}")
+    return i
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform mesh t_k = k T / n, k = 0..n.
 
-    ``n`` is an integer (``operator.index``; not a boolean) of at least 1,
-    and ``T`` a positive finite real number.
+    ``n`` is an integer of at least 1 (``_integer``), and ``T`` a positive
+    finite real number (``model._positive``).
     """
 
     n: int
     T: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _count("number of time steps", self.n))
-        if not _finite_number("horizon T", self.T) > 0.0:
-            raise ValueError(f"horizon T must be positive, got {self.T!r}")
+        object.__setattr__(self, "n", _integer("number of time steps", self.n, 1))
+        _positive("horizon T", self.T)
 
     @property
     def dt(self) -> float:
@@ -208,25 +204,24 @@ class QuantizationTree:
 class OptimizerSettings:
     """Iteration budget and fixed-point tolerance of the grid optimizer.
 
-    ``max_iterations`` is an integer (``operator.index``; not a boolean) of
-    at least 1, and ``fixed_point_tol`` a positive finite real number.
+    ``max_iterations`` is an integer of at least 1 (``_integer``), and
+    ``fixed_point_tol`` a positive finite real number (``model._positive``).
     """
 
     max_iterations: int = 200
     fixed_point_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "max_iterations", _count("max_iterations", self.max_iterations))
-        tol = _finite_number("fixed_point_tol", self.fixed_point_tol)
+        iterations = _integer("max_iterations", self.max_iterations, 1)
+        object.__setattr__(self, "max_iterations", iterations)
+        tol = _positive("fixed_point_tol", self.fixed_point_tol)
         object.__setattr__(self, "fixed_point_tol", tol)
-        if not tol > 0.0:
-            raise ValueError(f"fixed_point_tol must be positive, got {tol!r}")
 
 
 def euler_operator(y, z, dt: float, problem: FbsdeProblem):
-    """One Euler step: y + dt b(y) + sqrt(dt) sigma(y) z."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    """One Euler step: y + dt b(y) + sqrt(dt) sigma(y) z, for a positive
+    finite ``dt``."""
+    dt = _positive("dt", dt)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     out = y + dt * problem.drift(y) + math.sqrt(dt) * problem.diffusion(y) * z
@@ -345,6 +340,14 @@ def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
     return M0, M1, dist, F, raw
 
 
+def _increasing(grid) -> np.ndarray:
+    """``grid`` as a float array; ValueError unless strictly increasing."""
+    x = np.asarray(grid, dtype=float)
+    if x.size > 1 and not np.all(np.diff(x) > 0):
+        raise ValueError("grid must be strictly increasing")
+    return x
+
+
 def mixture_distortion(grid, means, stds, probs) -> float:
     """Quadratic distortion of ``grid`` as a quantizer of a Gaussian mixture.
 
@@ -353,17 +356,12 @@ def mixture_distortion(grid, means, stds, probs) -> float:
     with infinite outer edges. Computed in closed form from partial moments
     up to order two.
     """
-    x = np.asarray(grid, dtype=float)
-    if x.size > 1 and not np.all(np.diff(x) > 0):
-        raise ValueError("grid must be strictly increasing")
-    return _mixture_stats(x, means, stds, probs)[2]
+    return _mixture_stats(_increasing(grid), means, stds, probs)[2]
 
 
 def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     """Analytic gradient of mixture_distortion: g_j = 2 (x_j M0_j - M1_j)."""
-    x = np.asarray(grid, dtype=float)
-    if x.size > 1 and not np.all(np.diff(x) > 0):
-        raise ValueError("grid must be strictly increasing")
+    x = _increasing(grid)
     M0, M1, _, _, _ = _mixture_stats(x, means, stds, probs)
     return 2.0 * (x * M0 - M1)
 
@@ -535,12 +533,12 @@ def optimize_grid(
     ``prev.weights`` pushed through the normalized transition matrix, which
     is built from the optimizer's last cell masses and discarded; this is
     the layer ``build_tree`` would produce from ``prev`` with the same
-    start, the moment-matched quantiles. ``N`` follows the count rule of
-    ``TimeGrid.n``. Raises ConvergenceError when the iteration budget runs
+    start, the moment-matched quantiles. ``N`` is an integer of at least 1
+    (``_integer``). Raises ConvergenceError when the iteration budget runs
     out, and RuntimeError when a transition row sum is off by more than 1e-10
     (see ``transition_matrix``).
     """
-    N = _count("codeword count N", N)
+    N = _integer("codeword count N", N, 1)
     means, stds = conditional_law(prev, dt, problem)
     settings = settings or OptimizerSettings()
     return _quantize_layer(prev, means, stds, N, settings, None)[0]
@@ -609,9 +607,9 @@ def build_tree(
     start; the last one, two or three misses are extrapolated by a constant,
     linear or quadratic polynomial in k, and the sum is kept only if it is
     strictly increasing. The first layer starts at moment-matched Gaussian
-    quantiles. ``N`` follows the count rule of ``TimeGrid.n``.
+    quantiles. ``N`` is an integer of at least 1 (``_integer``).
     """
-    N = _count("codeword count N", N)
+    N = _integer("codeword count N", N, 1)
     settings = settings or OptimizerSettings()
     dt = grid.dt
     layers = [QuantizedLayer(0, np.array([problem.y0]), np.array([1.0]), 0.0)]

@@ -25,11 +25,12 @@ from quantbsde import (
     backward_step,
     build_tree,
     make_black_scholes,
-    normal_pdf,
     ps_control_benchmark,
     solve,
     terminal_layer,
 )
+
+from oracles import INV_SQRT_2PI
 
 BS = BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0)
 
@@ -209,6 +210,16 @@ class TestBackwardStep:
         with pytest.warns(DegenerateDiffusionWarning, match=message):
             backward_step(tree, 3, nxt, problem)
 
+    @pytest.mark.parametrize("k", [-1, 3, 1.0, True])
+    def test_step_must_lie_in_the_tree(self, k):
+        # k=-1 with a layer-0 value layer used to pass the step check and
+        # run on the last transition; True ran as step 1
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(3, 1.0), 1)
+        nxt = ValueLayer(0, np.zeros(1)) if k == -1 else ValueLayer(2, np.zeros(1))
+        with pytest.raises(ValueError, match=r"step k must be (an integer|in 0\.\.2, got)"):
+            backward_step(tree, k, nxt, problem)
+
 
 class TestSolve:
     def test_layer_bookkeeping(self):
@@ -302,6 +313,15 @@ class TestSamplingBenchmark:
         b = ps_control_benchmark(*args, paths=500, seed=3)
         assert np.array_equal(a.controls, b.controls)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "x", -1])
+    def test_seed_follows_the_integer_rule(self, seed):
+        # True used to run as seed 1
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(3, 1.0), 4)
+        nxt = ValueLayer(2, np.zeros(4))
+        with pytest.raises(ValueError, match="seed must be"):
+            ps_control_benchmark(tree, problem, 1, nxt, 100, seed)
+
     @pytest.mark.parametrize("k", [-1, 3, 1.0, True])
     def test_step_must_lie_in_the_tree(self, k):
         # k=-1 with a layer-0 value layer used to pass the step check and
@@ -331,7 +351,8 @@ class TestSamplingBenchmark:
         sd = math.sqrt(dt) * problem.diffusion(src.codewords)
         zb = (mids[None, :] - m[:, None]) / sd[:, None]  # standardized bounds
         pdf = np.concatenate(
-            [np.zeros((src.size, 1)), normal_pdf(zb), np.zeros((src.size, 1))],
+            [np.zeros((src.size, 1)), INV_SQRT_2PI * np.exp(-0.5 * zb * zb),
+             np.zeros((src.size, 1))],
             axis=1,
         )
         limit = (pdf[:, :-1] - pdf[:, 1:]) @ u_next.values / math.sqrt(dt)

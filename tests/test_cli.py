@@ -239,7 +239,7 @@ class TestHedge:
             "10",
         )
         assert code == 2
-        assert "out of range" in err
+        assert "must be in 0..9, got 10" in err
 
     def test_models_without_closed_form_are_rejected(self, capsys):
         code, _, err = run_cli(
