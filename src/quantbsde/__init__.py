@@ -51,7 +51,6 @@ from .rmq import (
     build_tree,
     conditional_law,
     distortion_gradient,
-    euler_operator,
     load_tree,
     mixture_distortion,
     optimize_grid,

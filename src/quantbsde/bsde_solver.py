@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem
-from .rmq import QuantizationTree, _floored_diffusion, _integer, euler_operator
+from .rmq import QuantizationTree, _floored_diffusion, _integer
 
 __all__ = [
     "ValueLayer",
@@ -131,8 +131,9 @@ def ps_control_benchmark(
 ) -> ControlLayer:
     """Monte Carlo Brownian-weight control estimate at step k (benchmark only).
 
-    For each source node the one-step Euler image of ``paths`` Gaussian draws
-    is projected onto the next codebook, and the control is estimated as
+    For each source node y the one-step Euler image
+    y + dt b(y) + sqrt(dt) sigma(y) Z of ``paths`` Gaussian draws Z is
+    projected onto the next codebook, and the control is estimated as
     E[u_{k+1}(projection) * Z] / sqrt(dt). Deterministic for a fixed seed.
     Source nodes with zero marginal mass have no defined estimate; they are
     reported with a warning and filled with NaN. Through ``_integer``,
@@ -151,6 +152,8 @@ def ps_control_benchmark(
     mids = 0.5 * (y_next[1:] + y_next[:-1])
     rng = np.random.default_rng(seed)
     sq = math.sqrt(dt)
+    mean = src.codewords + dt * problem.drift(src.codewords)
+    scale = sq * problem.diffusion(src.codewords)
 
     out = np.empty(src.size)
     dead = src.weights == 0.0
@@ -165,7 +168,6 @@ def ps_control_benchmark(
             out[i] = np.nan
             continue
         z = rng.standard_normal(paths)
-        image = euler_operator(src.codewords[i], z, dt, problem)
-        cells = np.searchsorted(mids, image, side="right")
+        cells = np.searchsorted(mids, mean[i] + scale[i] * z, side="right")
         out[i] = float(np.mean(u_next[cells] * z)) / sq
     return ControlLayer(k, out)

@@ -122,8 +122,8 @@ class BergmanParams:
 
 @dataclass(frozen=True)
 class GbmParams:
-    """Drift, volatility and strike of the driverless call, checked as
-    ``BlackScholesParams`` with ``rate = mu``."""
+    """Drift, volatility and strike of the driverless call: finite numbers,
+    with ``sigma`` and ``strike`` positive (``_check_numbers``)."""
 
     mu: float
     sigma: float
@@ -265,22 +265,25 @@ def _d1(p: BlackScholesParams, tau: float, y: float) -> float:
     )
 
 
+def _before_maturity(t, T, y) -> tuple[float, float]:
+    """(T - t, y) for numbers ``t < T`` (``_finite_number``) and a spot ``y``
+    (``_positive``), else ValueError naming the argument: the closed forms' rule."""
+    t, T = _finite_number("t", t), _finite_number("T", T)
+    if not t < T:
+        raise ValueError(f"t must be before maturity T={T!r}, got {t!r}")
+    return T - t, _positive("spot", y)
+
+
 def bs_price(p: BlackScholesParams, t: float, T: float, y: float) -> float:
-    """Closed-form call price at time ``t`` and spot ``y``."""
-    if t >= T:
-        raise ValueError("bs_price requires t < T; use the payoff at maturity")
-    if y <= 0.0:
-        raise ValueError("bs_price requires a positive spot")
-    tau = T - t
+    """Closed-form call price at time ``t < T`` and spot ``y > 0``."""
+    tau, y = _before_maturity(t, T, y)
     d1 = _d1(p, tau, y)
     d2 = d1 - p.sigma * math.sqrt(tau)
     return y * normal_cdf(d1) - p.strike * math.exp(-p.rate * tau) * normal_cdf(d2)
 
 
 def bs_control(p: BlackScholesParams, t: float, T: float, y: float) -> float:
-    """Closed-form control ``Phi(d1) sigma y`` (delta times ``sigma y``)."""
-    if t >= T:
-        raise ValueError("bs_control requires t < T")
-    if y <= 0.0:
-        raise ValueError("bs_control requires a positive spot")
-    return normal_cdf(_d1(p, T - t, y)) * p.sigma * y
+    """Closed-form control ``Phi(d1) sigma y`` (delta times ``sigma y``) at
+    time ``t < T`` and spot ``y > 0``."""
+    tau, y = _before_maturity(t, T, y)
+    return normal_cdf(_d1(p, tau, y)) * p.sigma * y

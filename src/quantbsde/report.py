@@ -128,31 +128,28 @@ def emit_csv(result, path) -> None:
     count, cells with 4 decimals, failed cells as "ERR". Hedge layout:
     columns step, codeword, v_hat, v_exact, abs_err.
     """
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if isinstance(result, SweepResult):
-                writer.writerow(["N"] + [str(s) for s in result.spec.step_counts])
-                for i, N in enumerate(result.spec.quantizer_counts):
-                    row = [str(N)]
-                    for j in range(len(result.spec.step_counts)):
-                        u0 = result.values[i, j]
-                        row.append("ERR" if np.isnan(u0) else f"{u0:.4f}")
-                    writer.writerow(row)
-            else:
-                writer.writerow(["step", "codeword", "v_hat", "v_exact", "abs_err"])
-                for r in result:
-                    writer.writerow(
-                        [
-                            r.step,
-                            f"{r.codeword:.6f}",
-                            f"{r.v_hat:.6f}",
-                            f"{r.v_exact:.6f}",
-                            f"{r.abs_err:.6f}",
-                        ]
-                    )
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if isinstance(result, SweepResult):
+            writer.writerow(["N"] + [str(s) for s in result.spec.step_counts])
+            for i, N in enumerate(result.spec.quantizer_counts):
+                row = [str(N)]
+                for j in range(len(result.spec.step_counts)):
+                    u0 = result.values[i, j]
+                    row.append("ERR" if np.isnan(u0) else f"{u0:.4f}")
+                writer.writerow(row)
+        else:
+            writer.writerow(["step", "codeword", "v_hat", "v_exact", "abs_err"])
+            for r in result:
+                writer.writerow(
+                    [
+                        r.step,
+                        f"{r.codeword:.6f}",
+                        f"{r.v_hat:.6f}",
+                        f"{r.v_exact:.6f}",
+                        f"{r.abs_err:.6f}",
+                    ]
+                )
 
 
 def emit_json(result: SweepResult, path) -> None:
@@ -168,8 +165,5 @@ def emit_json(result: SweepResult, path) -> None:
         "timings_seconds": result.timings.tolist(),
         "errors": {f"N={N},n={n}": msg for (N, n), msg in result.errors.items()},
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)

@@ -41,7 +41,6 @@ __all__ = [
     "OptimizerSettings",
     "ConvergenceError",
     "DegenerateDiffusionWarning",
-    "euler_operator",
     "conditional_law",
     "mixture_distortion",
     "distortion_gradient",
@@ -124,10 +123,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.n
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n + 1) * (self.T / self.n)
-
 
 @dataclass(frozen=True)
 class QuantizedLayer:
@@ -151,8 +146,10 @@ class QuantizedLayer:
             raise ValueError("weights and codewords must have matching shape")
         if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if not 0.0 <= self.distortion < math.inf:
-            raise ValueError("distortion must be nonnegative and finite")
+        distortion = _finite_number("distortion", self.distortion)
+        if distortion < 0.0:
+            raise ValueError(f"distortion must be nonnegative, got {distortion!r}")
+        object.__setattr__(self, "distortion", distortion)
 
     @property
     def size(self) -> int:
@@ -216,16 +213,6 @@ class OptimizerSettings:
         object.__setattr__(self, "max_iterations", iterations)
         tol = _positive("fixed_point_tol", self.fixed_point_tol)
         object.__setattr__(self, "fixed_point_tol", tol)
-
-
-def euler_operator(y, z, dt: float, problem: FbsdeProblem):
-    """One Euler step: y + dt b(y) + sqrt(dt) sigma(y) z, for a positive
-    finite ``dt``."""
-    dt = _positive("dt", dt)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = y + dt * problem.drift(y) + math.sqrt(dt) * problem.diffusion(y) * z
-    return float(out) if out.ndim == 0 else out
 
 
 def conditional_law(
@@ -682,9 +669,11 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     """Load a serialized tree; returns (tree, solution-dict-or-None).
 
     A file that is not version-1 tree JSON, lacks a key, holds a field of the
-    wrong type or value (NaN included), or carries a solution whose
-    ``values``/``controls`` do not match the layer sizes or hold anything but
-    finite numbers raises ValueError naming ``path``.
+    wrong type or value, or carries a solution whose ``values``/``controls``
+    do not match the layer sizes raises ValueError naming ``path``. Every
+    number read must be a finite JSON int or float, not a boolean: number
+    lists through ``_numbers``, distortions and u0 through
+    ``model._finite_number``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -702,9 +691,19 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
             _check_solution(solution, tree)
     except KeyError as exc:
         raise ValueError(f"malformed tree file {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed tree file {path}: {exc}") from exc
     return tree, solution
+
+
+def _numbers(name: str, items) -> np.ndarray:
+    """``items`` as a float array if it is a list of JSON numbers (int or
+    float, not a boolean), all finite; ValueError naming ``name`` otherwise."""
+    if isinstance(items, list) and set(map(type, items)) <= {int, float}:
+        x = np.array(items, dtype=float)
+        if np.isfinite(x).all():
+            return x
+    raise ValueError(f"{name} must be finite numbers")
 
 
 def _tree_from_doc(doc: dict) -> QuantizationTree:
@@ -714,13 +713,14 @@ def _tree_from_doc(doc: dict) -> QuantizationTree:
         if la["step"] != k:
             raise ValueError(f"layer {k} has step {la['step']!r}")
         layers.append(
-            QuantizedLayer(k, np.array(la["codewords"]), np.array(la["weights"]),
-                           la["distortion"])
+            QuantizedLayer(k, _numbers("codewords", la["codewords"]),
+                           _numbers("weights", la["weights"]), la["distortion"])
         )
     for k, tr in enumerate(doc["transitions"]):
         if tr["step"] != k:
             raise ValueError(f"transition {k} has step {tr['step']!r}")
-        transitions.append(TransitionMatrix(k, np.array(tr["entries"]).reshape(tr["shape"])))
+        entries = _numbers("entries", tr["entries"]).reshape(tr["shape"])
+        transitions.append(TransitionMatrix(k, entries))
     return QuantizationTree(tg, layers, transitions)
 
 
@@ -734,6 +734,5 @@ def _check_solution(solution: dict, tree: QuantizationTree) -> None:
         raise ValueError("solution controls do not match the layer sizes")
     for key in ("values", "controls"):
         for row in solution[key]:
-            if not all(type(x) in (int, float) and math.isfinite(x) for x in row):
-                raise ValueError(f"solution {key} must be finite numbers")
+            _numbers(f"solution {key}", row)
     _finite_number("solution u0", solution["u0"])

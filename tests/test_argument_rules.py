@@ -22,8 +22,9 @@ from quantbsde import (
     TimeGrid,
     ValueLayer,
     backward_step,
+    bs_control,
+    bs_price,
     build_tree,
-    euler_operator,
     hedge_compare,
     make_black_scholes,
     optimize_grid,
@@ -112,7 +113,8 @@ POSITIVES = {
         "sigma", lambda v: BergmanParams(0.05, v, 0.01, 0.06, 95.0, 105.0),
     ),
     "y0": ("y0", lambda v: make_black_scholes(BS, 1.0, v)),
-    "euler_operator.dt": ("dt", lambda v: euler_operator(100.0, 0.5, v, PROBLEM)),
+    "bs_price.spot": ("spot", lambda v: bs_price(BS, 0.0, 1.0, v)),
+    "bs_control.spot": ("spot", lambda v: bs_control(BS, 0.0, 1.0, v)),
 }
 
 

@@ -288,6 +288,45 @@ class TestSamplingBenchmark:
         assert math.isnan(cl.controls[0])
         assert math.isfinite(cl.controls[1])
 
+    @pytest.mark.parametrize("case", ["built", "dead-node"])
+    def test_controls_are_the_per_node_euler_estimate(self, case):
+        # the estimator written out node by node: one generator drawing in
+        # node order, nothing drawn for dead nodes, and each image the Euler
+        # step y + dt b(y) + sqrt(dt) sigma(y) z
+        problem = bs_problem()
+        if case == "built":
+            tree = build_tree(problem, TimeGrid(5, 1.0), 8)
+            k, nxt = 2, solve(tree, problem).value_layers[3]
+        else:
+            tree = QuantizationTree(
+                TimeGrid(1, 1.0),
+                (
+                    QuantizedLayer(0, np.array([90.0, 100.0, 110.0]),
+                                   np.array([0.5, 0.0, 0.5]), 0.0),
+                    QuantizedLayer(1, np.array([80.0, 100.0, 120.0]),
+                                   np.array([0.25, 0.5, 0.25]), 0.0),
+                ),
+                (TransitionMatrix(0, np.full((3, 3), [0.25, 0.5, 0.25])),),
+            )
+            k, nxt = 0, ValueLayer(1, np.array([0.0, 3.0, 20.0]))
+        dt = tree.time_grid.dt
+        src, y_next = tree.layers[k], tree.layers[k + 1].codewords
+        mids = 0.5 * (y_next[1:] + y_next[:-1])
+        rng = np.random.default_rng(17)
+        want = np.full(src.size, np.nan)
+        for i, y in enumerate(src.codewords):
+            if src.weights[i] == 0.0:
+                continue
+            z = rng.standard_normal(3000)
+            image = y + dt * problem.drift(y) + math.sqrt(dt) * problem.diffusion(y) * z
+            cells = np.searchsorted(mids, image, side="right")
+            want[i] = float(np.mean(nxt.values[cells] * z)) / math.sqrt(dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = ps_control_benchmark(tree, problem, k, nxt, 3000, 17).controls
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isfinite(want).sum() == (src.weights > 0.0).sum()
+
     def test_rejects_bad_arguments(self):
         problem = bs_problem()
         tree = build_tree(problem, TimeGrid(5, 1.0), 8)

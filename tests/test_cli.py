@@ -191,6 +191,35 @@ class TestSweep:
         assert sidecar["model"] == "gbm"
         assert sidecar["step_counts"] == [4, 6]
 
+    def test_failing_cells_are_reported_and_kept_in_the_artifacts(self, capsys, tmp_path):
+        cfg = tmp_path / "stall.json"
+        cfg.write_text(json.dumps(
+            {"optimizer": {"max_iterations": 1}, "sweep": {"quantizers": [5, 10], "steps": [5]}}
+        ))
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--output", str(out_path))
+        assert code == 1
+        assert stdout_dict(out) == {"cells": "2", "failures": "2", "output": str(out_path)}
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, N in zip(lines, (5, 10)):
+            assert line.startswith(f"error[N={N},n=5]=ConvergenceError: ")
+        with open(out_path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["N", "5"], ["5", "ERR"], ["10", "ERR"]]
+        sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
+        assert sidecar["values"] == [[None], [None]]
+        assert sorted(sidecar["errors"]) == ["N=10,n=5", "N=5,n=5"]
+
+    def test_unwritable_output_names_the_path(self, capsys, tmp_path):
+        out_path = tmp_path / "absent" / "s.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--quantizers", "4", "--steps", "2", "--output", str(out_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: FileNotFoundError:")
+        assert str(out_path) in err
+
     def test_missing_lists_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep")
         assert code == 2

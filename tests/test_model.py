@@ -107,6 +107,15 @@ class TestBlackScholesClosedForms:
         with pytest.raises(ValueError):
             bs_control(BS, 0.0, 1.0, y)
 
+    @pytest.mark.parametrize(
+        "t, T, name", [(math.nan, 1.0, "t"), (True, 1.0, "t"), (0.0, math.nan, "T")]
+    )
+    def test_times_follow_the_number_rule(self, t, T, name):
+        # a NaN t used to price NaN
+        for closed_form in (bs_price, bs_control):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+                closed_form(BS, t, T, 100.0)
+
 
 class TestBlackScholesProblem:
     def setup_method(self):

@@ -30,7 +30,6 @@ from quantbsde import (
     build_tree,
     conditional_law,
     distortion_gradient,
-    euler_operator,
     load_tree,
     make_bergman,
     make_black_scholes,
@@ -44,7 +43,6 @@ import quantbsde.rmq as rmq_mod
 
 from oracles import (
     EULER_MEAN_GBM,
-    EULER_STEP_Z1,
     ONE_MINUS_2_OVER_PI,
     SQRT_2_OVER_PI,
     fd_gradient,
@@ -103,37 +101,12 @@ class TestTimeGrid:
     def test_mesh_telescopes_to_horizon(self, n):
         g = TimeGrid(n, 0.25)
         assert abs(g.dt * n - 0.25) <= np.spacing(0.25)
-        assert g.nodes.shape == (n + 1,)
-        assert g.nodes[0] == 0.0
-        assert g.nodes[-1] == pytest.approx(0.25, abs=np.spacing(0.25))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             TimeGrid(0, 1.0)
         with pytest.raises(ValueError):
             TimeGrid(10, 0.0)
-
-
-class TestEulerOperator:
-    def test_drift_only(self):
-        assert euler_operator(100.0, 0.0, 0.05, gbm_problem()) == pytest.approx(
-            100.25, abs=1e-13
-        )
-
-    def test_one_unit_shock(self):
-        got = euler_operator(100.0, 1.0, 0.05, gbm_problem())
-        assert got == pytest.approx(EULER_STEP_Z1, abs=1e-12)
-
-    def test_vectorized_in_the_shock(self):
-        z = np.array([-1.0, 0.0, 1.0])
-        got = euler_operator(100.0, z, 0.05, gbm_problem())
-        assert got.shape == (3,)
-        assert got[1] == pytest.approx(100.25, abs=1e-13)
-        assert got[2] - got[1] == pytest.approx(got[1] - got[0], abs=1e-10)
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            euler_operator(100.0, 0.0, 0.0, gbm_problem())
 
 
 class TestConditionalLaw:
@@ -459,6 +432,31 @@ class TestOptimizeGrid:
         assert np.all(np.diff(err.last_grid) > 0)
         assert math.isfinite(err.gradient_norm)
 
+    @pytest.mark.parametrize(
+        "N, want",
+        [(2, [-0.79788, 0.79788]), (3, [-1.22401, 0.0, 1.22401]),
+         (5, [-1.72415, -0.76457, 0.0, 0.76457, 1.72415])],
+    )
+    def test_lloyd_steps_alone_reach_the_newton_grid(self, monkeypatch, N, want):
+        newton = optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), N)
+        monkeypatch.setattr(rmq_mod, "_newton_direction", lambda *args: None)
+        lloyd = optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), N)
+        assert np.max(np.abs(lloyd.codewords - newton.codewords)) <= 1e-8
+        assert lloyd.codewords == pytest.approx(want, abs=1e-5)
+
+    def test_high_volatility_build_through_a_lloyd_step_is_stationary(self):
+        # every Newton candidate of one iteration is rejected here, so the
+        # build converges only after one Lloyd step
+        problem = make_black_scholes(BlackScholesParams(0.04, 1.2, 100.0), T=0.5, y0=100.0)
+        tree = build_tree(problem, TimeGrid(5, 0.5), 10)
+        resid = 0.0
+        for src, nxt in zip(tree.layers, tree.layers[1:]):
+            means, stds = conditional_law(src, tree.time_grid.dt, problem)
+            g = distortion_gradient(nxt.codewords, means, stds, src.weights)
+            # criterion 7's |x - M1/M0| = |g| / (2 M0)
+            resid = max(resid, float(np.max(np.abs(g) / np.maximum(2.0 * nxt.weights, 1e-300))))
+        assert resid <= 1e-9
+
 
 class TestTransitionMatrix:
     def test_single_target_codeword(self):
@@ -488,7 +486,7 @@ class TestTransitionMatrix:
         M = 2_000_000
         for i, y in enumerate(prev.codewords):
             z = rng.standard_normal(M)
-            landed = euler_operator(y, z, 0.1, problem)
+            landed = y + 0.1 * problem.drift(y) + math.sqrt(0.1) * problem.diffusion(y) * z
             counts = np.bincount(
                 np.searchsorted(mids, landed, side="right"), minlength=7
             )
@@ -765,14 +763,29 @@ class TestMalformedTreeFiles:
             (lambda doc: doc["solution"]["values"][1].pop(), "solution values do not match"),
             (lambda doc: doc["solution"]["controls"][1].pop(), "solution controls do not match"),
             (lambda doc: doc["layers"][1].update(weights=[math.nan] * 4), "weights must be"),
-            (lambda doc: doc["transitions"][0].update(entries=[math.nan] * 4), "entries must lie"),
+            (lambda doc: doc["transitions"][0].update(entries=[math.nan] * 4),
+             "entries must be finite numbers"),
             (lambda doc: doc["layers"][2].update(distortion=math.nan), "distortion must be"),
             (lambda doc: doc["solution"]["values"][1].__setitem__(0, "1.5"),
              "solution values must be finite numbers"),
             (lambda doc: doc["solution"].update(u0=math.nan), "solution u0 must be a finite"),
+            # each of these used to load as the number 1.0 (or the string's value)
+            (lambda doc: doc["layers"][0].update(codewords=[True]),
+             "codewords must be finite numbers"),
+            (lambda doc: doc["layers"][0].update(weights=[True]),
+             "weights must be finite numbers"),
+            (lambda doc: doc["transitions"][1].update(
+                entries=[str(x) for x in doc["transitions"][1]["entries"]]),
+             "entries must be finite numbers"),
+            (lambda doc: doc["layers"][0].update(distortion=True),
+             "distortion must be a finite number, got True"),
+            (lambda doc: doc["layers"][2]["codewords"].__setitem__(0, 10**400),
+             "int too large to convert to float"),
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
-             "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0"],
+             "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0",
+             "boolean-codeword", "boolean-weight", "string-entries", "boolean-distortion",
+             "huge-integer"],
     )
     def test_is_a_value_error_naming_the_file(self, saved, spoil, message):
         path, doc = saved
