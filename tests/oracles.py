@@ -22,6 +22,7 @@ ONE_MINUS_2_OVER_PI = 0.3633802276324187
 BS_PRICE_ATM = 11.837046440824071  # r=0.04, sigma=0.25, K=100, T=1, y=100, t=0
 BS_CONTROL_ATM = 15.304448225937467  # Phi(0.285) * 0.25 * 100
 EULER_MEAN_GBM = 101.25768696516823  # 100 (1 + 0.05 * 0.005)^50
+EULER_STEP_Z1 = 104.72213595499957  # 100 + 0.05*5 + sqrt(0.05)*20
 
 
 def series_normal_cdf(x: float) -> float:

@@ -30,7 +30,7 @@ from quantbsde import (
     terminal_layer,
 )
 
-from oracles import INV_SQRT_2PI
+from oracles import EULER_STEP_Z1, INV_SQRT_2PI
 
 BS = BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0)
 
@@ -64,6 +64,36 @@ def toy_tree(codes, weights, y0=100.0, T=1.0):
         ),
         (TransitionMatrix(0, weights[None, :]),),
     )
+
+
+def unit_shock_sides(problem, y, dt, x, monkeypatch):
+    """Where the benchmark's image of source node y lands when every draw is
+    Z = 1, against two next codebooks whose one midpoint sits one ulp above
+    and one ulp below x. Returns the controls (0 left of the midpoint,
+    1/sqrt(dt) right of it) for the two books; (0, 1/sqrt(dt)) means the
+    image is exactly x.
+    """
+
+    class UnitShocks:
+        def standard_normal(self, size):
+            return np.ones(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: UnitShocks())
+    up = np.nextafter(np.nextafter(x, np.inf), np.inf)
+    down = np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+    got = []
+    for book in (np.array([x, up]), np.array([down, x])):
+        tree = QuantizationTree(
+            TimeGrid(1, dt),
+            (
+                QuantizedLayer(0, np.array([y]), np.array([1.0]), 0.0),
+                QuantizedLayer(1, book, np.array([0.5, 0.5]), 0.0),
+            ),
+            (TransitionMatrix(0, np.array([[0.5, 0.5]])),),
+        )
+        nxt = ValueLayer(1, np.array([0.0, 1.0]))
+        got.append(ps_control_benchmark(tree, problem, 0, nxt, 4, 0).controls[0])
+    return tuple(got)
 
 
 class TestTerminalLayer:
@@ -287,6 +317,28 @@ class TestSamplingBenchmark:
             )
         assert math.isnan(cl.controls[0])
         assert math.isfinite(cl.controls[1])
+
+    def test_drift_only_image_is_the_euler_mean(self, monkeypatch):
+        # sigma vanishes at the source node, so every image is y + dt b(y)
+        problem = FbsdeProblem(
+            drift=lambda y: 0.05 * np.asarray(y, dtype=float),
+            diffusion=lambda y: 0.2 * (np.asarray(y, dtype=float) - 100.0),
+            driver=lambda t, y, u, v: np.zeros_like(np.asarray(u, dtype=float)),
+            terminal=lambda y: np.asarray(y, dtype=float),
+            T=0.05,
+            y0=90.0,
+            diffusion_floor=1e-8,
+        )
+        sides = unit_shock_sides(problem, 100.0, 0.05, 100.25, monkeypatch)
+        assert sides == (0.0, 1.0 / math.sqrt(0.05))
+
+    def test_one_unit_shock_image_is_mean_plus_scale(self, monkeypatch):
+        # Z = 1 puts every image at y + dt b(y) + sqrt(dt) sigma(y)
+        problem = make_black_scholes(
+            BlackScholesParams(rate=0.05, sigma=0.2, strike=100.0), T=0.05, y0=100.0
+        )
+        sides = unit_shock_sides(problem, 100.0, 0.05, EULER_STEP_Z1, monkeypatch)
+        assert sides == (0.0, 1.0 / math.sqrt(0.05))
 
     @pytest.mark.parametrize("case", ["built", "dead-node"])
     def test_controls_are_the_per_node_euler_estimate(self, case):
