@@ -8,54 +8,11 @@ front end. The core path is fully deterministic; Monte Carlo appears only
 in an optional benchmark.
 """
 
-from .bsde_solver import (
-    BackwardSolution,
-    ControlLayer,
-    ValueLayer,
-    backward_step,
-    ps_control_benchmark,
-    solve,
-    terminal_layer,
-)
-from .gaussian import normal_cdf
-from .model import (
-    MODELS,
-    BergmanParams,
-    BlackScholesParams,
-    FbsdeProblem,
-    GbmParams,
-    ModelSpec,
-    bs_control,
-    bs_price,
-    make_bergman,
-    make_black_scholes,
-    make_gbm,
-)
-from .report import (
-    HedgeRow,
-    SweepResult,
-    SweepSpec,
-    emit_csv,
-    emit_json,
-    hedge_compare,
-    run_sweep,
-)
-from .rmq import (
-    ConvergenceError,
-    DegenerateDiffusionWarning,
-    OptimizerSettings,
-    QuantizationTree,
-    QuantizedLayer,
-    TimeGrid,
-    TransitionMatrix,
-    build_tree,
-    conditional_law,
-    distortion_gradient,
-    load_tree,
-    mixture_distortion,
-    optimize_grid,
-    save_tree,
-    transition_matrix,
-)
+# Each module's ``__all__`` is its one list of public names.
+from .bsde_solver import *
+from .gaussian import *
+from .model import *
+from .report import *
+from .rmq import *
 
 __version__ = "0.1.0"

@@ -73,6 +73,15 @@ def terminal_layer(tree: QuantizationTree, problem: FbsdeProblem) -> ValueLayer:
     return ValueLayer(last.step, problem.terminal(last.codewords))
 
 
+def _step(tree: QuantizationTree, k, next_values: ValueLayer) -> int:
+    """``k`` as a step 0..n-1 of ``tree`` (``_integer``) whose next layer is
+    ``next_values``; ValueError otherwise."""
+    k = _integer("step k", k, 0, tree.time_grid.n)
+    if next_values.step != k + 1:
+        raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
+    return k
+
+
 def backward_step(
     tree: QuantizationTree,
     k: int,
@@ -80,11 +89,9 @@ def backward_step(
     problem: FbsdeProblem,
 ) -> tuple[ValueLayer, ControlLayer]:
     """One explicit backward step from layer k+1 to layer k, for a step k
-    in 0..n-1 (``_integer``); sigma is floored as in ``conditional_law``,
+    in 0..n-1 (``_step``); sigma is floored as in ``conditional_law``,
     and the warning names step k."""
-    k = _integer("step k", k, 0, tree.time_grid.n)
-    if next_values.step != k + 1:
-        raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
+    k = _step(tree, k, next_values)
     dt = tree.time_grid.dt
     y = tree.layers[k].codewords
     y_next = tree.layers[k + 1].codewords
@@ -137,14 +144,12 @@ def ps_control_benchmark(
     E[u_{k+1}(projection) * Z] / sqrt(dt). Deterministic for a fixed seed.
     Source nodes with zero marginal mass have no defined estimate; they are
     reported with a warning and filled with NaN. Through ``_integer``,
-    ``paths`` is at least 1, ``k`` a step 0..n-1 of the tree and ``seed``
-    at least 0.
+    ``paths`` is at least 1 and ``seed`` at least 0; ``k`` is checked as in
+    ``backward_step``.
     """
     paths = _integer("paths", paths, 1)
-    k = _integer("step k", k, 0, tree.time_grid.n)
+    k = _step(tree, k, next_values)
     seed = _integer("seed", seed, 0)
-    if next_values.step != k + 1:
-        raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
     dt = tree.time_grid.dt
     src = tree.layers[k]
     y_next = tree.layers[k + 1].codewords

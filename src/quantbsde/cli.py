@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bsde_solver, report, rmq
@@ -76,6 +77,7 @@ def _load_config(args) -> dict:
     """The config file's settings with every flag that was given copied over.
 
     sweep's --steps and --quantizers override the lists of its "sweep" section.
+    An ``output`` in an unreachable folder raises open's OSError here.
     """
     cfg = {}
     if args.config:
@@ -97,8 +99,14 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             (section if key in ("steps", "quantizers") else cfg)[key] = val
-    if "output" in cfg and not (isinstance(cfg["output"], str) and cfg["output"]):
-        raise ConfigError(f"output: {cfg['output']!r} is not a non-empty path")
+    if "output" in cfg:
+        out = cfg["output"]
+        if not (isinstance(out, str) and out):
+            raise ConfigError(f"output: {out!r} is not a non-empty path")
+        try:
+            os.stat(os.path.dirname(out) or ".")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, out) from None
     return cfg
 
 
@@ -111,8 +119,7 @@ def _build_and_solve(cfg):
     return problem, bsde_solver.solve(tree, problem)
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
+def cmd_solve(cfg) -> int:
     _, sol = _build_and_solve(cfg)
     out = cfg.get("output")
     if out:
@@ -124,8 +131,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(cfg) -> int:
     sweep = cfg["sweep"]
     quantizers = _integers(sweep, "quantizers", many=True)
     steps = _integers(sweep, "steps", many=True)
@@ -142,9 +148,14 @@ def cmd_sweep(args) -> int:
     return 1 if result.failed else 0
 
 
-def cmd_hedge(args) -> int:
-    cfg = _load_config(args)
+def cmd_hedge(cfg) -> int:
     steps = _integers(cfg, "hedge_steps", [5, 10, 15], least=0, many=True)
+    n = _integers(cfg, "steps", 20)
+    try:
+        for k in steps:  # before the build: there is no control at step n
+            rmq._integer("hedge step", k, 0, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     problem, sol = _build_and_solve(cfg)
     try:
         rows = report.hedge_compare(sol, problem, steps)
@@ -191,7 +202,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

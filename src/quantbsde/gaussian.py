@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+__all__ = ["normal_cdf"]
+
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 

@@ -75,7 +75,7 @@ def run_sweep(
     """Solve every (N, n) cell of the sweep; failures are recorded in place.
 
     Cells run one after another, N-major, so each timing is that cell's own
-    build and solve time.
+    build and solve time, up to the failure for a failed cell.
     """
     qs, ss = spec.quantizer_counts, spec.step_counts
     values = np.full((len(qs), len(ss)), np.nan)
@@ -88,9 +88,9 @@ def run_sweep(
             try:
                 tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, settings)
                 values[i, j] = bsde_solver.solve(tree, problem).u0
-                timings[i, j] = time.perf_counter() - t0
             except Exception as exc:  # noqa: BLE001 - recorded per cell
                 errors[(N, n)] = f"{type(exc).__name__}: {exc}"
+            timings[i, j] = time.perf_counter() - t0
     return SweepResult(spec, values, timings, errors)
 
 
@@ -141,15 +141,8 @@ def emit_csv(result, path) -> None:
         else:
             writer.writerow(["step", "codeword", "v_hat", "v_exact", "abs_err"])
             for r in result:
-                writer.writerow(
-                    [
-                        r.step,
-                        f"{r.codeword:.6f}",
-                        f"{r.v_hat:.6f}",
-                        f"{r.v_exact:.6f}",
-                        f"{r.abs_err:.6f}",
-                    ]
-                )
+                floats = (r.codeword, r.v_hat, r.v_exact, r.abs_err)
+                writer.writerow([r.step] + [f"{x:.6f}" for x in floats])
 
 
 def emit_json(result: SweepResult, path) -> None:

@@ -25,7 +25,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -109,7 +109,7 @@ class TimeGrid:
     """Uniform mesh t_k = k T / n, k = 0..n.
 
     ``n`` is an integer of at least 1 (``_integer``), and ``T`` a positive
-    finite real number (``model._positive``).
+    finite real number (``model._positive``), stored as a float.
     """
 
     n: int
@@ -117,11 +117,17 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer("number of time steps", self.n, 1))
-        _positive("horizon T", self.T)
+        object.__setattr__(self, "T", _positive("horizon T", self.T))
 
     @property
     def dt(self) -> float:
         return self.T / self.n
+
+
+def _increasing(x) -> bool:
+    """True if the array ``x`` is finite and strictly increasing: the one
+    order rule for codebooks, optimizer iterates and starting grids."""
+    return bool(np.isfinite(x).all() and (x[1:] > x[:-1]).all())
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ class QuantizedLayer:
         object.__setattr__(self, "weights", w)
         if cw.ndim != 1 or cw.size < 1:
             raise ValueError("codewords must be a nonempty 1-d array")
-        if not (np.isfinite(cw).all() and np.all(np.diff(cw) > 0)):
+        if not _increasing(cw):
             raise ValueError("codewords must be finite and strictly increasing")
         if w.shape != cw.shape:
             raise ValueError("weights and codewords must have matching shape")
@@ -289,8 +295,7 @@ def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
     bounds = np.empty(n + 1)
     bounds[0] = -np.inf
     bounds[-1] = np.inf
-    if n > 1:
-        bounds[1:-1] = 0.5 * (x[:-1] + x[1:])
+    bounds[1:-1] = 0.5 * (x[:-1] + x[1:])
 
     m = np.asarray(means, dtype=float)
     v = np.asarray(stds, dtype=float)
@@ -327,11 +332,11 @@ def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
     return M0, M1, dist, F, raw
 
 
-def _increasing(grid) -> np.ndarray:
-    """``grid`` as a float array; ValueError unless strictly increasing."""
+def _ordered_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; ValueError unless ``_increasing``."""
     x = np.asarray(grid, dtype=float)
-    if x.size > 1 and not np.all(np.diff(x) > 0):
-        raise ValueError("grid must be strictly increasing")
+    if not _increasing(x):
+        raise ValueError("grid must be finite and strictly increasing")
     return x
 
 
@@ -343,12 +348,12 @@ def mixture_distortion(grid, means, stds, probs) -> float:
     with infinite outer edges. Computed in closed form from partial moments
     up to order two.
     """
-    return _mixture_stats(_increasing(grid), means, stds, probs)[2]
+    return _mixture_stats(_ordered_grid(grid), means, stds, probs)[2]
 
 
 def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     """Analytic gradient of mixture_distortion: g_j = 2 (x_j M0_j - M1_j)."""
-    x = _increasing(grid)
+    x = _ordered_grid(grid)
     M0, M1, _, _, _ = _mixture_stats(x, means, stds, probs)
     return 2.0 * (x * M0 - M1)
 
@@ -428,7 +433,7 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
             lam = 1.0
             for _h in range(9):
                 cand = x + lam * delta
-                if np.isfinite(cand).all() and (cand[1:] > cand[:-1]).all():
+                if _increasing(cand):
                     st = _mixture_stats(cand, means, stds, probs, work)
                     if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
                         x_new, stats_new = cand, st
@@ -549,7 +554,8 @@ def transition_matrix(
 
 def _warm_start_from(prev: QuantizedLayer, means, stds) -> np.ndarray | None:
     """Shift-and-dilate start: previous codewords moved by the drift and
-    spread about the mixture mean to account for one more convolution."""
+    spread about the mixture mean to account for one more convolution;
+    None for a point codebook or a start that is not ``_increasing``."""
     w = prev.weights
     mu = float(w @ means)
     mean_prev = float(w @ prev.codewords)
@@ -559,9 +565,7 @@ def _warm_start_from(prev: QuantizedLayer, means, stds) -> np.ndarray | None:
     vbar = float(w @ stds)
     dilation = math.sqrt(1.0 + (vbar * vbar) / s2)
     x0 = mu + (means - mu) * dilation
-    if np.any(np.diff(x0) <= 0):
-        return None
-    return x0
+    return x0 if _increasing(x0) else None
 
 
 def _extrapolate(misses):
@@ -609,8 +613,7 @@ def build_tree(
         start = warm
         if warm is not None and misses:
             carried = warm + _extrapolate(misses)
-            if (carried[1:] > carried[:-1]).all():
-                start = carried
+            start = carried if _increasing(carried) else warm
         layer, tr = _quantize_layer(prev, means, stds, N, settings, start)
         misses = [] if warm is None else [*misses[-2:], layer.codewords - warm]
         layers.append(layer)

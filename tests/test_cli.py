@@ -40,6 +40,19 @@ def stdout_dict(out):
     return {k: v for k, v in pairs}
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The calls made to ``rmq.build_tree``, which is replaced by a failure."""
+    calls = []
+
+    def build_tree(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("build_tree was called")
+
+    monkeypatch.setattr(quantbsde.rmq, "build_tree", build_tree)
+    return calls
+
+
 class TestSolve:
     def test_default_call_model(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--steps", "20", "--quantizers", "50")
@@ -133,7 +146,8 @@ class TestSolve:
         assert flag_out.exists()
         assert not cfg_out.exists()
 
-    def test_unwritable_output_prints_nothing(self, capsys, tmp_path):
+    def test_unwritable_output_prints_nothing(self, capsys, tmp_path, builds):
+        out_path = tmp_path / "absent" / "run.rmq.json"
         code, out, err = run_cli(
             capsys,
             "solve",
@@ -142,11 +156,14 @@ class TestSolve:
             "--quantizers",
             "4",
             "--output",
-            str(tmp_path / "absent" / "run.rmq.json"),
+            str(out_path),
         )
+        assert builds == []  # the missing folder is found before the build
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
+        assert err == (
+            f"error: FileNotFoundError: [Errno 2] No such file or directory: '{out_path}'\n"
+        )
 
     def test_stalled_optimizer_names_its_layer(self, capsys, tmp_path):
         cfg = tmp_path / "stall.json"
@@ -209,12 +226,14 @@ class TestSweep:
         sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
         assert sidecar["values"] == [[None], [None]]
         assert sorted(sidecar["errors"]) == ["N=10,n=5", "N=5,n=5"]
+        assert all(t > 0.0 for row in sidecar["timings_seconds"] for t in row)
 
-    def test_unwritable_output_names_the_path(self, capsys, tmp_path):
+    def test_unwritable_output_names_the_path(self, capsys, tmp_path, builds):
         out_path = tmp_path / "absent" / "s.csv"
         code, out, err = run_cli(
             capsys, "sweep", "--quantizers", "4", "--steps", "2", "--output", str(out_path)
         )
+        assert builds == []  # the missing folder is found before any cell runs
         assert code == 1
         assert out == ""
         assert err.startswith("error: FileNotFoundError:")
@@ -256,19 +275,14 @@ class TestHedge:
         assert rows[0] == ["step", "codeword", "v_hat", "v_exact", "abs_err"]
         assert {r[0] for r in rows[1:]} == {"2", "5"}
 
-    def test_step_at_or_past_the_horizon_is_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "hedge",
-            "--steps",
-            "10",
-            "--quantizers",
-            "5",
-            "--hedge-steps",
-            "10",
+    def test_step_at_or_past_the_horizon_is_rejected(self, capsys, builds):
+        code, out, err = run_cli(
+            capsys, "hedge", "--steps", "4", "--quantizers", "4", "--hedge-steps", "4"
         )
+        assert builds == []  # checked before the build
         assert code == 2
-        assert "must be in 0..9, got 10" in err
+        assert out == ""
+        assert err == "error: hedge step must be in 0..3, got 4\n"
 
     def test_models_without_closed_form_are_rejected(self, capsys):
         code, _, err = run_cli(

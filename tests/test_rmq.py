@@ -108,6 +108,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(10, 0.0)
 
+    def test_horizon_is_stored_as_a_float(self):
+        g = TimeGrid(3, 1)
+        assert type(g.T) is float and g.T == 1.0
+        assert type(TimeGrid(3, np.float32(0.25)).dt) is float
+
+    def test_tree_on_a_float32_horizon_saves_and_round_trips(self, tmp_path):
+        grid = TimeGrid(3, np.float32(0.25))
+        tree = build_tree(gbm_problem(), grid, 4)
+        path = tmp_path / "f32.rmq.json"
+        save_tree(tree, path)
+        loaded, _ = load_tree(path)
+        assert loaded.time_grid == grid == TimeGrid(3, 0.25)
+        for la, lb in zip(loaded.layers, tree.layers):
+            assert np.array_equal(la.codewords, lb.codewords)
+
 
 class TestConditionalLaw:
     def test_dirac_source(self):
@@ -216,6 +231,12 @@ class TestDistortion:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             mixture_distortion([1.0, 0.0], [0.0], [1.0], [1.0])
+
+    @pytest.mark.parametrize("fn", [mixture_distortion, distortion_gradient])
+    @pytest.mark.parametrize("grid", [[0.0, math.inf], [math.nan]], ids=["inf", "nan"])
+    def test_rejects_a_non_finite_grid_point(self, fn, grid):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            fn(grid, [0.0], [1.0], [1.0])
 
 
 class TestBandedKernel:
@@ -665,6 +686,33 @@ class TestBuildTree:
         with pytest.raises(ValueError, match=rf"not finite at {bad} node\(s\) of step 1$"):
             build_tree(problem, TimeGrid(10, 1.0), 50)
 
+    @pytest.mark.parametrize("N", [5, 8, 20])
+    def test_order_reversing_euler_map_falls_back_to_quantile_starts(self, monkeypatch, N):
+        # Ornstein-Uhlenbeck drift -12 (y - 1) on dt = 0.1: the Euler map
+        # y -> y + dt b(y) has slope -0.2, so every shift-and-dilate start
+        # reverses the codebook and each later layer starts from quantiles
+        problem = FbsdeProblem(
+            drift=lambda y: -12.0 * (np.asarray(y, dtype=float) - 1.0),
+            diffusion=lambda y: np.full(np.shape(y), 0.3),
+            driver=lambda t, y, u, v: np.zeros_like(np.asarray(u, dtype=float)),
+            terminal=lambda y: np.asarray(y, dtype=float),
+            T=1.0,
+            y0=1.5,
+            diffusion_floor=1e-8,
+        )
+        starts = []
+        warm_start = rmq_mod._warm_start_from
+
+        def recorded(*args):
+            starts.append(warm_start(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(rmq_mod, "_warm_start_from", recorded)
+        tree = build_tree(problem, TimeGrid(10, 1.0), N)
+        assert len(starts) == 9 and all(s is None for s in starts)
+        # the step is affine, so stationarity carries the Euler mean exactly
+        assert solve(tree, problem).u0 == pytest.approx(1.0 + 0.5 * (-0.2) ** 10, abs=1e-12)
+
     def test_stalled_layer_is_named(self):
         settings = OptimizerSettings(max_iterations=1, fixed_point_tol=1e-12)
         with pytest.raises(ConvergenceError) as exc:
@@ -781,11 +829,18 @@ class TestMalformedTreeFiles:
              "distortion must be a finite number, got True"),
             (lambda doc: doc["layers"][2]["codewords"].__setitem__(0, 10**400),
              "int too large to convert to float"),
+            (lambda doc: doc["layers"][1].update(codewords=[], weights=[]),
+             "codewords must be a nonempty 1-d array"),
+            (lambda doc: doc["transitions"][1].update(shape=[16]), "entries must be a matrix"),
+            (lambda doc: doc["transitions"][1].update(entries=[0.5] * 8, shape=[4, 2]),
+             "transition 1 shape does not match its layers"),
+            (lambda doc: doc["transitions"][1].update(step=2), "transition 1 has step 2"),
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
              "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0",
              "boolean-codeword", "boolean-weight", "string-entries", "boolean-distortion",
-             "huge-integer"],
+             "huge-integer", "empty-codewords", "flat-entries", "row-stochastic-misfit",
+             "wrong-transition-step"],
     )
     def test_is_a_value_error_naming_the_file(self, saved, spoil, message):
         path, doc = saved
