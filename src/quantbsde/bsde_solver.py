@@ -75,10 +75,13 @@ def terminal_layer(tree: QuantizationTree, problem: FbsdeProblem) -> ValueLayer:
 
 def _step(tree: QuantizationTree, k, next_values: ValueLayer) -> int:
     """``k`` as a step 0..n-1 of ``tree`` (``_integer``) whose next layer is
-    ``next_values``; ValueError otherwise."""
+    ``next_values``, one value per codeword; ValueError otherwise."""
     k = _integer("step k", k, 0, tree.time_grid.n)
     if next_values.step != k + 1:
         raise ValueError(f"next_values is for step {next_values.step}, expected {k + 1}")
+    shape = (tree.layers[k + 1].size,)
+    if next_values.values.shape != shape:
+        raise ValueError(f"next_values has shape {next_values.values.shape}, expected {shape}")
     return k
 
 

@@ -110,17 +110,16 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _build_and_solve(cfg):
-    """Build the configured problem's quantization tree and solve it backward."""
-    problem = _build_problem(cfg)
+def _solve(problem, cfg):
+    """Build ``problem``'s quantization tree as configured and solve it backward."""
     n = _integers(cfg, "steps", 20)
     N = _integers(cfg, "quantizers", 50)
     tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, _optimizer_settings(cfg))
-    return problem, bsde_solver.solve(tree, problem)
+    return bsde_solver.solve(tree, problem)
 
 
 def cmd_solve(cfg) -> int:
-    _, sol = _build_and_solve(cfg)
+    sol = _solve(_build_problem(cfg), cfg)
     out = cfg.get("output")
     if out:
         rmq.save_tree(sol.tree, out, solution=sol)
@@ -149,18 +148,14 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_hedge(cfg) -> int:
+    problem = _build_problem(cfg)
     steps = _integers(cfg, "hedge_steps", [5, 10, 15], least=0, many=True)
     n = _integers(cfg, "steps", 20)
-    try:
-        for k in steps:  # before the build: there is no control at step n
-            rmq._integer("hedge step", k, 0, n)
+    try:  # before the build
+        steps = report._hedge_steps(problem, steps, n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    problem, sol = _build_and_solve(cfg)
-    try:
-        rows = report.hedge_compare(sol, problem, steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = report.hedge_compare(_solve(problem, cfg), problem, steps)
     out = cfg.get("output", "hedge.csv")
     report.emit_csv(rows, out)
     print(f"rows={len(rows)}")

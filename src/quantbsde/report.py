@@ -94,6 +94,15 @@ def run_sweep(
     return SweepResult(spec, values, timings, errors)
 
 
+def _hedge_steps(problem: FbsdeProblem, steps, n: int) -> list[int]:
+    """``steps`` as ints in 0..n-1 (``rmq._integer``) if ``problem`` is the
+    call model, the one model with a closed-form control; ValueError
+    otherwise. There is no control on the terminal layer n."""
+    if problem.label != "black-scholes":
+        raise ValueError("hedge comparison needs the black-scholes model (closed-form control)")
+    return [rmq._integer("hedge step", k, 0, n) for k in steps]
+
+
 def hedge_compare(
     solution: bsde_solver.BackwardSolution,
     problem: FbsdeProblem,
@@ -101,22 +110,15 @@ def hedge_compare(
 ) -> list[HedgeRow]:
     """Node-level comparison of the quantized control with the closed form.
 
-    Only the call model has an exact control; any other problem is rejected.
-    Steps are integers in 0..n-1 (``rmq._integer``): there is no control on
-    the terminal layer.
+    ``problem`` and ``steps`` are checked by ``_hedge_steps``.
     """
-    if problem.label != "black-scholes":
-        raise ValueError("hedge comparison needs the black-scholes model (closed-form control)")
+    grid = solution.tree.time_grid
+    steps = _hedge_steps(problem, steps, grid.n)
     p = BlackScholesParams(**problem.params)
-    n = solution.tree.time_grid.n
-    dt = solution.tree.time_grid.dt
     rows: list[HedgeRow] = []
     for k in steps:
-        k = rmq._integer("hedge step", k, 0, n)
-        layer = solution.tree.layers[k]
-        v_hat = solution.control_layers[k].controls
-        for cw, vh in zip(layer.codewords, v_hat):
-            v_ex = bs_control(p, k * dt, problem.T, float(cw))
+        for cw, vh in zip(solution.tree.layers[k].codewords, solution.control_layers[k].controls):
+            v_ex = bs_control(p, k * grid.dt, problem.T, float(cw))
             rows.append(HedgeRow(k, float(cw), float(vh), v_ex, abs(float(vh) - v_ex)))
     return rows
 
@@ -132,12 +134,8 @@ def emit_csv(result, path) -> None:
         writer = csv.writer(fh)
         if isinstance(result, SweepResult):
             writer.writerow(["N"] + [str(s) for s in result.spec.step_counts])
-            for i, N in enumerate(result.spec.quantizer_counts):
-                row = [str(N)]
-                for j in range(len(result.spec.step_counts)):
-                    u0 = result.values[i, j]
-                    row.append("ERR" if np.isnan(u0) else f"{u0:.4f}")
-                writer.writerow(row)
+            for N, row in zip(result.spec.quantizer_counts, result.values):
+                writer.writerow([str(N)] + ["ERR" if np.isnan(u0) else f"{u0:.4f}" for u0 in row])
         else:
             writer.writerow(["step", "codeword", "v_hat", "v_exact", "abs_err"])
             for r in result:

@@ -90,11 +90,16 @@ def _floored_diffusion(problem: FbsdeProblem, y, step: int) -> np.ndarray:
     return s
 
 
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer, False for a boolean and the rest."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
 def _integer(name: str, value, least: int, below: int | None = None) -> int:
     """``value`` as an int (``operator.index``; not a boolean) of at least
     ``least`` and, if ``below`` is given, less than ``below``; else
     ValueError naming ``name``. The one rule for every integer argument."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     i = operator.index(value)
     if below is None and i < least:
@@ -182,7 +187,8 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class QuantizationTree:
-    """Layers 0..n plus the n transition matrices linking them."""
+    """Layers 0..n plus the n transition matrices linking them; layer k and
+    transition k carry the integer step k (``_is_integer``)."""
 
     time_grid: TimeGrid
     layers: tuple
@@ -194,6 +200,10 @@ class QuantizationTree:
         n = self.time_grid.n
         if len(self.layers) != n + 1 or len(self.transitions) != n:
             raise ValueError("layer/transition counts must match the time grid")
+        for kind, items in (("layer", self.layers), ("transition", self.transitions)):
+            for k, item in enumerate(items):
+                if not (_is_integer(item.step) and item.step == k):
+                    raise ValueError(f"{kind} {k} has step {item.step!r}")
         for k, tr in enumerate(self.transitions):
             a, b = self.layers[k], self.layers[k + 1]
             if tr.entries.shape != (a.size, b.size):
@@ -273,8 +283,8 @@ def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
 
     Returns (M0, M1, distortion, F, raw) where, for cell j,
     M0_j / M1_j are the mixture's zeroth/first partial moments, F holds the
-    mixture density at the interior cell boundaries (padded with zeros at the
-    infinite ends), and raw is the per-component cell-mass matrix used for
+    mixture density at the n+1 cell boundaries (exact zeros at the infinite
+    ends), and raw is the per-component cell-mass matrix used for
     transition probabilities. Infinite boundaries contribute cdf values of
     exactly 0/1 and pdf values of exactly 0, and so do finite ones outside
     the band (_BAND_LO, _BAND_HI) of standardized values.
@@ -326,10 +336,7 @@ def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
     t[1:-1] = (bounds[1:-1] - c) * Q[0, 1:-1] + Q[1, 1:-1]
     xc = x - c
     dist = float(((R[2] + t[:-1] - t[1:]) - 2.0 * xc * M1c + xc * xc * M0).sum())
-
-    F = np.zeros(n + 1)
-    F[1:-1] = Q[2, 1:-1]
-    return M0, M1, dist, F, raw
+    return M0, M1, dist, Q[2], raw
 
 
 def _ordered_grid(grid) -> np.ndarray:
@@ -634,7 +641,8 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
     transitions[, solution]}, but it is written one transition at a time,
     each through its own ``json.dumps`` (CPython's C encoder), so at most
     one transition's entries are held as Python floats: the transitions
-    carry N² entries per step, against N per layer.
+    carry N² entries per step, against N per layer. The solution is checked
+    as ``load_tree`` checks it (``_check_solution``) before the file is opened.
     """
     head = json.dumps({
         "format": _FORMAT,
@@ -652,11 +660,11 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
     })
     tail = "]"
     if solution is not None:
-        tail += ', "solution": ' + json.dumps({
+        tail += ', "solution": ' + json.dumps(_check_solution({
             "u0": solution.u0,
             "values": [vl.values.tolist() for vl in solution.value_layers],
             "controls": [cl.controls.tolist() for cl in solution.control_layers],
-        })
+        }, tree))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "transitions": [')
         for i, tr in enumerate(tree.transitions):
@@ -673,10 +681,10 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
 
     A file that is not version-1 tree JSON, lacks a key, holds a field of the
     wrong type or value, or carries a solution whose ``values``/``controls``
-    do not match the layer sizes raises ValueError naming ``path``. Every
-    number read must be a finite JSON int or float, not a boolean: number
-    lists through ``_numbers``, distortions and u0 through
-    ``model._finite_number``.
+    do not match the layer sizes raises ValueError naming ``path``. The
+    version and the step labels are JSON integers, so not ``true`` or ``1.0``;
+    every other number read is a finite JSON int or float, not a boolean:
+    lists through ``_numbers``, distortions and u0 through ``_finite_number``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -685,8 +693,9 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
             raise ValueError(f"{path}: not a JSON file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a quantization-tree file: {path}")
-    if doc.get("version") != _VERSION:
-        raise ValueError(f"unsupported tree format version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != _VERSION:
+        raise ValueError(f"{path}: unsupported tree format version {version!r}")
     try:
         tree = _tree_from_doc(doc)
         solution = doc.get("solution")
@@ -711,31 +720,26 @@ def _numbers(name: str, items) -> np.ndarray:
 
 def _tree_from_doc(doc: dict) -> QuantizationTree:
     tg = TimeGrid(doc["time_grid"]["n"], doc["time_grid"]["T"])
-    layers, transitions = [], []
-    for k, la in enumerate(doc["layers"]):
-        if la["step"] != k:
-            raise ValueError(f"layer {k} has step {la['step']!r}")
-        layers.append(
-            QuantizedLayer(k, _numbers("codewords", la["codewords"]),
-                           _numbers("weights", la["weights"]), la["distortion"])
-        )
-    for k, tr in enumerate(doc["transitions"]):
-        if tr["step"] != k:
-            raise ValueError(f"transition {k} has step {tr['step']!r}")
-        entries = _numbers("entries", tr["entries"]).reshape(tr["shape"])
-        transitions.append(TransitionMatrix(k, entries))
+    layers = [
+        QuantizedLayer(la["step"], _numbers("codewords", la["codewords"]),
+                       _numbers("weights", la["weights"]), la["distortion"])
+        for la in doc["layers"]
+    ]
+    transitions = [
+        TransitionMatrix(tr["step"], _numbers("entries", tr["entries"]).reshape(tr["shape"]))
+        for tr in doc["transitions"]
+    ]
     return QuantizationTree(tg, layers, transitions)
 
 
-def _check_solution(solution: dict, tree: QuantizationTree) -> None:
-    """The solution's value layers 0..n and control layers 0..n-1 must have
-    the sizes of the tree's layers and hold finite numbers, as must u0."""
+def _check_solution(solution: dict, tree: QuantizationTree) -> dict:
+    """``solution`` if its value and control layers (0..n, 0..n-1) match the
+    tree's layer sizes and they and u0 are finite numbers; ValueError otherwise."""
     sizes = [la.size for la in tree.layers]
-    if [len(v) for v in solution["values"]] != sizes:
-        raise ValueError("solution values do not match the layer sizes")
-    if [len(c) for c in solution["controls"]] != sizes[:-1]:
-        raise ValueError("solution controls do not match the layer sizes")
-    for key in ("values", "controls"):
+    for key, want in (("values", sizes), ("controls", sizes[:-1])):
+        if [len(row) for row in solution[key]] != want:
+            raise ValueError(f"solution {key} do not match the layer sizes")
         for row in solution[key]:
             _numbers(f"solution {key}", row)
     _finite_number("solution u0", solution["u0"])
+    return solution

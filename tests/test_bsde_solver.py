@@ -250,6 +250,16 @@ class TestBackwardStep:
         with pytest.raises(ValueError, match=r"step k must be (an integer|in 0\.\.2, got)"):
             backward_step(tree, k, nxt, problem)
 
+    @pytest.mark.parametrize("size", [7, 3])
+    def test_next_values_must_fill_the_next_layer(self, size):
+        # numpy's matmul error used to surface instead
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(3, 1.0), 5)
+        nxt = ValueLayer(2, np.zeros(size))
+        message = rf"next_values has shape \({size},\), expected \(5,\)"
+        with pytest.raises(ValueError, match=message):
+            backward_step(tree, 1, nxt, problem)
+
 
 class TestSolve:
     def test_layer_bookkeeping(self):
@@ -422,6 +432,16 @@ class TestSamplingBenchmark:
         nxt = ValueLayer(0, np.zeros(4)) if k == -1 else ValueLayer(2, np.zeros(4))
         with pytest.raises(ValueError, match=r"step k must be (an integer|in 0\.\.2, got)"):
             ps_control_benchmark(tree, problem, k, nxt, 100, 1)
+
+    @pytest.mark.parametrize("size", [7, 3])
+    def test_next_values_must_fill_the_next_layer(self, size):
+        # 7 values used to give 5 controls, and 3 values a raw IndexError
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(3, 1.0), 5)
+        nxt = ValueLayer(2, np.zeros(size))
+        message = rf"next_values has shape \({size},\), expected \(5,\)"
+        with pytest.raises(ValueError, match=message):
+            ps_control_benchmark(tree, problem, 1, nxt, 100, 1)
 
     def test_converges_to_its_closed_form_limit(self):
         # E[u(proj(Y)) Z] has an exact expression through Gaussian pdf

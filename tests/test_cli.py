@@ -284,7 +284,7 @@ class TestHedge:
         assert out == ""
         assert err == "error: hedge step must be in 0..3, got 4\n"
 
-    def test_models_without_closed_form_are_rejected(self, capsys):
+    def test_models_without_closed_form_are_rejected(self, capsys, builds):
         code, _, err = run_cli(
             capsys,
             "hedge",
@@ -297,6 +297,7 @@ class TestHedge:
             "--hedge-steps",
             "1",
         )
+        assert builds == []  # checked before the build
         assert code == 2
         assert "black-scholes" in err
 

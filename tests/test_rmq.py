@@ -772,6 +772,24 @@ class TestSerialization:
         save_tree(tree, path, solution=sol)
         assert path.read_text(encoding="utf-8") == json.dumps(doc)
 
+    @pytest.mark.parametrize("spoil", ["other-tree", "nan-value"])
+    def test_solution_load_tree_would_reject_is_not_written(self, tmp_path, spoil):
+        # the file used to be written, and load_tree then rejected it
+        problem = gbm_problem()
+        tree = build_tree(problem, TimeGrid(3, 0.25), 5)
+        if spoil == "other-tree":
+            sol = solve(build_tree(problem, TimeGrid(3, 0.25), 6), problem)
+            message = "solution values do not match the layer sizes"
+        else:
+            sol = solve(tree, problem)
+            values = (dataclasses.replace(sol.value_layers[0], values=[math.nan]),)
+            sol = dataclasses.replace(sol, value_layers=values + sol.value_layers[1:])
+            message = "solution values must be finite numbers"
+        path = tmp_path / "tree.rmq.json"
+        with pytest.raises(ValueError, match=message):
+            save_tree(tree, path, solution=sol)
+        assert not path.exists()
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else"}))
@@ -835,12 +853,20 @@ class TestMalformedTreeFiles:
             (lambda doc: doc["transitions"][1].update(entries=[0.5] * 8, shape=[4, 2]),
              "transition 1 shape does not match its layers"),
             (lambda doc: doc["transitions"][1].update(step=2), "transition 1 has step 2"),
+            # each of these used to load as the integer 1
+            (lambda doc: doc.update(version=True), "unsupported tree format version True"),
+            (lambda doc: doc.update(version=1.0), "unsupported tree format version 1.0"),
+            (lambda doc: doc["layers"][1].update(step=True), "layer 1 has step True"),
+            (lambda doc: doc["layers"][1].update(step=1.0), "layer 1 has step 1.0"),
+            (lambda doc: doc["transitions"][1].update(step=True),
+             "transition 1 has step True"),
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
              "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0",
              "boolean-codeword", "boolean-weight", "string-entries", "boolean-distortion",
              "huge-integer", "empty-codewords", "flat-entries", "row-stochastic-misfit",
-             "wrong-transition-step"],
+             "wrong-transition-step", "boolean-version", "float-version", "boolean-step",
+             "float-step", "boolean-transition-step"],
     )
     def test_is_a_value_error_naming_the_file(self, saved, spoil, message):
         path, doc = saved
@@ -896,6 +922,32 @@ class TestDataTypes:
         layers = (dirac(0.0), dirac(1.0, step=1))
         with pytest.raises(ValueError):
             QuantizationTree(grid, layers, ())
+
+    @pytest.mark.parametrize(
+        "kind, label, message",
+        [
+            ("layer", 7, "layer 1 has step 7"),
+            ("layer", True, "layer 1 has step True"),
+            ("layer", 1.0, "layer 1 has step 1.0"),
+            ("layer", "1", "layer 1 has step '1'"),
+            ("transition", 2, "transition 1 has step 2"),
+            ("transition", True, "transition 1 has step True"),
+        ],
+    )
+    def test_tree_rejects_a_mislabelled_step(self, kind, label, message):
+        # the constructor used to accept these, save_tree wrote them, and
+        # load_tree then rejected the file
+        tree = build_tree(gbm_problem(), TimeGrid(3, 0.25), 4)
+        parts = {"layer": list(tree.layers), "transition": list(tree.transitions)}
+        parts[kind][1] = dataclasses.replace(parts[kind][1], step=label)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            QuantizationTree(tree.time_grid, parts["layer"], parts["transition"])
+
+    def test_tree_takes_numpy_integer_steps(self):
+        tree = build_tree(gbm_problem(), TimeGrid(3, 0.25), 4)
+        layers = [dataclasses.replace(la, step=np.int64(la.step)) for la in tree.layers]
+        rebuilt = QuantizationTree(tree.time_grid, layers, tree.transitions)
+        assert [la.step for la in rebuilt.layers] == [0, 1, 2, 3]
 
     def test_tree_rejects_violated_propagation(self):
         grid = TimeGrid(1, 1.0)
