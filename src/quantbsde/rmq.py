@@ -217,8 +217,11 @@ class QuantizationTree:
 class OptimizerSettings:
     """Iteration budget and fixed-point tolerance of the grid optimizer.
 
-    ``max_iterations`` is an integer of at least 1 (``_integer``), and
-    ``fixed_point_tol`` a positive finite real number (``model._positive``).
+    ``max_iterations`` bounds the optimizer steps per layer and is an integer
+    of at least 1 (``_integer``). ``fixed_point_tol`` bounds the stationarity
+    residual max_j |x_j - M1_j/M0_j| of each optimized layer, in codeword
+    units (the quantity acceptance criterion 7 measures), and is a positive
+    finite real number (``model._positive``).
     """
 
     max_iterations: int = 200
@@ -261,25 +264,37 @@ _BAND_LO, _BAND_HI = -8.5, 8.3
 
 
 class _StatsWork:
-    """Work arrays of ``_mixture_stats`` for K components and n codewords:
-    the K x (n+1) tables and the cdf's work arrays.
+    """One layer's mixture and the work arrays of ``_mixture_stats`` for its
+    K components and n codewords.
 
-    Passing one instance to every stats call of a layer's optimization
-    allocates, and page-faults in, these arrays once per layer instead of
-    once per call. The cell masses ``raw`` (K x n) reuse the memory of the
-    density table ``P`` once it is spent.
+    Built once per layer's optimization, it holds what does not depend on
+    the grid: the component means and stds, the mixture mean ``c`` and the
+    3 x K coefficient rows of the two moment products (``q`` for the density
+    table, ``r`` for the cell masses), plus the K x (n+1) tables and the
+    cdf's work arrays, so these are allocated, and page-faulted in, once per
+    layer instead of once per call. The cell masses ``raw`` (K x n) reuse the
+    memory of the density table ``P`` once it is spent.
     """
 
-    def __init__(self, comps: int, n: int):
-        shape = (comps, n + 1)
+    def __init__(self, means, stds, probs, n: int):
+        m = np.asarray(means, dtype=float)
+        v = np.asarray(stds, dtype=float)
+        p = np.asarray(probs, dtype=float)
+        self.m, self.v = m, v
+        self.c = float(p @ m)
+        mc = m - self.c
+        self.q = np.array([p * v, p * v * mc, p / v])
+        self.r = np.array([p, p * mc, p * (mc * mc + v * v)])
+        shape = (m.size, n + 1)
         self.C, self.P = np.empty((2,) + shape)
-        self.raw = self.P.reshape(-1)[: comps * n].reshape(comps, n)
+        self.raw = self.P.reshape(-1)[: m.size * n].reshape(m.size, n)
         self.band, self.above = np.empty((2,) + shape, dtype=bool)
-        self.cdf = CdfBuffers(comps * (n + 1))
+        self.cdf = CdfBuffers(m.size * (n + 1))
 
 
-def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
-    """Aggregated cell statistics of a Gaussian mixture over Voronoi cells.
+def _mixture_stats(grid, work: _StatsWork):
+    """Aggregated cell statistics of ``work``'s Gaussian mixture over the
+    Voronoi cells of ``grid``.
 
     Returns (M0, M1, distortion, F, raw) where, for cell j,
     M0_j / M1_j are the mixture's zeroth/first partial moments, F holds the
@@ -296,9 +311,9 @@ def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
     to the second. Centring keeps the distortion from cancelling terms of
     size c^2 against each other.
 
-    The tables are written into ``work`` (fresh arrays if None), which must
-    match the shape of (means, grid); the returned ``raw`` is a view of it
-    and is overwritten by the next call that shares ``work``.
+    The tables are written into ``work``, which must have been built for
+    ``grid``'s size; the returned ``raw`` is a view of it and is overwritten
+    by the next call that shares ``work``.
     """
     x = np.asarray(grid, dtype=float)
     n = x.size
@@ -307,27 +322,21 @@ def _mixture_stats(grid, means, stds, probs, work: _StatsWork | None = None):
     bounds[-1] = np.inf
     bounds[1:-1] = 0.5 * (x[:-1] + x[1:])
 
-    m = np.asarray(means, dtype=float)
-    v = np.asarray(stds, dtype=float)
-    p = np.asarray(probs, dtype=float)
-
-    w = _StatsWork(m.size, n) if work is None else work
-    C, P = w.C, w.P
-    a = np.subtract(bounds[None, :], m[:, None], out=C)
-    a /= v[:, None]  # standardized, comps x (n+1); C replaces it below
-    band = np.greater(a, _BAND_LO, out=w.band)
-    band &= np.less(a, _BAND_HI, out=w.above)
+    C, P = work.C, work.P
+    a = np.subtract(bounds[None, :], work.m[:, None], out=C)
+    a /= work.v[:, None]  # standardized, comps x (n+1); C replaces it below
+    band = np.greater(a, _BAND_LO, out=work.band)
+    band &= np.less(a, _BAND_HI, out=work.above)
     # the in-band values go to the row where cdf_and_pdf keeps a/sqrt(2)
-    in_band = np.compress(band.ravel(), a, out=w.cdf.rows[0, : np.count_nonzero(band)])
-    np.copyto(C, np.greater_equal(a, _BAND_HI, out=w.above))
+    in_band = np.compress(band.ravel(), a, out=work.cdf.rows[0, : np.count_nonzero(band)])
+    np.copyto(C, np.greater_equal(a, _BAND_HI, out=work.above))
     P.fill(0.0)
-    C[band], P[band] = cdf_and_pdf(in_band, w.cdf)
+    C[band], P[band] = cdf_and_pdf(in_band, work.cdf)
 
-    c = float(p @ m)
-    mc = m - c
-    Q = np.array([p * v, p * v * mc, p / v]) @ P
-    raw = np.subtract(C[:, 1:], C[:, :-1], out=w.raw)  # per-component cell masses
-    R = np.array([p, p * mc, p * (mc * mc + v * v)]) @ raw
+    c = work.c
+    Q = work.q @ P
+    raw = np.subtract(C[:, 1:], C[:, :-1], out=work.raw)  # per-component cell masses
+    R = work.r @ raw
 
     M0 = R[0]
     M1c = R[1] + Q[0, :-1] - Q[0, 1:]  # first moment about c
@@ -355,13 +364,14 @@ def mixture_distortion(grid, means, stds, probs) -> float:
     with infinite outer edges. Computed in closed form from partial moments
     up to order two.
     """
-    return _mixture_stats(_ordered_grid(grid), means, stds, probs)[2]
+    x = _ordered_grid(grid)
+    return _mixture_stats(x, _StatsWork(means, stds, probs, x.size))[2]
 
 
 def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     """Analytic gradient of mixture_distortion: g_j = 2 (x_j M0_j - M1_j)."""
     x = _ordered_grid(grid)
-    M0, M1, _, _, _ = _mixture_stats(x, means, stds, probs)
+    M0, M1, _, _, _ = _mixture_stats(x, _StatsWork(means, stds, probs, x.size))
     return 2.0 * (x * M0 - M1)
 
 
@@ -422,18 +432,25 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
     Newton candidates are accepted only if they keep the grid strictly
     increasing and do not increase the distortion (backtracking halves the
     step up to 9 times); otherwise a Lloyd step (codeword <- cell conditional
-    mean) is taken. Terminates when the max codeword displacement drops
-    below the fixed-point tolerance, returning the grid, its distortion and
-    the per-component cell masses of the last stats evaluation, which is on
-    that grid. All stats calls share one set of work arrays, and the cell
-    masses returned are a view of it.
+    mean) is taken. Before each step, and after the last one, the
+    stationarity residual max_j |x_j - M1_j/M0_j| = max_j |g_j| / (2 M0_j)
+    is read off the stats already computed on the current grid, so the stop
+    costs no kernel call. The iteration returns as soon as the residual is
+    below the fixed-point tolerance: the grid, its distortion and the
+    per-component cell masses of the last stats evaluation, which is on that
+    grid. All stats calls share one ``_StatsWork`` of the layer's mixture,
+    and the cell masses returned are a view of it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    work = _StatsWork(means.size, x.size)
-    M0, M1, dist, F, raw = _mixture_stats(x, means, stds, probs, work)
-    disp = math.inf
-    for _ in range(settings.max_iterations):
+    work = _StatsWork(means, stds, probs, x.size)
+    M0, M1, dist, F, raw = _mixture_stats(x, work)
+    for it in range(settings.max_iterations + 1):
         g = 2.0 * (x * M0 - M1)
+        resid = float(np.max(np.abs(g) / np.maximum(2.0 * M0, 1e-300)))
+        if resid < settings.fixed_point_tol:
+            return x, dist, raw
+        if it == settings.max_iterations:
+            break
         x_new = stats_new = None
         delta = _newton_direction(x, M0, F, g)
         if delta is not None and np.isfinite(delta).all():
@@ -441,7 +458,7 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
             for _h in range(9):
                 cand = x + lam * delta
                 if _increasing(cand):
-                    st = _mixture_stats(cand, means, stds, probs, work)
+                    st = _mixture_stats(cand, work)
                     if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
                         x_new, stats_new = cand, st
                         break
@@ -456,16 +473,12 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
                 cand[idx + 1] = np.nextafter(cand[idx], np.inf)
                 bad = np.diff(cand) <= 0
             x_new = cand
-            stats_new = _mixture_stats(cand, means, stds, probs, work)
-        disp = float(np.abs(x_new - x).max())
+            stats_new = _mixture_stats(cand, work)
         x = x_new
         M0, M1, dist, F, raw = stats_new
-        if disp < settings.fixed_point_tol:
-            return x, dist, raw
-    g = 2.0 * (x * M0 - M1)
     raise ConvergenceError(
-        f"grid optimization stalled at step {step}: displacement {disp:.3e} "
-        f"after {settings.max_iterations} iterations "
+        f"grid optimization stalled at step {step}: stationarity residual "
+        f"{resid:.3e} after {settings.max_iterations} iterations "
         f"(tol {settings.fixed_point_tol:g})",
         last_grid=x,
         gradient_norm=float(np.max(np.abs(g))),
@@ -528,14 +541,15 @@ def optimize_grid(
 
     The target law is the Gaussian mixture from ``conditional_law(prev)``.
     The returned layer is stationary: each codeword equals the conditional
-    mean of its own cell within the fixed-point tolerance. Weights are
-    ``prev.weights`` pushed through the normalized transition matrix, which
-    is built from the optimizer's last cell masses and discarded; this is
-    the layer ``build_tree`` would produce from ``prev`` with the same
-    start, the moment-matched quantiles. ``N`` is an integer of at least 1
-    (``_integer``). Raises ConvergenceError when the iteration budget runs
-    out, and RuntimeError when a transition row sum is off by more than 1e-10
-    (see ``transition_matrix``).
+    mean M1_j/M0_j of its own cell to within ``settings.fixed_point_tol``,
+    in codeword units. Weights are ``prev.weights`` pushed through the
+    normalized transition matrix, which is built from the optimizer's last
+    cell masses and discarded; this is the layer ``build_tree`` would
+    produce from ``prev`` with the same start, the moment-matched quantiles.
+    ``N`` is an integer of at least 1 (``_integer``). Raises
+    ConvergenceError when the iteration budget runs out, and RuntimeError
+    when a transition row sum is off by more than 1e-10 (see
+    ``transition_matrix``).
     """
     N = _integer("codeword count N", N, 1)
     means, stds = conditional_law(prev, dt, problem)
@@ -555,7 +569,8 @@ def transition_matrix(
     larger defect means the grid or cdf is broken upstream.
     """
     means, stds = conditional_law(prev, dt, problem)
-    _, _, _, _, raw = _mixture_stats(next_layer.codewords, means, stds, prev.weights)
+    x = next_layer.codewords
+    _, _, _, _, raw = _mixture_stats(x, _StatsWork(means, stds, prev.weights, x.size))
     return _normalized_transition(prev.step, raw)
 
 
@@ -641,8 +656,10 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
     transitions[, solution]}, but it is written one transition at a time,
     each through its own ``json.dumps`` (CPython's C encoder), so at most
     one transition's entries are held as Python floats: the transitions
-    carry N² entries per step, against N per layer. The solution is checked
-    as ``load_tree`` checks it (``_check_solution``) before the file is opened.
+    carry N² entries per step, against N per layer. Before the file is
+    opened, the solution is checked as ``load_tree`` checks it
+    (``_check_solution``), and it must be the solution of ``tree`` itself
+    (``solution.tree is tree``); ValueError otherwise.
     """
     head = json.dumps({
         "format": _FORMAT,
@@ -665,6 +682,8 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
             "values": [vl.values.tolist() for vl in solution.value_layers],
             "controls": [cl.controls.tolist() for cl in solution.control_layers],
         }, tree))
+        if solution.tree is not tree:
+            raise ValueError("solution belongs to another tree")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "transitions": [')
         for i, tr in enumerate(tree.transitions):
@@ -681,10 +700,11 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
 
     A file that is not version-1 tree JSON, lacks a key, holds a field of the
     wrong type or value, or carries a solution whose ``values``/``controls``
-    do not match the layer sizes raises ValueError naming ``path``. The
-    version and the step labels are JSON integers, so not ``true`` or ``1.0``;
-    every other number read is a finite JSON int or float, not a boolean:
-    lists through ``_numbers``, distortions and u0 through ``_finite_number``.
+    do not match the layer sizes or whose u0 is not its first layer-0 value
+    raises ValueError naming ``path``. The version and the step labels are
+    JSON integers, so not ``true`` or ``1.0``; every other number read is a
+    finite JSON int or float, not a boolean: lists through ``_numbers``,
+    distortions and u0 through ``_finite_number``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -734,12 +754,17 @@ def _tree_from_doc(doc: dict) -> QuantizationTree:
 
 def _check_solution(solution: dict, tree: QuantizationTree) -> dict:
     """``solution`` if its value and control layers (0..n, 0..n-1) match the
-    tree's layer sizes and they and u0 are finite numbers; ValueError otherwise."""
+    tree's layer sizes, they and u0 are finite numbers, and u0 is exactly the
+    first value of layer 0 (JSON keeps floats bit for bit); ValueError otherwise."""
     sizes = [la.size for la in tree.layers]
     for key, want in (("values", sizes), ("controls", sizes[:-1])):
         if [len(row) for row in solution[key]] != want:
             raise ValueError(f"solution {key} do not match the layer sizes")
         for row in solution[key]:
             _numbers(f"solution {key}", row)
-    _finite_number("solution u0", solution["u0"])
+    u0 = _finite_number("solution u0", solution["u0"])
+    if u0 != solution["values"][0][0]:
+        raise ValueError(
+            f"solution u0 {u0!r} is not the layer-0 value {solution['values'][0][0]!r}"
+        )
     return solution

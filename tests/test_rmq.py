@@ -72,6 +72,11 @@ def unit_gaussian_problem():
     )
 
 
+def kernel_stats(grid, means, stds, probs):
+    """``rmq._mixture_stats`` of ``grid`` with a fresh work object of the mixture."""
+    return rmq_mod._mixture_stats(grid, rmq_mod._StatsWork(means, stds, probs, len(grid)))
+
+
 def dirac(at=0.0, step=0):
     return QuantizedLayer(step, np.array([at]), np.array([1.0]), 0.0)
 
@@ -187,7 +192,7 @@ class TestDistortion:
         assert got == pytest.approx(
             quad_distortion(grid, means, stds, probs), rel=1e-7, abs=1e-9
         )
-        M0, M1, _, _, _ = rmq_mod._mixture_stats(grid, means, stds, probs)
+        M0, M1, _, _, _ = kernel_stats(grid, means, stds, probs)
         bounds = np.concatenate(([-np.inf], 0.5 * (grid[:-1] + grid[1:]), [np.inf]))
         for j in range(grid.size):
             parts = [
@@ -245,7 +250,7 @@ class TestBandedKernel:
 
     def test_one_point_grid_has_no_interior_boundary(self):
         means, stds, probs = [-1.0, 2.0], [0.5, 3.0], [0.25, 0.75]
-        M0, M1, dist, F, raw = rmq_mod._mixture_stats([0.3], means, stds, probs)
+        M0, M1, dist, F, raw = kernel_stats([0.3], means, stds, probs)
         assert raw.tolist() == [[1.0], [1.0]]
         assert F.tolist() == [0.0, 0.0]
         assert M0 == pytest.approx([1.0], abs=1e-15)
@@ -255,7 +260,7 @@ class TestBandedKernel:
     def test_saturated_entries_are_exact(self):
         # boundaries at -20, -10, 0 and 9.5 standard deviations
         grid = [-21.0, -19.0, -1.0, 1.0, 18.0]
-        _, _, _, F, raw = rmq_mod._mixture_stats(grid, [0.0], [1.0], [1.0])
+        _, _, _, F, raw = kernel_stats(grid, [0.0], [1.0], [1.0])
         assert raw.tolist() == [[0.0, 0.0, 0.5, 0.5, 0.0]]
         assert F[[0, 1, 2, 4, 5]].tolist() == [0.0] * 5
         assert F[3] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
@@ -266,21 +271,22 @@ class TestKernelWork:
     extrapolates the last layers' misses."""
 
     def test_reused_work_matches_fresh_calls(self):
-        # one work object across grids and mixtures of one shape whose
-        # in-band share ranges from a few entries to all of them
+        # one work object per mixture across grids whose in-band share ranges
+        # from a few entries to all of them
         rng = np.random.default_rng(2024)
         K, n = 7, 12
-        work = rmq_mod._StatsWork(K, n)
-        for spread in (0.01, 0.3, 1.0, 3.0, 10.0, 60.0, 1.0, 0.01):
+        for _ in range(3):
             means = rng.normal(100.0, 2.0, K)
             stds = rng.uniform(0.2, 2.0, K)
             probs = rng.dirichlet(np.ones(K))
-            grid = 100.0 + spread * np.sort(rng.normal(0.0, 3.0, n))
-            assert np.all(np.diff(grid) > 0)
-            fresh = rmq_mod._mixture_stats(grid, means, stds, probs)
-            reused = rmq_mod._mixture_stats(grid, means, stds, probs, work)
-            for got, want in zip(reused, fresh):
-                assert np.array_equal(got, want), spread
+            work = rmq_mod._StatsWork(means, stds, probs, n)
+            for spread in (0.01, 0.3, 1.0, 3.0, 10.0, 60.0, 1.0, 0.01):
+                grid = 100.0 + spread * np.sort(rng.normal(0.0, 3.0, n))
+                assert np.all(np.diff(grid) > 0)
+                fresh = kernel_stats(grid, means, stds, probs)
+                reused = rmq_mod._mixture_stats(grid, work)
+                for got, want in zip(reused, fresh):
+                    assert np.array_equal(got, want), spread
 
     def test_extrapolation_is_exact_on_polynomial_misses(self):
         k = np.arange(5.0)[:, None]
@@ -359,7 +365,7 @@ class TestCellMoments:
             mean = float(rng.normal(0.0, 10.0))
             std = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
             grid = np.sort(mean + rng.uniform(-8, 8, int(rng.integers(1, 5))) * std)
-            M0, M1, _, _, _ = rmq_mod._mixture_stats(grid, [mean], [std], [1.0])
+            M0, M1, _, _, _ = kernel_stats(grid, [mean], [std], [1.0])
             bounds = np.concatenate(([-np.inf], 0.5 * (grid[:-1] + grid[1:]), [np.inf]))
             scale = max(1.0, abs(mean) + std)
             for j in range(grid.size):
@@ -374,7 +380,7 @@ class TestCellMoments:
             mean = float(rng.normal(0, 5))
             std = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
             grid = np.sort(rng.normal(mean, 3 * std, 10))
-            M0, M1, _, _, _ = rmq_mod._mixture_stats(grid, [mean], [std], [1.0])
+            M0, M1, _, _, _ = kernel_stats(grid, [mean], [std], [1.0])
             assert M0.sum() == pytest.approx(1.0, abs=1e-12)
             assert M1.sum() == pytest.approx(mean, abs=1e-12 * max(1.0, abs(mean)))
 
@@ -449,6 +455,7 @@ class TestOptimizeGrid:
         err = exc.value
         assert err.step == 1
         assert "step 1" in str(err)
+        assert "stationarity residual" in str(err)
         assert err.last_grid.shape == (5,)
         assert np.all(np.diff(err.last_grid) > 0)
         assert math.isfinite(err.gradient_norm)
@@ -477,6 +484,50 @@ class TestOptimizeGrid:
             # criterion 7's |x - M1/M0| = |g| / (2 M0)
             resid = max(resid, float(np.max(np.abs(g) / np.maximum(2.0 * nxt.weights, 1e-300))))
         assert resid <= 1e-9
+
+    @pytest.mark.parametrize("tol", [None, 1e-6], ids=["default", "1e-6"])
+    @pytest.mark.parametrize("case", ["black-scholes-50-20", "bergman-20-50"])
+    def test_every_layer_meets_the_tolerance_as_a_residual(self, case, tol):
+        # the stop bounds max_j |x_j - M1_j/M0_j| itself, criterion 7's quantity
+        if case == "black-scholes-50-20":
+            problem, N, n = make_black_scholes(
+                BlackScholesParams(0.04, 0.25, 100.0), T=1.0, y0=100.0), 50, 20
+        else:
+            problem, N, n = make_bergman(
+                BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0), 20, 50
+        settings = OptimizerSettings() if tol is None else OptimizerSettings(fixed_point_tol=tol)
+        tree = build_tree(problem, TimeGrid(n, problem.T), N, settings)
+        for src, nxt in zip(tree.layers, tree.layers[1:]):
+            means, stds = conditional_law(src, tree.time_grid.dt, problem)
+            M0, M1, _, _, _ = kernel_stats(nxt.codewords, means, stds, src.weights)
+            assert np.all(M0 > 0.0)
+            resid = float(np.max(np.abs(nxt.codewords - M1 / M0)))
+            assert resid < settings.fixed_point_tol, nxt.step
+
+    def test_stationary_start_costs_one_kernel_call(self, monkeypatch):
+        layer = optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), 5)
+        means, stds = conditional_law(dirac(0.0), 1.0, unit_gaussian_problem())
+        calls = []
+        real = rmq_mod._mixture_stats
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rmq_mod, "_mixture_stats", counted)
+        x, dist, _ = rmq_mod._optimize_codewords(
+            means, stds, np.array([1.0]), layer.codewords, OptimizerSettings(), 1)
+        assert len(calls) == 1
+        assert np.array_equal(x, layer.codewords)
+        assert dist == layer.distortion
+
+    def test_tight_tolerance_converges_at_black_scholes_50_20(self):
+        # 1e-12 is about 70 ulps at codewords near 100, and still in reach here
+        problem = make_black_scholes(BlackScholesParams(0.04, 0.25, 100.0), T=1.0, y0=100.0)
+        settings = OptimizerSettings(fixed_point_tol=1e-12)
+        tree = build_tree(problem, TimeGrid(20, 1.0), 50, settings)
+        u0 = solve(tree, problem).u0
+        assert abs(u0 - 11.805803960132348) <= 1e-12 * 11.805803960132348
 
 
 class TestTransitionMatrix:
@@ -772,14 +823,23 @@ class TestSerialization:
         save_tree(tree, path, solution=sol)
         assert path.read_text(encoding="utf-8") == json.dumps(doc)
 
-    @pytest.mark.parametrize("spoil", ["other-tree", "nan-value"])
+    @pytest.mark.parametrize(
+        "spoil", ["other-tree", "nan-value", "same-size-tree", "u0-off-layer-0"])
     def test_solution_load_tree_would_reject_is_not_written(self, tmp_path, spoil):
-        # the file used to be written, and load_tree then rejected it
+        # the first two files used to be written, and load_tree then rejected
+        # them; the last two used to be written and loaded
         problem = gbm_problem()
         tree = build_tree(problem, TimeGrid(3, 0.25), 5)
         if spoil == "other-tree":
             sol = solve(build_tree(problem, TimeGrid(3, 0.25), 6), problem)
             message = "solution values do not match the layer sizes"
+        elif spoil == "same-size-tree":
+            other = gbm_problem(sigma=0.6)
+            sol = solve(build_tree(other, TimeGrid(3, 0.25), 5), other)
+            message = "solution belongs to another tree"
+        elif spoil == "u0-off-layer-0":
+            sol = dataclasses.replace(solve(tree, problem), u0=5.0)
+            message = "solution u0 5.0 is not the layer-0 value"
         else:
             sol = solve(tree, problem)
             values = (dataclasses.replace(sol.value_layers[0], values=[math.nan]),)
@@ -835,6 +895,8 @@ class TestMalformedTreeFiles:
             (lambda doc: doc["solution"]["values"][1].__setitem__(0, "1.5"),
              "solution values must be finite numbers"),
             (lambda doc: doc["solution"].update(u0=math.nan), "solution u0 must be a finite"),
+            (lambda doc: doc["solution"].update(u0=5.0),
+             "solution u0 5.0 is not the layer-0 value"),
             # each of these used to load as the number 1.0 (or the string's value)
             (lambda doc: doc["layers"][0].update(codewords=[True]),
              "codewords must be finite numbers"),
@@ -863,6 +925,7 @@ class TestMalformedTreeFiles:
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
              "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0",
+             "u0-off-layer-0",
              "boolean-codeword", "boolean-weight", "string-entries", "boolean-distortion",
              "huge-integer", "empty-codewords", "flat-entries", "row-stochastic-misfit",
              "wrong-transition-step", "boolean-version", "float-version", "boolean-step",
