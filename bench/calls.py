@@ -11,25 +11,39 @@ parameters of ``perfbench/workloads.py``. Each case records its total
 calls, the calls of each layer, the mean over the warm-started layers 2..n
 and its u0 at full precision.
 
+A third set, the envelope, holds 36 Black-Scholes builds (r = 0.04,
+K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3, 0.5, 0.7,
+1, 1.5, 2, 3 and T in 0.25, 1, 2, 5. Each records whether it converged
+or stalled (``ConvergenceError``, with the step), its calls, sigma sqrt(T)
+and its u0 (None when stalled). Beyond sigma sqrt(T) = 0.75 the Euler
+chain puts mass on negative prices and some builds stall.
+
 With ``--rev`` the same counts are also taken on that revision, exported
 with ``git archive`` into a temporary directory as ``bench/pairs.py`` does,
-and the output holds both sides and the largest relative u0 difference.
-Each side is counted in its own interpreter.
+and the output holds both sides, the largest relative u0 difference over
+the two build workloads and, for the envelope, the builds that converge on
+one side only and the largest relative u0 difference of the builds that
+converge on both, up to and beyond sigma sqrt(T) = 0.75. Each side is
+counted in its own interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from pairs import ROOT, export, git
 
 LADDER = (200, (10, 20, 40, 80))
 SWEEP = ((5, 10, 15, 20, 50, 100), (5, 10, 20, 50, 100))
+ENVELOPE = (50, 10, (0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0), (0.25, 1.0, 2.0, 5.0))
+SAFE_SPREAD = 0.75  # largest sigma sqrt(T) at which every envelope build converged
 
 
 def count(src: Path) -> dict:
@@ -61,11 +75,31 @@ def count(src: Path) -> dict:
     bs = model.make_black_scholes(model.BlackScholesParams(0.04, 0.25, 100.0), 1.0, 100.0)
     bergman = model.make_bergman(
         model.BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), 0.25, 100.0)
+
+    def envelope_case(sigma: float, T: float) -> dict:
+        per_layer.clear()
+        problem = model.make_black_scholes(model.BlackScholesParams(0.04, sigma, 100.0), T, 100.0)
+        N, n = ENVELOPE[:2]
+        out = {"sigma": sigma, "T": T, "sigma_sqrt_T": sigma * math.sqrt(T)}
+        try:
+            tree = rmq.build_tree(problem, rmq.TimeGrid(n, T), N)
+        except rmq.ConvergenceError as exc:
+            return {**out, "converged": False, "stalled_at": exc.step,
+                    "calls": sum(per_layer), "u0": None}
+        return {**out, "converged": True, "calls": sum(per_layer),
+                "u0": bsde_solver.solve(tree, problem).u0}
+
     N, steps = LADDER
     ladder = [case(bs, N, n) for n in steps]
     sweep = [case(bergman, N, n) for N in SWEEP[0] for n in SWEEP[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", rmq.DegenerateDiffusionWarning)
+        envelope = [envelope_case(sigma, T) for sigma in ENVELOPE[2] for T in ENVELOPE[3]]
     return {"bs-refine": {"calls": sum(c["calls"] for c in ladder), "cases": ladder},
-            "bergman-sweep": {"calls": sum(c["calls"] for c in sweep), "cases": sweep}}
+            "bergman-sweep": {"calls": sum(c["calls"] for c in sweep), "cases": sweep},
+            "envelope": {"calls": sum(c["calls"] for c in envelope),
+                         "converged": sum(c["converged"] for c in envelope),
+                         "cases": envelope}}
 
 
 def count_in_child(src: Path) -> dict:
@@ -74,14 +108,36 @@ def count_in_child(src: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def u0_agreement(parent: dict, change: dict) -> dict:
+def largest_u0_diff(pairs) -> dict:
+    """Largest relative u0 difference over (label, parent case, change case)."""
     worst, at = 0.0, None
-    for workload, side in parent.items():
-        for a, b in zip(side["cases"], change[workload]["cases"]):
-            rel = abs(a["u0"] - b["u0"]) / abs(a["u0"])
-            if at is None or rel > worst:
-                worst, at = rel, f"{workload} N={a['N']},n={a['n']}"
+    for label, a, b in pairs:
+        rel = abs(a["u0"] - b["u0"]) / abs(a["u0"])
+        if at is None or rel > worst:
+            worst, at = rel, label
     return {"max_rel_diff": worst, "at": at}
+
+
+def u0_agreement(parent: dict, change: dict) -> dict:
+    return largest_u0_diff(
+        (f"{workload} N={a['N']},n={a['n']}", a, b)
+        for workload in ("bs-refine", "bergman-sweep")
+        for a, b in zip(parent[workload]["cases"], change[workload]["cases"]))
+
+
+def envelope_agreement(parent: dict, change: dict) -> dict:
+    """Envelope builds that converge on one side only, and the largest u0
+    difference of those converging on both, up to and beyond SAFE_SPREAD."""
+    pairs = list(zip(parent["envelope"]["cases"], change["envelope"]["cases"]))
+    label = "sigma={sigma},T={T}".format
+    both = [(label(**a), a, b) for a, b in pairs if a["converged"] and b["converged"]]
+    return {
+        "flips": [f"{label(**a)}: {'converged' if a['converged'] else 'stalled'} -> "
+                  f"{'converged' if b['converged'] else 'stalled'}"
+                  for a, b in pairs if a["converged"] != b["converged"]],
+        "safe": largest_u0_diff(p for p in both if p[1]["sigma_sqrt_T"] <= SAFE_SPREAD),
+        "beyond": largest_u0_diff(p for p in both if p[1]["sigma_sqrt_T"] > SAFE_SPREAD),
+    }
 
 
 def main(argv=None) -> int:
@@ -106,9 +162,21 @@ def main(argv=None) -> int:
             parent = count_in_child(Path(tmp) / "src")
         doc["parent"] = {"rev": git("rev-parse", args.rev), "counts": parent}
         doc["u0_agreement"] = u0_agreement(parent, doc["counts"])
+        doc["envelope_agreement"] = envelope_agreement(parent, doc["counts"])
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)
+    converged = doc["counts"]["envelope"]["converged"]
+    before = f"{doc['parent']['counts']['envelope']['converged']} -> " if args.rev else ""
+    print(f"envelope: {before}{converged} of {len(doc['counts']['envelope']['cases'])} "
+          "builds converge", file=sys.stderr)
+    if args.rev:
+        agreement = doc["envelope_agreement"]
+        for flip in agreement["flips"]:
+            print(f"envelope flip: {flip}", file=sys.stderr)
+        print(f"u0 max rel diff: {doc['u0_agreement']}", file=sys.stderr)
+        for side in ("safe", "beyond"):
+            print(f"envelope {side} u0 max rel diff: {agreement[side]}", file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -14,7 +14,11 @@ Compared byte for byte: the exit code, stdout, stderr and every file a case
 writes (CSV tables, ``.rmq.json`` trees, the sweep's JSON sidecar). The
 sidecar is compared with its ``timings_seconds`` removed, since wall-clock
 times differ from run to run. Prints one line per case and exits 1 on any
-difference.
+difference. For each JSON file that differs, one more line gives the
+largest absolute and the largest relative difference of any number and
+the JSON path of each; a relative difference is |a - b| / max(|a|, |b|).
+Where the two documents differ in anything but their numbers, the line
+names the first path at which they do.
 """
 
 from __future__ import annotations
@@ -82,6 +86,43 @@ def comparable(data: bytes) -> bytes:
     return json.dumps(doc, indent=2).encode()
 
 
+def number_diffs(a, b, path: str = "$"):
+    """(path, |a - b|, relative difference) for each pair of unequal numbers
+    of two JSON documents; ValueError naming the first path at which they
+    differ in anything else."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from number_diffs(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from number_diffs(x, y, f"{path}[{i}]")
+    elif {type(a), type(b)} <= {int, float}:
+        if a != b:
+            diff = abs(a - b)
+            yield path, diff, diff / max(abs(a), abs(b))
+    elif a != b:
+        raise ValueError(f"documents differ beyond their numbers at {path}")
+
+
+def json_diff_line(a: bytes, b: bytes) -> str | None:
+    """The largest differences between two JSON files, or None if either is
+    not JSON."""
+    try:
+        docs = json.loads(a), json.loads(b)
+    except (UnicodeDecodeError, ValueError):
+        return None
+    try:
+        diffs = list(number_diffs(*docs))
+    except ValueError as exc:
+        return str(exc)
+    if not diffs:
+        return "numbers equal; the text differs"
+    worst_abs = max(diffs, key=lambda d: d[1])
+    worst_rel = max(diffs, key=lambda d: d[2])
+    return (f"{len(diffs)} numbers differ; largest absolute {worst_abs[1]:.3g} at "
+            f"{worst_abs[0]}, largest relative {worst_rel[2]:.3g} at {worst_rel[0]}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", required=True, help="parent revision to compare against")
@@ -100,6 +141,10 @@ def main(argv=None) -> int:
             differ += bool(bad)
             print(f"{'DIFF' if bad else 'same'}  {name}"
                   + (f"  ({', '.join(bad)})" if bad else ""))
+            for key in bad:
+                line = json_diff_line(sides[0].get(key, b""), sides[1].get(key, b""))
+                if line is not None:
+                    print(f"      {key}: {line}")
     print(f"same_output: {len(cases)} cases against {parent_sha[:12]}, {differ} differ")
     return 1 if differ else 0
 

@@ -12,7 +12,10 @@ terms, and building a tree involves no sampling of any kind.
 Each layer of ``build_tree`` is one pass: one conditional law, one grid
 optimization, and one transition matrix built from the optimizer's last cell
 masses. ``optimize_grid`` and ``transition_matrix`` expose the two halves of
-that pass on their own.
+that pass on their own. A layer after the first starts from the mixture's
+component means, standardized and mapped through the first Cornish-Fisher
+term to the mixture's mean, spread and skewness, plus the misses of earlier
+layers extrapolated in that spread.
 
 Voronoi cells are the midpoint intervals of the sorted codewords, with
 infinite outer edges; a point exactly on a midpoint belongs to the cell on
@@ -419,7 +422,8 @@ def _newton_direction(x, M0, F, g):
     diag, off, rhs = diag.tolist(), off.tolist(), (-g).tolist()
     shift = 0.0
     for _ in range(12):
-        delta = _solve_tridiagonal_spd([dj + shift for dj in diag], off, rhs)
+        shifted = [dj + shift for dj in diag] if shift else diag
+        delta = _solve_tridiagonal_spd(shifted, off, rhs)
         if delta is not None:
             return np.array(delta)
         shift = scale * 1e-12 if shift == 0.0 else shift * 100.0
@@ -574,31 +578,44 @@ def transition_matrix(
     return _normalized_transition(prev.step, raw)
 
 
+def _mixture_spread(weights, means, stds) -> float:
+    """Standard deviation s of the mixture sum_i w_i N(m_i, v_i^2)."""
+    d = means - float(weights @ means)
+    return math.sqrt(float(weights @ (d * d + stds * stds)))
+
+
 def _warm_start_from(prev: QuantizedLayer, means, stds) -> np.ndarray | None:
-    """Shift-and-dilate start: previous codewords moved by the drift and
-    spread about the mixture mean to account for one more convolution;
+    """Moment-matched start: the component means standardized, z = d/sigma_d
+    with d = m - mu, mapped to mu + s (z + (gamma - gamma_z)/6 (z^2 - 1)),
+    where s and gamma are the mixture's spread and skewness and gamma_z the
+    skewness of z under the previous weights (the first Cornish-Fisher
+    term). Its weighted mean is mu, since sum w z = 0 and sum w z^2 = 1.
     None for a point codebook or a start that is not ``_increasing``."""
     w = prev.weights
     mu = float(w @ means)
-    mean_prev = float(w @ prev.codewords)
-    s2 = float(w @ (prev.codewords - mean_prev) ** 2)
-    if s2 <= 0.0:
+    d = means - mu
+    var_d = float(w @ (d * d))
+    if var_d <= 0.0:
         return None
-    vbar = float(w @ stds)
-    dilation = math.sqrt(1.0 + (vbar * vbar) / s2)
-    x0 = mu + (means - mu) * dilation
+    z = d / math.sqrt(var_d)
+    s = _mixture_spread(w, means, stds)
+    gamma = float(w @ (d * d * d + 3.0 * d * (stds * stds))) / s**3
+    gamma_z = float(w @ (z * z * z))
+    x0 = mu + s * (z + (gamma - gamma_z) / 6.0 * (z * z - 1.0))
     return x0 if _increasing(x0) else None
 
 
-def _extrapolate(misses):
-    """Next value of the polynomial through the last one, two or three
-    misses (oldest first), one layer apart."""
-    if len(misses) == 1:
-        return misses[0]
-    if len(misses) == 2:
-        return 2.0 * misses[1] - misses[0]
-    m0, m1, m2 = misses
-    return 3.0 * (m2 - m1) + m0
+def _extrapolate(nodes, misses, at):
+    """Value at ``at`` of the Lagrange polynomial through ``misses`` placed
+    at the distinct ``nodes``."""
+    total = 0.0
+    for j, (node, miss) in enumerate(zip(nodes, misses)):
+        weight = 1.0
+        for i, other in enumerate(nodes):
+            if i != j:
+                weight *= (at - other) / (node - other)
+        total = total + weight * miss
+    return total
 
 
 def build_tree(
@@ -614,30 +631,37 @@ def build_tree(
     linked to it by a transition matrix, so marginal weights propagate
     exactly. Per layer the conditional law is evaluated once, and the
     transition reuses the optimizer's last cell masses. Layers after the
-    first are warm-started from the previous codebook (shifted by the drift
-    and dilated about the mixture mean), plus the extrapolated miss. A
-    layer's miss is its optimized codewords minus its own shift-and-dilate
-    start; the last one, two or three misses are extrapolated by a constant,
-    linear or quadratic polynomial in k, and the sum is kept only if it is
-    strictly increasing. The first layer starts at moment-matched Gaussian
-    quantiles. ``N`` is an integer of at least 1 (``_integer``).
+    first are warm-started from the moment-matched start of
+    ``_warm_start_from`` (the standardized component means, scaled to the
+    mixture's spread s and corrected for its skewness), plus the
+    extrapolated miss. A layer's miss is its optimized codewords minus its
+    own moment-matched start. The misses of the last one to four warm
+    layers, each placed at its layer's spread s, are extrapolated to the new
+    layer's s by their Lagrange polynomial, and the sum is kept only if it
+    is strictly increasing. The first layer, and a layer whose start is not
+    increasing, start at moment-matched Gaussian quantiles. ``N`` is an
+    integer of at least 1 (``_integer``).
     """
     N = _integer("codeword count N", N, 1)
     settings = settings or OptimizerSettings()
     dt = grid.dt
     layers = [QuantizedLayer(0, np.array([problem.y0]), np.array([1.0]), 0.0)]
     transitions = []
-    misses = []  # the last three misses, oldest first
+    history = []  # (spread, miss) of the last four warm layers, oldest first
     for k in range(grid.n):
         prev = layers[-1]
         means, stds = conditional_law(prev, dt, problem)
         warm = _warm_start_from(prev, means, stds) if prev.size == N else None
         start = warm
-        if warm is not None and misses:
-            carried = warm + _extrapolate(misses)
-            start = carried if _increasing(carried) else warm
+        if warm is not None:
+            s = _mixture_spread(prev.weights, means, stds)
+            # Lagrange weights divide by node differences: nodes stay distinct
+            history = [h for h in history if h[0] != s]
+            if history:
+                carried = warm + _extrapolate(*zip(*history), s)
+                start = carried if _increasing(carried) else warm
         layer, tr = _quantize_layer(prev, means, stds, N, settings, start)
-        misses = [] if warm is None else [*misses[-2:], layer.codewords - warm]
+        history = [] if warm is None else [*history[-3:], (s, layer.codewords - warm)]
         layers.append(layer)
         transitions.append(tr)
     return QuantizationTree(grid, tuple(layers), tuple(transitions))

@@ -289,12 +289,69 @@ class TestKernelWork:
                     assert np.array_equal(got, want), spread
 
     def test_extrapolation_is_exact_on_polynomial_misses(self):
-        k = np.arange(5.0)[:, None]
-        cols = np.array([[1.0, -2.0, 0.5]])
-        const, lin, quad_ = cols + 0 * k, cols + 3.0 * k, cols + 3.0 * k - 0.25 * k * k
-        assert np.array_equal(rmq_mod._extrapolate([const[0]]), const[1])
-        assert np.array_equal(rmq_mod._extrapolate(list(lin[:2])), lin[2])
-        assert np.array_equal(rmq_mod._extrapolate(list(quad_[1:4])), quad_[4])
+        # misses placed at non-uniform spreads; these nodes and this point
+        # keep every Lagrange weight and every partial sum exact in binary
+        cols = np.array([1.0, -2.0, 0.5])
+        polys = [
+            lambda s: cols,
+            lambda s: cols + 3.0 * s,
+            lambda s: cols + 3.0 * s - 0.25 * s * s,
+            lambda s: cols + 3.0 * s - 0.25 * s * s + 0.125 * s**3,
+        ]
+        nodes, at = (0.5, 1.0, 2.0, 3.0), 6.0
+        for degree, poly in enumerate(polys):
+            used = nodes[3 - degree:]
+            got = rmq_mod._extrapolate(used, [poly(s) for s in used], at)
+            assert np.array_equal(got, poly(at)), degree
+
+    @pytest.mark.parametrize("model", ["black-scholes", "bergman", "high-volatility"])
+    def test_warm_start_keeps_the_mixture_mean(self, model):
+        problem = {
+            "black-scholes": gbm_problem(mu=0.04, sigma=0.25, T=1.0),
+            "bergman": make_bergman(
+                BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0),
+            "high-volatility": gbm_problem(mu=0.04, sigma=0.7, T=1.0),
+        }[model]
+        tree = build_tree(problem, TimeGrid(10, problem.T), 30)
+        for layer in tree.layers[1:]:
+            means, stds = conditional_law(layer, tree.time_grid.dt, problem)
+            x0 = rmq_mod._warm_start_from(layer, means, stds)
+            mu = float(layer.weights @ means)
+            assert x0 is not None
+            assert abs(float(layer.weights @ x0) - mu) <= 1e-12 * abs(mu)
+
+    def test_zero_skew_mixture_starts_at_the_dilated_means(self):
+        # constant sigma and an affine drift about 0 on a codebook symmetric
+        # about 0: both skewness terms are exactly 0
+        problem = FbsdeProblem(
+            drift=lambda y: -0.5 * np.asarray(y, dtype=float),
+            diffusion=lambda y: np.full(np.shape(y), 0.3),
+            driver=lambda t, y, u, v: np.zeros_like(np.asarray(u, dtype=float)),
+            terminal=lambda y: np.asarray(y, dtype=float),
+            T=1.0,
+            y0=0.0,
+            diffusion_floor=1e-8,
+        )
+        layer = QuantizedLayer(3, [-2.0, -0.5, 0.0, 0.5, 2.0], [0.125, 0.25, 0.25, 0.25, 0.125], 0.1)
+        means, stds = conditional_law(layer, 0.1, problem)
+        w = layer.weights
+        mu = float(w @ means)
+        d = means - mu
+        z = d / math.sqrt(float(w @ (d * d)))
+        s = math.sqrt(float(w @ (d * d + stds * stds)))
+        x0 = rmq_mod._warm_start_from(layer, means, stds)
+        assert np.array_equal(x0, mu + s * z)
+        assert s == rmq_mod._mixture_spread(w, means, stds)
+
+    @pytest.mark.parametrize(
+        "codewords, weights",
+        [([100.0], [1.0]), ([99.0, 100.0, 101.0], [0.0, 1.0, 0.0])],
+        ids=["one-codeword", "one-weighted-codeword"],
+    )
+    def test_point_codebook_has_no_warm_start(self, codewords, weights):
+        layer = QuantizedLayer(1, codewords, weights, 0.0)
+        means, stds = conditional_law(layer, 0.1, gbm_problem())
+        assert rmq_mod._warm_start_from(layer, means, stds) is None
 
     def test_black_scholes_50_20_takes_fewer_kernel_calls(self, monkeypatch):
         calls = []
@@ -309,8 +366,8 @@ class TestKernelWork:
             BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
         )
         tree = build_tree(problem, TimeGrid(20, 1.0), 50)
-        # carrying only the previous layer's miss took 113 calls
-        assert len(calls) < 113
+        # the shift-and-dilate start with misses extrapolated in k took 81
+        assert len(calls) <= 64
         u0 = solve(tree, problem).u0
         assert abs(u0 - 11.805803960132348) <= 1e-12 * 11.805803960132348
 
@@ -740,7 +797,7 @@ class TestBuildTree:
     @pytest.mark.parametrize("N", [5, 8, 20])
     def test_order_reversing_euler_map_falls_back_to_quantile_starts(self, monkeypatch, N):
         # Ornstein-Uhlenbeck drift -12 (y - 1) on dt = 0.1: the Euler map
-        # y -> y + dt b(y) has slope -0.2, so every shift-and-dilate start
+        # y -> y + dt b(y) has slope -0.2, so every moment-matched start
         # reverses the codebook and each later layer starts from quantiles
         problem = FbsdeProblem(
             drift=lambda y: -12.0 * (np.asarray(y, dtype=float) - 1.0),
