@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from numbers import Real
 from typing import Callable, NamedTuple
 
@@ -45,8 +46,9 @@ class FbsdeProblem:
     are finite real numbers, not booleans, stored as floats; ``T`` and
     ``diffusion_floor`` are positive. ``diffusion_floor`` is the epsilon used
     wherever ``1/sigma`` or a conditional standard deviation would degenerate.
-    ``label``/``params`` identify built-in models so reports can locate a
-    closed-form oracle.
+    ``control`` is the closed-form control ``(t, T, y) -> v``, or None where
+    there is none; the hedge table compares against it. ``label``/``params``
+    only name the model in the sweep's JSON sidecar.
     """
 
     drift: Callable
@@ -58,6 +60,7 @@ class FbsdeProblem:
     diffusion_floor: float
     label: str = "custom"
     params: dict = field(default_factory=dict)
+    control: Callable | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "T", _positive("horizon T", self.T))
@@ -133,11 +136,12 @@ class GbmParams:
         _check_numbers(self, positive=("sigma", "strike"))
 
 
-def _gbm_problem(p, mu, driver, terminal, T, y0, label: str) -> FbsdeProblem:
+def _gbm_problem(p, mu, driver, terminal, T, y0, label: str, control=None) -> FbsdeProblem:
     """Geometric Brownian motion ``b(y) = mu y``, ``sigma(y) = p.sigma y``
     under ``driver`` and ``terminal``, with the default diffusion floor
-    ``1e-8 y0 sigma(y0)`` and ``params`` the fields of ``p``. Raises
-    ValueError unless y0 is a positive finite number.
+    ``1e-8 y0 sigma(y0)``, ``params`` the fields of ``p`` and ``control``
+    the closed-form control, if any. Raises ValueError unless y0 is a
+    positive finite number.
     """
     y0 = _positive("y0", y0)
     s = p.sigma
@@ -149,7 +153,7 @@ def _gbm_problem(p, mu, driver, terminal, T, y0, label: str) -> FbsdeProblem:
         return s * np.asarray(y, dtype=float)
 
     floor = 1e-8 * y0 * (s * y0)
-    return FbsdeProblem(drift, diffusion, driver, terminal, T, y0, floor, label, asdict(p))
+    return FbsdeProblem(drift, diffusion, driver, terminal, T, y0, floor, label, asdict(p), control)
 
 
 def _call_payoff(strike: float) -> Callable:
@@ -166,14 +170,16 @@ def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProbl
     ``h(y) = (y - K)+``; driver ``f(t, y, u, v) = -r u``, i.e. plain
     discounting of the value, so the value process is the discounted
     conditional expectation of the payoff and the control is the
-    delta-hedge scaled by ``sigma y``. Raises ValueError unless y0 > 0.
+    delta-hedge scaled by ``sigma y``, ``bs_control``. Raises ValueError
+    unless y0 > 0.
     """
     r = p.rate
 
     def driver(t, y, u, v):
         return -r * np.asarray(u, dtype=float)
 
-    return _gbm_problem(p, r, driver, _call_payoff(p.strike), T, y0, "black-scholes")
+    terminal = _call_payoff(p.strike)
+    return _gbm_problem(p, r, driver, terminal, T, y0, "black-scholes", partial(bs_control, p))
 
 
 def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:

@@ -3,8 +3,8 @@
 A sweep runs the full pipeline (tree build + backward solve) over a grid of
 (quantizer count, step count) pairs and collects the start values u0, wall
 clock per cell, and any per-cell failure without aborting the rest. The
-hedge table compares the quantized control against the closed-form control
-of the call model node by node.
+hedge table compares the quantized control node by node with the closed-form
+control the problem carries (``FbsdeProblem.control``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bsde_solver, rmq
-from .model import BlackScholesParams, FbsdeProblem, bs_control
+from .model import FbsdeProblem
 
 __all__ = [
     "SweepSpec",
@@ -32,8 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A model plus the sorted lists of quantizer and step counts to cross,
-    each an integer of at least 1 (``rmq._integer``)."""
+    """A model plus the quantizer and step counts to cross, in the given
+    order, each an integer of at least 1 (``rmq._integer``)."""
 
     problem: FbsdeProblem
     quantizer_counts: tuple
@@ -95,10 +95,11 @@ def run_sweep(
 
 
 def _hedge_steps(problem: FbsdeProblem, steps, n: int) -> list[int]:
-    """``steps`` as ints in 0..n-1 (``rmq._integer``) if ``problem`` is the
-    call model, the one model with a closed-form control; ValueError
-    otherwise. There is no control on the terminal layer n."""
-    if problem.label != "black-scholes":
+    """``steps`` as ints in 0..n-1 (``rmq._integer``) if ``problem`` has a
+    closed-form ``control``, which of the built-in models only the call
+    model has; ValueError otherwise. There is no control on the terminal
+    layer n."""
+    if problem.control is None:
         raise ValueError("hedge comparison needs the black-scholes model (closed-form control)")
     return [rmq._integer("hedge step", k, 0, n) for k in steps]
 
@@ -110,15 +111,17 @@ def hedge_compare(
 ) -> list[HedgeRow]:
     """Node-level comparison of the quantized control with the closed form.
 
-    ``problem`` and ``steps`` are checked by ``_hedge_steps``.
+    ``problem`` and ``steps`` are checked by ``_hedge_steps``; the tree's
+    horizon must be ``problem.T``.
     """
     grid = solution.tree.time_grid
     steps = _hedge_steps(problem, steps, grid.n)
-    p = BlackScholesParams(**problem.params)
+    if grid.T != problem.T:
+        raise ValueError(f"tree horizon T={grid.T!r} is not the problem's horizon T={problem.T!r}")
     rows: list[HedgeRow] = []
     for k in steps:
         for cw, vh in zip(solution.tree.layers[k].codewords, solution.control_layers[k].controls):
-            v_ex = bs_control(p, k * grid.dt, problem.T, float(cw))
+            v_ex = problem.control(k * grid.dt, problem.T, float(cw))
             rows.append(HedgeRow(k, float(cw), float(vh), v_ex, abs(float(vh) - v_ex)))
     return rows
 

@@ -285,21 +285,22 @@ class TestHedge:
         assert err == "error: hedge step must be in 0..3, got 4\n"
 
     def test_models_without_closed_form_are_rejected(self, capsys, builds):
-        code, _, err = run_cli(
-            capsys,
-            "hedge",
-            "--model",
-            "bergman",
-            "--steps",
-            "5",
-            "--quantizers",
-            "5",
-            "--hedge-steps",
-            "1",
-        )
-        assert builds == []  # checked before the build
-        assert code == 2
-        assert "black-scholes" in err
+        for model in ("bergman", "gbm"):
+            code, _, err = run_cli(
+                capsys,
+                "hedge",
+                "--model",
+                model,
+                "--steps",
+                "5",
+                "--quantizers",
+                "5",
+                "--hedge-steps",
+                "1",
+            )
+            assert builds == []  # checked before the build
+            assert code == 2
+            assert "black-scholes" in err
 
 
 class TestValidation:

@@ -149,6 +149,10 @@ class TestBlackScholesProblem:
         assert self.problem.label == "black-scholes"
         assert self.problem.params["strike"] == 100.0
 
+    def test_control_is_the_closed_form(self):
+        for t, T, y in [(0.0, 1.0, 100.0), (0.5, 1.0, 73.4), (0.9, 1.0, 131.0)]:
+            assert self.problem.control(t, T, y) == bs_control(BS, t, T, y)
+
     def test_default_diffusion_floor(self):
         assert self.problem.diffusion_floor == pytest.approx(2.5e-5, rel=1e-12)
 
@@ -198,6 +202,9 @@ class TestBergmanProblem:
     def test_label(self):
         assert self.problem.label == "bergman"
 
+    def test_has_no_closed_form_control(self):
+        assert self.problem.control is None
+
 
 class TestGbmProblem:
     def test_call_model_without_a_driver(self):
@@ -210,6 +217,7 @@ class TestGbmProblem:
         assert gbm.diffusion_floor == bs.diffusion_floor
         assert gbm.label == "gbm"
         assert gbm.params == {"mu": 0.05, "sigma": 0.2, "strike": 100.0}
+        assert gbm.control is None
 
     def test_parameters_are_checked_as_the_call_model(self):
         with pytest.raises(ValueError, match="sigma"):

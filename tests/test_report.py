@@ -12,6 +12,8 @@ import quantbsde.rmq as rmq_mod
 from quantbsde import (
     BergmanParams,
     BlackScholesParams,
+    FbsdeProblem,
+    GbmParams,
     SweepResult,
     SweepSpec,
     TimeGrid,
@@ -21,6 +23,7 @@ from quantbsde import (
     hedge_compare,
     make_bergman,
     make_black_scholes,
+    make_gbm,
     run_sweep,
     solve,
 )
@@ -108,16 +111,49 @@ class TestHedgeCompare:
             assert r.v_exact == bs_control(BS, 4 * dt, 1.0, r.codeword)
             assert r.codeword in tree.layers[4].codewords
 
-    def test_rejects_models_without_a_closed_form(self, bs_problem):
-        from quantbsde import BergmanParams, make_bergman
-
-        bergman = make_bergman(
-            BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0
+    def test_rows_compare_with_the_problems_own_control(self):
+        # arithmetic Brownian motion with an identity payoff and no driver:
+        # U_t = Y_t, so the control is sigma everywhere
+        problem = FbsdeProblem(
+            drift=lambda y: 0.0 * y,
+            diffusion=lambda y: 0.3 + 0.0 * y,
+            driver=lambda t, y, u, v: 0.0 * u,
+            terminal=lambda y: y,
+            T=1.0,
+            y0=0.0,
+            diffusion_floor=1e-6,
+            control=lambda t, T, y: 0.3,
         )
-        tree = build_tree(bergman, TimeGrid(4, 0.25), 6)
-        sol = solve(tree, bergman)
+        sol = solve(build_tree(problem, TimeGrid(5, 1.0), 6), problem)
+        rows = hedge_compare(sol, problem, [0, 2, 4])
+        assert len(rows) == 1 + 6 + 6
+        assert all(r.v_exact == 0.3 for r in rows)
+        assert all(r.abs_err == abs(r.v_hat - 0.3) for r in rows)
+
+    def test_rejects_models_without_a_closed_form(self):
+        for problem in (
+            make_bergman(
+                BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0
+            ),
+            make_gbm(GbmParams(mu=0.05, sigma=0.2, strike=100.0), T=0.25, y0=100.0),
+        ):
+            tree = build_tree(problem, TimeGrid(4, 0.25), 6)
+            sol = solve(tree, problem)
+            with pytest.raises(ValueError, match="black-scholes"):
+                hedge_compare(sol, problem, [1])
+
+    def test_rejects_a_tree_of_another_horizon(self, bs_problem):
+        # a T=0.5 tree prices the T=0.5 call; its controls are not the
+        # T=1 controls it would be compared with
+        sol = solve(build_tree(bs_problem, TimeGrid(10, 0.5), 30), bs_problem)
+        with pytest.raises(ValueError, match=r"T=0\.5 .* T=1\.0"):
+            hedge_compare(sol, bs_problem, [0])
+        # the model and step checks come first, as before
+        with pytest.raises(ValueError, match=r"must be in 0\.\.9, got 10"):
+            hedge_compare(sol, bs_problem, [10])
+        gbm = make_gbm(GbmParams(mu=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0)
         with pytest.raises(ValueError, match="black-scholes"):
-            hedge_compare(sol, bergman, [1])
+            hedge_compare(sol, gbm, [0])
 
     def test_rejects_steps_outside_the_control_range(self, bs_problem):
         tree = build_tree(bs_problem, TimeGrid(5, 1.0), 6)
