@@ -8,28 +8,33 @@ The cases are the bs-refine ladder (Black-Scholes call, N=200,
 n = 10, 20, 40, 80) and the 30 cells of the Bergman sweep
 (N in 5, 10, 15, 20, 50, 100 and n in 5, 10, 20, 50, 100), with the
 parameters of ``perfbench/workloads.py``. Each case records its total
-calls, the calls of each layer, the mean over the warm-started layers 2..n
-and its u0 at full precision.
+calls, the calls of each layer, the mean over the warm-started layers 2..n,
+its u0 at full precision and the sha256 of its tree (``tree_digest``).
 
 A third set, the envelope, holds 36 Black-Scholes builds (r = 0.04,
 K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3, 0.5, 0.7,
 1, 1.5, 2, 3 and T in 0.25, 1, 2, 5. Each records whether it converged
-or stalled (``ConvergenceError``, with the step), its calls, sigma sqrt(T)
-and its u0 (None when stalled). Beyond sigma sqrt(T) = 0.75 the Euler
-chain puts mass on negative prices and some builds stall.
+or stalled (``ConvergenceError``, with the step), its calls, sigma sqrt(T),
+its u0 (None when stalled) and a sha256: of its tree, or for a stalled
+build of the error message and the last grid (``stall_digest``). Beyond
+sigma sqrt(T) = 0.75 the Euler chain puts mass on negative prices and some
+builds stall.
 
 With ``--rev`` the same counts are also taken on that revision, exported
 with ``git archive`` into a temporary directory as ``bench/pairs.py`` does,
 and the output holds both sides, the largest relative u0 difference over
 the two build workloads and, for the envelope, the builds that converge on
 one side only and the largest relative u0 difference of the builds that
-converge on both, up to and beyond sigma sqrt(T) = 0.75. Each side is
-counted in its own interpreter.
+converge on both, up to and beyond sigma sqrt(T) = 0.75, and the count of
+cases, out of all 70, whose digests agree, with the cases that differ
+(``trees bit-identical: k of 70``). Each side is counted in its own
+interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -38,12 +43,32 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from pairs import ROOT, export, git
 
 LADDER = (200, (10, 20, 40, 80))
 SWEEP = ((5, 10, 15, 20, 50, 100), (5, 10, 20, 50, 100))
 ENVELOPE = (50, 10, (0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0), (0.25, 1.0, 2.0, 5.0))
 SAFE_SPREAD = 0.75  # largest sigma sqrt(T) at which every envelope build converged
+
+
+def tree_digest(tree) -> str:
+    """sha256 of a tree's codewords, weights, distortions and transition
+    entries, each as float64 bytes."""
+    h = hashlib.sha256()
+    for la in tree.layers:
+        for a in (la.codewords, la.weights, [la.distortion]):
+            h.update(np.asarray(a, dtype=np.float64).tobytes())
+    for tr in tree.transitions:
+        h.update(tr.entries.tobytes())
+    return h.hexdigest()
+
+
+def stall_digest(exc) -> str:
+    """sha256 of a stalled build's error message and last grid."""
+    h = hashlib.sha256(str(exc).encode())
+    h.update(np.asarray(exc.last_grid, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 def count(src: Path) -> dict:
@@ -70,7 +95,8 @@ def count(src: Path) -> dict:
         later = per_layer[1:]
         return {"N": N, "n": n, "calls": sum(per_layer),
                 "later_mean": sum(later) / len(later) if later else None,
-                "per_layer": list(per_layer), "u0": bsde_solver.solve(tree, problem).u0}
+                "per_layer": list(per_layer), "u0": bsde_solver.solve(tree, problem).u0,
+                "sha256": tree_digest(tree)}
 
     bs = model.make_black_scholes(model.BlackScholesParams(0.04, 0.25, 100.0), 1.0, 100.0)
     bergman = model.make_bergman(
@@ -85,9 +111,9 @@ def count(src: Path) -> dict:
             tree = rmq.build_tree(problem, rmq.TimeGrid(n, T), N)
         except rmq.ConvergenceError as exc:
             return {**out, "converged": False, "stalled_at": exc.step,
-                    "calls": sum(per_layer), "u0": None}
+                    "calls": sum(per_layer), "u0": None, "sha256": stall_digest(exc)}
         return {**out, "converged": True, "calls": sum(per_layer),
-                "u0": bsde_solver.solve(tree, problem).u0}
+                "u0": bsde_solver.solve(tree, problem).u0, "sha256": tree_digest(tree)}
 
     N, steps = LADDER
     ladder = [case(bs, N, n) for n in steps]
@@ -140,6 +166,21 @@ def envelope_agreement(parent: dict, change: dict) -> dict:
     }
 
 
+def tree_agreement(parent: dict, change: dict) -> dict:
+    """How many cases of the three sets have the same digest on both
+    sides, and the labels of those that do not."""
+    def label(workload: str, case: dict) -> str:
+        if workload == "envelope":
+            return f"envelope sigma={case['sigma']},T={case['T']}"
+        return f"{workload} N={case['N']},n={case['n']}"
+
+    pairs = [(label(workload, a), a, b)
+             for workload in ("bs-refine", "bergman-sweep", "envelope")
+             for a, b in zip(parent[workload]["cases"], change[workload]["cases"])]
+    differ = [name for name, a, b in pairs if a["sha256"] != b["sha256"]]
+    return {"identical": len(pairs) - len(differ), "cases": len(pairs), "differ": differ}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", help="JSON file to write")
@@ -163,6 +204,7 @@ def main(argv=None) -> int:
         doc["parent"] = {"rev": git("rev-parse", args.rev), "counts": parent}
         doc["u0_agreement"] = u0_agreement(parent, doc["counts"])
         doc["envelope_agreement"] = envelope_agreement(parent, doc["counts"])
+        doc["tree_agreement"] = tree_agreement(parent, doc["counts"])
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)
@@ -177,6 +219,10 @@ def main(argv=None) -> int:
         print(f"u0 max rel diff: {doc['u0_agreement']}", file=sys.stderr)
         for side in ("safe", "beyond"):
             print(f"envelope {side} u0 max rel diff: {agreement[side]}", file=sys.stderr)
+        trees = doc["tree_agreement"]
+        print(f"trees bit-identical: {trees['identical']} of {trees['cases']}", file=sys.stderr)
+        for name in trees["differ"]:
+            print(f"tree differs: {name}", file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -100,7 +100,10 @@ def _hedge_steps(problem: FbsdeProblem, steps, n: int) -> list[int]:
     model has; ValueError otherwise. There is no control on the terminal
     layer n."""
     if problem.control is None:
-        raise ValueError("hedge comparison needs the black-scholes model (closed-form control)")
+        raise ValueError(
+            "hedge comparison needs a problem with a closed-form control "
+            "(FbsdeProblem.control); of the built-in models only black-scholes has one"
+        )
     return [rmq._integer("hedge step", k, 0, n) for k in steps]
 
 

@@ -12,10 +12,13 @@ terms, and building a tree involves no sampling of any kind.
 Each layer of ``build_tree`` is one pass: one conditional law, one grid
 optimization, and one transition matrix built from the optimizer's last cell
 masses. ``optimize_grid`` and ``transition_matrix`` expose the two halves of
-that pass on their own. A layer after the first starts from the mixture's
+that pass on their own. The pass reads one per-layer mixture object, which
+holds the law, its mean and spread, the kernel's grid-free coefficients and
+its work arrays. A layer after the first starts from the mixture's
 component means, standardized and mapped through the first Cornish-Fisher
 term to the mixture's mean, spread and skewness, plus the misses of earlier
-layers extrapolated in that spread.
+layers extrapolated in that spread; the first starts from Gaussian
+quantiles matched to the mixture's mean and variance.
 
 Voronoi cells are the midpoint intervals of the sorted codewords, with
 infinite outer edges; a point exactly on a midpoint belongs to the cell on
@@ -59,7 +62,7 @@ class ConvergenceError(RuntimeError):
     """Grid optimization did not meet the fixed-point tolerance.
 
     Carries the time step of the layer that stalled, the last iterate and its
-    gradient norm so callers can inspect (or resume from) the failure point.
+    gradient norm so callers can inspect the failure point.
     """
 
     def __init__(
@@ -266,28 +269,58 @@ def conditional_law(
 _BAND_LO, _BAND_HI = -8.5, 8.3
 
 
-class _StatsWork:
-    """One layer's mixture and the work arrays of ``_mixture_stats`` for its
-    K components and n codewords.
+def _ordered_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; ValueError unless ``_increasing``."""
+    x = np.asarray(grid, dtype=float)
+    if not _increasing(x):
+        raise ValueError("grid must be finite and strictly increasing")
+    return x
 
-    Built once per layer's optimization, it holds what does not depend on
-    the grid: the component means and stds, the mixture mean ``c`` and the
-    3 x K coefficient rows of the two moment products (``q`` for the density
-    table, ``r`` for the cell masses), plus the K x (n+1) tables and the
-    cdf's work arrays, so these are allocated, and page-faulted in, once per
-    layer instead of once per call. The cell masses ``raw`` (K x n) reuse the
-    memory of the density table ``P`` once it is spent.
+
+def _mixture_input(means, stds, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``means``, ``stds`` and ``probs`` as float arrays if they are 1-d of
+    one length, the means finite, the stds finite and positive and the
+    probabilities finite and nonnegative; ValueError naming the argument
+    otherwise."""
+    m, v, p = (np.asarray(a, dtype=float) for a in (means, stds, probs))
+    if m.ndim != 1:
+        raise ValueError(f"means must be a 1-d array, got shape {m.shape}")
+    for name, a in (("stds", v), ("probs", p)):
+        if a.shape != m.shape:
+            raise ValueError(f"{name} must have the shape {m.shape} of means, got {a.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("means must be finite")
+    if not (np.isfinite(v) & (v > 0.0)).all():
+        raise ValueError("stds must be finite and positive")
+    if not (np.isfinite(p) & (p >= 0.0)).all():
+        raise ValueError("probs must be finite and nonnegative")
+    return m, v, p
+
+
+class _Mixture:
+    """One layer's Gaussian mixture sum_i p_i N(m_i, v_i^2) and the work of
+    quantizing it with n codewords; every step of the layer reads it.
+
+    It holds the arrays ``m``, ``v``, ``p``, the count ``n``, the mean ``c``,
+    the centred means ``mc``, the spread ``s``, the 3 x K coefficient rows
+    of the kernel's two moment products (``q`` for the density table, ``r``
+    for the cell masses), and the K x (n+1) tables and the cdf's work
+    arrays, allocated once per layer instead of once per kernel call. The
+    cell masses ``raw`` (K x n) reuse the memory of the density table ``P``
+    once it is spent.
     """
 
     def __init__(self, means, stds, probs, n: int):
         m = np.asarray(means, dtype=float)
         v = np.asarray(stds, dtype=float)
         p = np.asarray(probs, dtype=float)
-        self.m, self.v = m, v
+        self.m, self.v, self.p, self.n = m, v, p, n
         self.c = float(p @ m)
-        mc = m - self.c
+        self.mc = mc = m - self.c
+        e2 = mc * mc + v * v
+        self.s = math.sqrt(float(p @ e2))
         self.q = np.array([p * v, p * v * mc, p / v])
-        self.r = np.array([p, p * mc, p * (mc * mc + v * v)])
+        self.r = np.array([p, p * mc, p * e2])
         shape = (m.size, n + 1)
         self.C, self.P = np.empty((2,) + shape)
         self.raw = self.P.reshape(-1)[: m.size * n].reshape(m.size, n)
@@ -295,8 +328,8 @@ class _StatsWork:
         self.cdf = CdfBuffers(m.size * (n + 1))
 
 
-def _mixture_stats(grid, work: _StatsWork):
-    """Aggregated cell statistics of ``work``'s Gaussian mixture over the
+def _mixture_stats(grid, mix: _Mixture):
+    """Aggregated cell statistics of the Gaussian mixture ``mix`` over the
     Voronoi cells of ``grid``.
 
     Returns (M0, M1, distortion, F, raw) where, for cell j,
@@ -314,9 +347,9 @@ def _mixture_stats(grid, work: _StatsWork):
     to the second. Centring keeps the distortion from cancelling terms of
     size c^2 against each other.
 
-    The tables are written into ``work``, which must have been built for
+    The tables are written into ``mix``, which must have been built for
     ``grid``'s size; the returned ``raw`` is a view of it and is overwritten
-    by the next call that shares ``work``.
+    by the next call that shares ``mix``.
     """
     x = np.asarray(grid, dtype=float)
     n = x.size
@@ -325,21 +358,21 @@ def _mixture_stats(grid, work: _StatsWork):
     bounds[-1] = np.inf
     bounds[1:-1] = 0.5 * (x[:-1] + x[1:])
 
-    C, P = work.C, work.P
-    a = np.subtract(bounds[None, :], work.m[:, None], out=C)
-    a /= work.v[:, None]  # standardized, comps x (n+1); C replaces it below
-    band = np.greater(a, _BAND_LO, out=work.band)
-    band &= np.less(a, _BAND_HI, out=work.above)
+    C, P = mix.C, mix.P
+    a = np.subtract(bounds[None, :], mix.m[:, None], out=C)
+    a /= mix.v[:, None]  # standardized, comps x (n+1); C replaces it below
+    band = np.greater(a, _BAND_LO, out=mix.band)
+    band &= np.less(a, _BAND_HI, out=mix.above)
     # the in-band values go to the row where cdf_and_pdf keeps a/sqrt(2)
-    in_band = np.compress(band.ravel(), a, out=work.cdf.rows[0, : np.count_nonzero(band)])
-    np.copyto(C, np.greater_equal(a, _BAND_HI, out=work.above))
+    in_band = np.compress(band.ravel(), a, out=mix.cdf.rows[0, : np.count_nonzero(band)])
+    np.copyto(C, np.greater_equal(a, _BAND_HI, out=mix.above))
     P.fill(0.0)
-    C[band], P[band] = cdf_and_pdf(in_band, work.cdf)
+    C[band], P[band] = cdf_and_pdf(in_band, mix.cdf)
 
-    c = work.c
-    Q = work.q @ P
-    raw = np.subtract(C[:, 1:], C[:, :-1], out=work.raw)  # per-component cell masses
-    R = work.r @ raw
+    c = mix.c
+    Q = mix.q @ P
+    raw = np.subtract(C[:, 1:], C[:, :-1], out=mix.raw)  # per-component cell masses
+    R = mix.r @ raw
 
     M0 = R[0]
     M1c = R[1] + Q[0, :-1] - Q[0, 1:]  # first moment about c
@@ -351,14 +384,6 @@ def _mixture_stats(grid, work: _StatsWork):
     return M0, M1, dist, Q[2], raw
 
 
-def _ordered_grid(grid) -> np.ndarray:
-    """``grid`` as a float array; ValueError unless ``_increasing``."""
-    x = np.asarray(grid, dtype=float)
-    if not _increasing(x):
-        raise ValueError("grid must be finite and strictly increasing")
-    return x
-
-
 def mixture_distortion(grid, means, stds, probs) -> float:
     """Quadratic distortion of ``grid`` as a quantizer of a Gaussian mixture.
 
@@ -368,13 +393,13 @@ def mixture_distortion(grid, means, stds, probs) -> float:
     up to order two.
     """
     x = _ordered_grid(grid)
-    return _mixture_stats(x, _StatsWork(means, stds, probs, x.size))[2]
+    return _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs), x.size))[2]
 
 
 def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     """Analytic gradient of mixture_distortion: g_j = 2 (x_j M0_j - M1_j)."""
     x = _ordered_grid(grid)
-    M0, M1, _, _, _ = _mixture_stats(x, _StatsWork(means, stds, probs, x.size))
+    M0, M1, _, _, _ = _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs), x.size))
     return 2.0 * (x * M0 - M1)
 
 
@@ -430,7 +455,7 @@ def _newton_direction(x, M0, F, g):
     return None
 
 
-def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, step: int):
+def _optimize_codewords(mix: _Mixture, x0, settings: OptimizerSettings, step: int):
     """Damped-Newton / Lloyd iteration to a stationary grid.
 
     Newton candidates are accepted only if they keep the grid strictly
@@ -442,12 +467,11 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
     costs no kernel call. The iteration returns as soon as the residual is
     below the fixed-point tolerance: the grid, its distortion and the
     per-component cell masses of the last stats evaluation, which is on that
-    grid. All stats calls share one ``_StatsWork`` of the layer's mixture,
-    and the cell masses returned are a view of it.
+    grid. All stats calls share the layer's ``mix``, and the cell masses
+    returned are a view of it.
     """
     x = np.asarray(x0, dtype=float).copy()
-    work = _StatsWork(means, stds, probs, x.size)
-    M0, M1, dist, F, raw = _mixture_stats(x, work)
+    M0, M1, dist, F, raw = _mixture_stats(x, mix)
     for it in range(settings.max_iterations + 1):
         g = 2.0 * (x * M0 - M1)
         resid = float(np.max(np.abs(g) / np.maximum(2.0 * M0, 1e-300)))
@@ -462,7 +486,7 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
             for _h in range(9):
                 cand = x + lam * delta
                 if _increasing(cand):
-                    st = _mixture_stats(cand, work)
+                    st = _mixture_stats(cand, mix)
                     if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
                         x_new, stats_new = cand, st
                         break
@@ -477,7 +501,7 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
                 cand[idx + 1] = np.nextafter(cand[idx], np.inf)
                 bad = np.diff(cand) <= 0
             x_new = cand
-            stats_new = _mixture_stats(cand, work)
+            stats_new = _mixture_stats(cand, mix)
         x = x_new
         M0, M1, dist, F, raw = stats_new
     raise ConvergenceError(
@@ -490,14 +514,15 @@ def _optimize_codewords(means, stds, probs, x0, settings: OptimizerSettings, ste
     )
 
 
-def _quantile_start(means, stds, probs, N: int) -> np.ndarray:
-    """Moment-matched Gaussian quantile points for a mixture."""
-    mu = float(probs @ means)
-    var = float(probs @ (stds**2 + means**2)) - mu * mu
+def _quantile_start(mix: _Mixture) -> np.ndarray:
+    """Moment-matched Gaussian quantile points for ``mix``. The variance is
+    sum p (v^2 + m^2) - c^2, not ``mix.s``^2: the two round differently, and
+    that moves builds on a knife edge."""
+    var = float(mix.p @ (mix.v**2 + mix.m**2)) - mix.c * mix.c
     sd = math.sqrt(max(var, 1e-300))
     inv_cdf = NormalDist().inv_cdf
-    q = [(2.0 * j - 1.0) / (2.0 * N) for j in range(1, N + 1)]
-    return mu + sd * np.array([inv_cdf(qj) for qj in q])
+    q = [(2.0 * j - 1.0) / (2.0 * mix.n) for j in range(1, mix.n + 1)]
+    return mix.c + sd * np.array([inv_cdf(qj) for qj in q])
 
 
 def _normalized_transition(step: int, raw) -> TransitionMatrix:
@@ -517,21 +542,20 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
 
 
 def _quantize_layer(
-    prev: QuantizedLayer, means, stds, N: int, settings: OptimizerSettings, start
+    prev: QuantizedLayer, mix: _Mixture, settings: OptimizerSettings, start
 ) -> tuple[QuantizedLayer, TransitionMatrix]:
     """Optimize the layer after ``prev`` against its conditional mixture
-    (means, stds), from ``start`` or, if None, from moment-matched
-    quantiles, and link the two by their transition matrix.
+    ``mix``, from ``start`` or, if None, from moment-matched quantiles, and
+    link the two by their transition matrix.
 
     The transition comes from the optimizer's last cell masses, and the
     layer's weights are ``prev.weights`` pushed through it, so the
     propagation invariant holds exactly.
     """
-    probs = prev.weights
-    x0 = _quantile_start(means, stds, probs, N) if start is None else start
-    x, dist, raw = _optimize_codewords(means, stds, probs, x0, settings, prev.step + 1)
-    tr = _normalized_transition(prev.step, raw)  # copies raw out of work
-    return QuantizedLayer(prev.step + 1, x, probs @ tr.entries, dist), tr
+    x0 = _quantile_start(mix) if start is None else start
+    x, dist, raw = _optimize_codewords(mix, x0, settings, prev.step + 1)
+    tr = _normalized_transition(prev.step, raw)  # copies raw out of mix
+    return QuantizedLayer(prev.step + 1, x, prev.weights @ tr.entries, dist), tr
 
 
 def optimize_grid(
@@ -556,9 +580,8 @@ def optimize_grid(
     ``transition_matrix``).
     """
     N = _integer("codeword count N", N, 1)
-    means, stds = conditional_law(prev, dt, problem)
-    settings = settings or OptimizerSettings()
-    return _quantize_layer(prev, means, stds, N, settings, None)[0]
+    mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights, N)
+    return _quantize_layer(prev, mix, settings or OptimizerSettings(), None)[0]
 
 
 def transition_matrix(
@@ -572,36 +595,26 @@ def transition_matrix(
     renormalized if off by at most 1e-10 and rejected otherwise, since a
     larger defect means the grid or cdf is broken upstream.
     """
-    means, stds = conditional_law(prev, dt, problem)
     x = next_layer.codewords
-    _, _, _, _, raw = _mixture_stats(x, _StatsWork(means, stds, prev.weights, x.size))
-    return _normalized_transition(prev.step, raw)
+    mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights, x.size)
+    return _normalized_transition(prev.step, _mixture_stats(x, mix)[4])
 
 
-def _mixture_spread(weights, means, stds) -> float:
-    """Standard deviation s of the mixture sum_i w_i N(m_i, v_i^2)."""
-    d = means - float(weights @ means)
-    return math.sqrt(float(weights @ (d * d + stds * stds)))
-
-
-def _warm_start_from(prev: QuantizedLayer, means, stds) -> np.ndarray | None:
+def _warm_start_from(mix: _Mixture) -> np.ndarray | None:
     """Moment-matched start: the component means standardized, z = d/sigma_d
-    with d = m - mu, mapped to mu + s (z + (gamma - gamma_z)/6 (z^2 - 1)),
-    where s and gamma are the mixture's spread and skewness and gamma_z the
-    skewness of z under the previous weights (the first Cornish-Fisher
-    term). Its weighted mean is mu, since sum w z = 0 and sum w z^2 = 1.
+    with d = m - c, mapped to c + s (z + (gamma - gamma_z)/6 (z^2 - 1)),
+    where c, s and gamma are the mixture's mean, spread and skewness and
+    gamma_z the skewness of z under its weights (the first Cornish-Fisher
+    term). Its weighted mean is c, since sum p z = 0 and sum p z^2 = 1.
     None for a point codebook or a start that is not ``_increasing``."""
-    w = prev.weights
-    mu = float(w @ means)
-    d = means - mu
-    var_d = float(w @ (d * d))
+    p, d, s = mix.p, mix.mc, mix.s
+    var_d = float(p @ (d * d))
     if var_d <= 0.0:
         return None
     z = d / math.sqrt(var_d)
-    s = _mixture_spread(w, means, stds)
-    gamma = float(w @ (d * d * d + 3.0 * d * (stds * stds))) / s**3
-    gamma_z = float(w @ (z * z * z))
-    x0 = mu + s * (z + (gamma - gamma_z) / 6.0 * (z * z - 1.0))
+    gamma = float(p @ (d * d * d + 3.0 * d * (mix.v * mix.v))) / s**3
+    gamma_z = float(p @ (z * z * z))
+    x0 = mix.c + s * (z + (gamma - gamma_z) / 6.0 * (z * z - 1.0))
     return x0 if _increasing(x0) else None
 
 
@@ -650,18 +663,18 @@ def build_tree(
     history = []  # (spread, miss) of the last four warm layers, oldest first
     for k in range(grid.n):
         prev = layers[-1]
-        means, stds = conditional_law(prev, dt, problem)
-        warm = _warm_start_from(prev, means, stds) if prev.size == N else None
+        mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights, N)
+        warm = _warm_start_from(mix) if prev.size == N else None
         start = warm
         if warm is not None:
-            s = _mixture_spread(prev.weights, means, stds)
             # Lagrange weights divide by node differences: nodes stay distinct
-            history = [h for h in history if h[0] != s]
+            history = [h for h in history if h[0] != mix.s]
             if history:
-                carried = warm + _extrapolate(*zip(*history), s)
+                carried = warm + _extrapolate(*zip(*history), mix.s)
                 start = carried if _increasing(carried) else warm
-        layer, tr = _quantize_layer(prev, means, stds, N, settings, start)
-        history = [] if warm is None else [*history[-3:], (s, layer.codewords - warm)]
+        layer, tr = _quantize_layer(prev, mix, settings, start)
+        history = [] if warm is None else [*history[-3:], (mix.s, layer.codewords - warm)]
+        del mix  # free its work arrays before the next layer allocates its own
         layers.append(layer)
         transitions.append(tr)
     return QuantizationTree(grid, tuple(layers), tuple(transitions))

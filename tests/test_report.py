@@ -111,10 +111,11 @@ class TestHedgeCompare:
             assert r.v_exact == bs_control(BS, 4 * dt, 1.0, r.codeword)
             assert r.codeword in tree.layers[4].codewords
 
-    def test_rows_compare_with_the_problems_own_control(self):
+    @staticmethod
+    def brownian_problem(control=None):
         # arithmetic Brownian motion with an identity payoff and no driver:
         # U_t = Y_t, so the control is sigma everywhere
-        problem = FbsdeProblem(
+        return FbsdeProblem(
             drift=lambda y: 0.0 * y,
             diffusion=lambda y: 0.3 + 0.0 * y,
             driver=lambda t, y, u, v: 0.0 * u,
@@ -122,8 +123,11 @@ class TestHedgeCompare:
             T=1.0,
             y0=0.0,
             diffusion_floor=1e-6,
-            control=lambda t, T, y: 0.3,
+            control=control,
         )
+
+    def test_rows_compare_with_the_problems_own_control(self):
+        problem = self.brownian_problem(control=lambda t, T, y: 0.3)
         sol = solve(build_tree(problem, TimeGrid(5, 1.0), 6), problem)
         rows = hedge_compare(sol, problem, [0, 2, 4])
         assert len(rows) == 1 + 6 + 6
@@ -141,6 +145,13 @@ class TestHedgeCompare:
             sol = solve(tree, problem)
             with pytest.raises(ValueError, match="black-scholes"):
                 hedge_compare(sol, problem, [1])
+
+    def test_custom_problem_without_control_is_told_to_give_one(self):
+        problem = self.brownian_problem()
+        sol = solve(build_tree(problem, TimeGrid(5, 1.0), 6), problem)
+        with pytest.raises(ValueError, match="needs a problem with a closed-form control") as exc:
+            hedge_compare(sol, problem, [0])
+        assert "black-scholes" in str(exc.value)
 
     def test_rejects_a_tree_of_another_horizon(self, bs_problem):
         # a T=0.5 tree prices the T=0.5 call; its controls are not the

@@ -73,8 +73,13 @@ def unit_gaussian_problem():
 
 
 def kernel_stats(grid, means, stds, probs):
-    """``rmq._mixture_stats`` of ``grid`` with a fresh work object of the mixture."""
-    return rmq_mod._mixture_stats(grid, rmq_mod._StatsWork(means, stds, probs, len(grid)))
+    """``rmq._mixture_stats`` of ``grid`` with a fresh ``_Mixture`` object."""
+    return rmq_mod._mixture_stats(grid, rmq_mod._Mixture(means, stds, probs, len(grid)))
+
+
+def layer_mixture(layer, dt, problem):
+    """The ``_Mixture`` of the layer after ``layer``, for as many codewords."""
+    return rmq_mod._Mixture(*conditional_law(layer, dt, problem), layer.weights, layer.size)
 
 
 def dirac(at=0.0, step=0):
@@ -243,6 +248,27 @@ class TestDistortion:
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             fn(grid, [0.0], [1.0], [1.0])
 
+    @pytest.mark.parametrize("fn", [mixture_distortion, distortion_gradient])
+    @pytest.mark.parametrize(
+        "means, stds, probs, message",
+        [
+            ([0.0], [-1.0], [1.0], "stds must be finite and positive"),
+            ([0.0], [1.0], [-1.0], "probs must be finite and nonnegative"),
+            ([0.0], [0.0], [1.0], "stds must be finite and positive"),
+            ([math.nan], [1.0], [1.0], "means must be finite"),
+            ([0.0, 1.0], [1.0, 1.0], [1.0], "probs must have the shape"),
+            ([0.0, 1.0], [1.0], [0.5, 0.5], "stds must have the shape"),
+            ([0.0], [math.inf], [1.0], "stds must be finite and positive"),
+            ([0.0], [1.0], [math.nan], "probs must be finite and nonnegative"),
+            (0.0, [1.0], [1.0], "means must be a 1-d array"),
+        ],
+        ids=["negative-std", "negative-prob", "zero-std", "nan-mean", "short-probs",
+             "short-stds", "infinite-std", "nan-prob", "scalar-means"],
+    )
+    def test_rejects_what_is_not_a_mixture(self, fn, means, stds, probs, message):
+        with pytest.raises(ValueError, match=message):
+            fn([-0.5, 0.5], means, stds, probs)
+
 
 class TestBandedKernel:
     """The stats kernel evaluates the cdf only on standardized boundaries in
@@ -267,24 +293,24 @@ class TestBandedKernel:
 
 
 class TestKernelWork:
-    """The stats kernel's reusable work arrays, and the warm start that
-    extrapolates the last layers' misses."""
+    """The per-layer mixture object that the stats kernel reuses, and the
+    warm start that extrapolates the last layers' misses."""
 
     def test_reused_work_matches_fresh_calls(self):
-        # one work object per mixture across grids whose in-band share ranges
-        # from a few entries to all of them
+        # one _Mixture per mixture, reused across grids whose in-band share
+        # ranges from a few entries to all of them
         rng = np.random.default_rng(2024)
         K, n = 7, 12
         for _ in range(3):
             means = rng.normal(100.0, 2.0, K)
             stds = rng.uniform(0.2, 2.0, K)
             probs = rng.dirichlet(np.ones(K))
-            work = rmq_mod._StatsWork(means, stds, probs, n)
+            mix = rmq_mod._Mixture(means, stds, probs, n)
             for spread in (0.01, 0.3, 1.0, 3.0, 10.0, 60.0, 1.0, 0.01):
                 grid = 100.0 + spread * np.sort(rng.normal(0.0, 3.0, n))
                 assert np.all(np.diff(grid) > 0)
                 fresh = kernel_stats(grid, means, stds, probs)
-                reused = rmq_mod._mixture_stats(grid, work)
+                reused = rmq_mod._mixture_stats(grid, mix)
                 for got, want in zip(reused, fresh):
                     assert np.array_equal(got, want), spread
 
@@ -314,9 +340,9 @@ class TestKernelWork:
         }[model]
         tree = build_tree(problem, TimeGrid(10, problem.T), 30)
         for layer in tree.layers[1:]:
-            means, stds = conditional_law(layer, tree.time_grid.dt, problem)
-            x0 = rmq_mod._warm_start_from(layer, means, stds)
-            mu = float(layer.weights @ means)
+            mix = layer_mixture(layer, tree.time_grid.dt, problem)
+            x0 = rmq_mod._warm_start_from(mix)
+            mu = float(layer.weights @ mix.m)
             assert x0 is not None
             assert abs(float(layer.weights @ x0) - mu) <= 1e-12 * abs(mu)
 
@@ -339,9 +365,10 @@ class TestKernelWork:
         d = means - mu
         z = d / math.sqrt(float(w @ (d * d)))
         s = math.sqrt(float(w @ (d * d + stds * stds)))
-        x0 = rmq_mod._warm_start_from(layer, means, stds)
+        mix = layer_mixture(layer, 0.1, problem)
+        x0 = rmq_mod._warm_start_from(mix)
         assert np.array_equal(x0, mu + s * z)
-        assert s == rmq_mod._mixture_spread(w, means, stds)
+        assert s == mix.s and mu == mix.c
 
     @pytest.mark.parametrize(
         "codewords, weights",
@@ -350,8 +377,7 @@ class TestKernelWork:
     )
     def test_point_codebook_has_no_warm_start(self, codewords, weights):
         layer = QuantizedLayer(1, codewords, weights, 0.0)
-        means, stds = conditional_law(layer, 0.1, gbm_problem())
-        assert rmq_mod._warm_start_from(layer, means, stds) is None
+        assert rmq_mod._warm_start_from(layer_mixture(layer, 0.1, gbm_problem())) is None
 
     def test_black_scholes_50_20_takes_fewer_kernel_calls(self, monkeypatch):
         calls = []
@@ -564,6 +590,7 @@ class TestOptimizeGrid:
     def test_stationary_start_costs_one_kernel_call(self, monkeypatch):
         layer = optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), 5)
         means, stds = conditional_law(dirac(0.0), 1.0, unit_gaussian_problem())
+        mix = rmq_mod._Mixture(means, stds, np.array([1.0]), 5)
         calls = []
         real = rmq_mod._mixture_stats
 
@@ -572,8 +599,7 @@ class TestOptimizeGrid:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rmq_mod, "_mixture_stats", counted)
-        x, dist, _ = rmq_mod._optimize_codewords(
-            means, stds, np.array([1.0]), layer.codewords, OptimizerSettings(), 1)
+        x, dist, _ = rmq_mod._optimize_codewords(mix, layer.codewords, OptimizerSettings(), 1)
         assert len(calls) == 1
         assert np.array_equal(x, layer.codewords)
         assert dist == layer.distortion
@@ -811,8 +837,8 @@ class TestBuildTree:
         starts = []
         warm_start = rmq_mod._warm_start_from
 
-        def recorded(*args):
-            starts.append(warm_start(*args))
+        def recorded(mix):
+            starts.append(warm_start(mix))
             return starts[-1]
 
         monkeypatch.setattr(rmq_mod, "_warm_start_from", recorded)
@@ -820,6 +846,45 @@ class TestBuildTree:
         assert len(starts) == 9 and all(s is None for s in starts)
         # the step is affine, so stationarity carries the Euler mean exactly
         assert solve(tree, problem).u0 == pytest.approx(1.0 + 0.5 * (-0.2) ** 10, abs=1e-12)
+
+    def test_one_mixture_per_layer(self, monkeypatch):
+        # build_tree evaluates the conditional law once per layer, and the
+        # start and every kernel call of that layer read its one _Mixture
+        laws, layers, starts = [], [], []
+        real_law, real_layer = rmq_mod.conditional_law, rmq_mod._quantize_layer
+        real_stats, real_start = rmq_mod._mixture_stats, rmq_mod._warm_start_from
+
+        def law(*args):
+            laws.append(args[0].step)
+            return real_law(*args)
+
+        def layer(prev, mix, settings, start):
+            layers.append((prev, mix, []))
+            return real_layer(prev, mix, settings, start)
+
+        def stats(grid, mix):
+            layers[-1][2].append(mix)
+            return real_stats(grid, mix)
+
+        def warm(mix):
+            starts.append(mix)
+            return real_start(mix)
+
+        for name, fn in (("conditional_law", law), ("_quantize_layer", layer),
+                         ("_mixture_stats", stats), ("_warm_start_from", warm)):
+            monkeypatch.setattr(rmq_mod, name, fn)
+        N, n = 20, 8
+        tree = build_tree(gbm_problem(), TimeGrid(n, 0.25), N)
+        assert laws == list(range(n))
+        assert len(layers) == n
+        assert all(prev is la for (prev, _, _), la in zip(layers, tree.layers))
+        mixtures = [mix for _, mix, _ in layers]
+        assert len({id(mix) for mix in mixtures}) == n
+        assert len(starts) == n - 1
+        assert all(a is b for a, b in zip(starts, mixtures[1:]))
+        for prev, mix, seen in layers:
+            assert mix.p is prev.weights and mix.n == N
+            assert seen and all(m is mix for m in seen)
 
     def test_stalled_layer_is_named(self):
         settings = OptimizerSettings(max_iterations=1, fixed_point_tol=1e-12)
