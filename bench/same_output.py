@@ -18,7 +18,10 @@ difference. For each JSON file that differs, one more line gives the
 largest absolute and the largest relative difference of any number and
 the JSON path of each; a relative difference is |a - b| / max(|a|, |b|).
 Where the two documents differ in anything but their numbers, the line
-names the first path at which they do.
+names the first path at which they do. For each ``.rmq.json`` tree that
+differs, one more line says whether both files decode through this
+checkout's ``load_tree`` to bit-identical trees and solutions
+(``artifact.tree_sha256``), so a change of file format alone shows as such.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from artifact import tree_sha256
 from pairs import ROOT, export, git
 
 CONFIG = "run.json"
@@ -123,6 +127,16 @@ def json_diff_line(a: bytes, b: bytes) -> str | None:
             f"{worst_abs[0]}, largest relative {worst_rel[2]:.3g} at {worst_rel[0]}")
 
 
+def tree_line(a: Path, b: Path) -> str:
+    """Whether two tree files decode to bit-identical trees and solutions."""
+    try:
+        same = tree_sha256(a) == tree_sha256(b)
+    except ValueError as exc:
+        return f"does not load: {exc}"
+    return ("decodes to bit-identical trees and solutions" if same
+            else "decodes to different trees or solutions")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", required=True, help="parent revision to compare against")
@@ -134,8 +148,9 @@ def main(argv=None) -> int:
         parent_root = Path(tmp) / "parent"
         export(parent_sha, parent_root)
         for i, (name, case_argv, config) in enumerate(cases):
-            sides = [run_case(root / "src", Path(tmp) / side / str(i), case_argv, config)
-                     for side, root in (("parent", parent_root), ("change", ROOT))]
+            workdirs = [Path(tmp) / side / str(i) for side in ("parent", "change")]
+            sides = [run_case(root / "src", workdir, case_argv, config)
+                     for root, workdir in zip((parent_root, ROOT), workdirs)]
             keys = sorted(set(sides[0]) | set(sides[1]))
             bad = [k for k in keys if sides[0].get(k) != sides[1].get(k)]
             differ += bool(bad)
@@ -145,6 +160,8 @@ def main(argv=None) -> int:
                 line = json_diff_line(sides[0].get(key, b""), sides[1].get(key, b""))
                 if line is not None:
                     print(f"      {key}: {line}")
+                if key.endswith(".rmq.json") and key in sides[0] and key in sides[1]:
+                    print(f"      {key}: {tree_line(*(w / key for w in workdirs))}")
     print(f"same_output: {len(cases)} cases against {parent_sha[:12]}, {differ} differ")
     return 1 if differ else 0
 

@@ -27,6 +27,7 @@ the right.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import operator
@@ -279,12 +280,15 @@ def _ordered_grid(grid) -> np.ndarray:
 
 def _mixture_input(means, stds, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``means``, ``stds`` and ``probs`` as float arrays if they are 1-d of
-    one length, the means finite, the stds finite and positive and the
-    probabilities finite and nonnegative; ValueError naming the argument
-    otherwise."""
+    one nonzero length, the means finite, the stds finite and positive and
+    the probabilities finite, nonnegative and summing to 1 within 1e-12 (the
+    rule ``QuantizedLayer`` applies to weights); ValueError naming the
+    argument otherwise."""
     m, v, p = (np.asarray(a, dtype=float) for a in (means, stds, probs))
     if m.ndim != 1:
         raise ValueError(f"means must be a 1-d array, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError("means must hold at least one component")
     for name, a in (("stds", v), ("probs", p)):
         if a.shape != m.shape:
             raise ValueError(f"{name} must have the shape {m.shape} of means, got {a.shape}")
@@ -294,6 +298,8 @@ def _mixture_input(means, stds, probs) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise ValueError("stds must be finite and positive")
     if not (np.isfinite(p) & (p >= 0.0)).all():
         raise ValueError("probs must be finite and nonnegative")
+    if not abs(float(p.sum()) - 1.0) <= 1e-12:
+        raise ValueError(f"probs must sum to 1 within 1e-12, got {float(p.sum())!r}")
     return m, v, p
 
 
@@ -387,10 +393,11 @@ def _mixture_stats(grid, mix: _Mixture):
 def mixture_distortion(grid, means, stds, probs) -> float:
     """Quadratic distortion of ``grid`` as a quantizer of a Gaussian mixture.
 
-    The mixture has components N(means[i], stds[i]^2) with probabilities
-    ``probs``; cells are the Voronoi midpoint intervals of the sorted grid
-    with infinite outer edges. Computed in closed form from partial moments
-    up to order two.
+    The mixture has one or more components N(means[i], stds[i]^2) with
+    probabilities ``probs``, which sum to 1 within 1e-12 (``_mixture_input``
+    checks the arguments); cells are the Voronoi midpoint intervals of the
+    sorted grid with infinite outer edges. Computed in closed form from
+    partial moments up to order two.
     """
     x = _ordered_grid(grid)
     return _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs), x.size))[2]
@@ -681,18 +688,21 @@ def build_tree(
 
 
 _FORMAT = "quantbsde-tree"
-_VERSION = 1
+_VERSION = 2  # written; load_tree also reads version 1
 
 
 def save_tree(tree: QuantizationTree, path, solution=None) -> None:
     """Serialize a tree (optionally with a backward solution) as JSON.
 
-    The conventional file extension is ``.rmq.json``. Floats are written
-    with full round-trip precision. The file is the text of one
-    ``json.dumps`` of the document {format, version, time_grid, layers,
-    transitions[, solution]}, but it is written one transition at a time,
-    each through its own ``json.dumps`` (CPython's C encoder), so at most
-    one transition's entries are held as Python floats: the transitions
+    The conventional file extension is ``.rmq.json``. The file is the text
+    of one ``json.dumps`` of the version-2 document {format, version,
+    time_grid, layers, transitions[, solution]}. Codewords, weights,
+    distortions and the solution are JSON numbers, written with full
+    round-trip precision. Each transition is {step, shape, entries}, where
+    ``entries`` is one base64 string of the matrix's row-major bytes as
+    little-endian float64 (``<f8``), so its values are exact but no longer
+    readable as text. The file is written one transition at a time, each
+    through its own ``json.dumps`` (CPython's C encoder): the transitions
     carry N² entries per step, against N per layer. Before the file is
     opened, the solution is checked as ``load_tree`` checks it
     (``_check_solution``), and it must be the solution of ``tree`` itself
@@ -724,10 +734,11 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "transitions": [')
         for i, tr in enumerate(tree.transitions):
+            raw = tr.entries.astype("<f8", copy=False).tobytes()  # row-major
             fh.write((", " if i else "") + json.dumps({
                 "step": tr.step,
                 "shape": list(tr.entries.shape),
-                "entries": tr.entries.ravel().tolist(),
+                "entries": base64.b64encode(raw).decode("ascii"),
             }))
         fh.write(tail + "}")
 
@@ -735,13 +746,19 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
 def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     """Load a serialized tree; returns (tree, solution-dict-or-None).
 
-    A file that is not version-1 tree JSON, lacks a key, holds a field of the
-    wrong type or value, or carries a solution whose ``values``/``controls``
-    do not match the layer sizes or whose u0 is not its first layer-0 value
-    raises ValueError naming ``path``. The version and the step labels are
-    JSON integers, so not ``true`` or ``1.0``; every other number read is a
-    finite JSON int or float, not a boolean: lists through ``_numbers``,
-    distortions and u0 through ``_finite_number``.
+    Reads the version-2 files ``save_tree`` writes and the version-1 files
+    of earlier releases, whose transition entries are a flat row-major list
+    of JSON numbers. The decoder follows the file's ``version``: a v2
+    ``entries`` must be base64 (``_float64s``), a v1 one a list of numbers
+    (``_numbers``). A file that is not tree JSON of either version, lacks a
+    key, holds a field of the wrong type or value, or carries a solution
+    whose ``values``/``controls`` do not match the layer sizes or whose u0
+    is not its first layer-0 value raises ValueError naming ``path``. The
+    version and the step labels are JSON integers, so not ``true`` or
+    ``1.0``. Every other number read is finite: v2 entries through
+    ``_float64s``, and JSON numbers, each an int or float but not a
+    boolean, through ``_numbers`` (lists) and ``_finite_number``
+    (distortions and u0). Top-level keys other than those above are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -751,10 +768,10 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a quantization-tree file: {path}")
     version = doc.get("version")
-    if type(version) is not int or version != _VERSION:
+    if type(version) is not int or version not in (1, _VERSION):
         raise ValueError(f"{path}: unsupported tree format version {version!r}")
     try:
-        tree = _tree_from_doc(doc)
+        tree = _tree_from_doc(doc, _numbers_matrix if version == 1 else _float64s)
         solution = doc.get("solution")
         if solution is not None:
             _check_solution(solution, tree)
@@ -775,7 +792,33 @@ def _numbers(name: str, items) -> np.ndarray:
     raise ValueError(f"{name} must be finite numbers")
 
 
-def _tree_from_doc(doc: dict) -> QuantizationTree:
+def _numbers_matrix(name: str, items, shape) -> np.ndarray:
+    """A v1 matrix: ``_numbers`` of the flat row-major ``items``, reshaped."""
+    return _numbers(name, items).reshape(shape)
+
+
+def _float64s(name: str, text, shape) -> np.ndarray:
+    """A v2 matrix: ``text`` decoded as base64 of the row-major little-endian
+    float64 bytes of an array of ``shape``, if it holds 8 bytes per element
+    and every value is finite; ValueError naming ``name`` otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(f"{name} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name} must be base64 ({exc})") from exc
+    want = 8 * math.prod(shape)
+    if len(raw) != want:
+        raise ValueError(f"{name} hold {len(raw)} bytes, not {want} for shape {shape}")
+    x = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite numbers")
+    return x
+
+
+def _tree_from_doc(doc: dict, matrix) -> QuantizationTree:
+    """The tree of ``doc``; ``matrix(name, entries, shape)`` decodes each
+    transition's entries."""
     tg = TimeGrid(doc["time_grid"]["n"], doc["time_grid"]["T"])
     layers = [
         QuantizedLayer(la["step"], _numbers("codewords", la["codewords"]),
@@ -783,7 +826,7 @@ def _tree_from_doc(doc: dict) -> QuantizationTree:
         for la in doc["layers"]
     ]
     transitions = [
-        TransitionMatrix(tr["step"], _numbers("entries", tr["entries"]).reshape(tr["shape"]))
+        TransitionMatrix(tr["step"], matrix("entries", tr["entries"], tr["shape"]))
         for tr in doc["transitions"]
     ]
     return QuantizationTree(tg, layers, transitions)

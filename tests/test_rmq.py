@@ -6,9 +6,11 @@ minimizer for the two-point optimum, and Monte Carlo for transition
 probabilities.
 """
 
+import base64
 import dataclasses
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -80,6 +82,42 @@ def kernel_stats(grid, means, stds, probs):
 def layer_mixture(layer, dt, problem):
     """The ``_Mixture`` of the layer after ``layer``, for as many codewords."""
     return rmq_mod._Mixture(*conditional_law(layer, dt, problem), layer.weights, layer.size)
+
+
+def b64_float64s(values):
+    """``values`` as base64 of their little-endian float64 bytes."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def tree_document(tree, sol=None, version=2):
+    """The document of a saved tree, built by hand. Version 2 holds each
+    transition's entries as base64 of their row-major little-endian float64
+    bytes, version 1 as a flat row-major list of JSON numbers."""
+    def entries(e):
+        flat = e.ravel().tolist()
+        return flat if version == 1 else b64_float64s(flat)
+
+    doc = {
+        "format": "quantbsde-tree",
+        "version": version,
+        "time_grid": {"n": tree.time_grid.n, "T": tree.time_grid.T},
+        "layers": [
+            {"step": la.step, "codewords": la.codewords.tolist(),
+             "weights": la.weights.tolist(), "distortion": la.distortion}
+            for la in tree.layers
+        ],
+        "transitions": [
+            {"step": tr.step, "shape": list(tr.entries.shape), "entries": entries(tr.entries)}
+            for tr in tree.transitions
+        ],
+    }
+    if sol is not None:
+        doc["solution"] = {
+            "u0": sol.u0,
+            "values": [vl.values.tolist() for vl in sol.value_layers],
+            "controls": [cl.controls.tolist() for cl in sol.control_layers],
+        }
+    return doc
 
 
 def dirac(at=0.0, step=0):
@@ -261,9 +299,14 @@ class TestDistortion:
             ([0.0], [math.inf], [1.0], "stds must be finite and positive"),
             ([0.0], [1.0], [math.nan], "probs must be finite and nonnegative"),
             (0.0, [1.0], [1.0], "means must be a 1-d array"),
+            # these two used to return 0.0 and half the normalized distortion
+            ([], [], [], "means must hold at least one component"),
+            ([0.0], [1.0], [0.5], "probs must sum to 1 within 1e-12, got 0.5"),
+            ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5 + 4e-12], "probs must sum to 1 within 1e-12"),
         ],
         ids=["negative-std", "negative-prob", "zero-std", "nan-mean", "short-probs",
-             "short-stds", "infinite-std", "nan-prob", "scalar-means"],
+             "short-stds", "infinite-std", "nan-prob", "scalar-means", "no-components",
+             "half-mass", "mass-off-by-4e-12"],
     )
     def test_rejects_what_is_not_a_mixture(self, fn, means, stds, probs, message):
         with pytest.raises(ValueError, match=message):
@@ -908,42 +951,46 @@ class TestSerialization:
             assert np.array_equal(la.weights, lb.weights)
             assert la.distortion == lb.distortion
         for ta, tb in zip(loaded.transitions, tree.transitions):
-            assert np.array_equal(ta.entries, tb.entries)
+            assert ta.step == tb.step
+            assert ta.entries.tobytes() == tb.entries.tobytes()
 
     @pytest.mark.parametrize(
         "N, n, with_solution",
         [(6, 8, True), (6, 8, False), (5, 1, True), (5, 1, False), (1, 4, True), (1, 1, False)],
     )
-    def test_file_is_one_dumps_of_the_v1_document(self, tmp_path, N, n, with_solution):
+    def test_file_is_one_dumps_of_the_v2_document(self, tmp_path, N, n, with_solution):
         # the writer streams the transitions one at a time; the text must be
-        # that of json.dumps on the whole document, keys in the v1 order
+        # that of json.dumps on the whole document, keys in the v2 order
         problem = gbm_problem()
         tree = build_tree(problem, TimeGrid(n, 0.25), N)
         sol = solve(tree, problem) if with_solution else None
-        doc = {
-            "format": "quantbsde-tree",
-            "version": 1,
-            "time_grid": {"n": n, "T": 0.25},
-            "layers": [
-                {"step": la.step, "codewords": la.codewords.tolist(),
-                 "weights": la.weights.tolist(), "distortion": la.distortion}
-                for la in tree.layers
-            ],
-            "transitions": [
-                {"step": tr.step, "shape": list(tr.entries.shape),
-                 "entries": tr.entries.ravel().tolist()}
-                for tr in tree.transitions
-            ],
-        }
-        if with_solution:
-            doc["solution"] = {
-                "u0": sol.u0,
-                "values": [vl.values.tolist() for vl in sol.value_layers],
-                "controls": [cl.controls.tolist() for cl in sol.control_layers],
-            }
         path = tmp_path / "tree.rmq.json"
         save_tree(tree, path, solution=sol)
-        assert path.read_text(encoding="utf-8") == json.dumps(doc)
+        assert path.read_text(encoding="utf-8") == json.dumps(tree_document(tree, sol))
+
+    @pytest.mark.parametrize(
+        "N, n, with_solution",
+        [(6, 8, True), (6, 8, False), (5, 1, True), (5, 1, False), (1, 4, True), (1, 1, False)],
+    )
+    def test_v1_file_loads_bit_for_bit(self, tmp_path, N, n, with_solution):
+        # files of earlier releases hold the entries as a list of JSON numbers
+        problem = gbm_problem()
+        tree = build_tree(problem, TimeGrid(n, 0.25), N)
+        sol = solve(tree, problem) if with_solution else None
+        doc = tree_document(tree, sol, version=1)
+        path = tmp_path / "old.rmq.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded, solution = load_tree(path)
+        assert solution == doc.get("solution")
+        assert loaded.time_grid == tree.time_grid
+        for la, lb in zip(loaded.layers, tree.layers):
+            assert la.step == lb.step
+            assert la.codewords.tobytes() == lb.codewords.tobytes()
+            assert la.weights.tobytes() == lb.weights.tobytes()
+            assert la.distortion == lb.distortion
+        for ta, tb in zip(loaded.transitions, tree.transitions):
+            assert ta.step == tb.step
+            assert ta.entries.tobytes() == tb.entries.tobytes()
 
     @pytest.mark.parametrize(
         "spoil", ["other-tree", "nan-value", "same-size-tree", "u0-off-layer-0"])
@@ -980,8 +1027,8 @@ class TestSerialization:
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "future.rmq.json"
-        path.write_text(json.dumps({"format": "quantbsde-tree", "version": 2}))
-        with pytest.raises(ValueError, match="version"):
+        path.write_text(json.dumps({"format": "quantbsde-tree", "version": 3}))
+        with pytest.raises(ValueError, match="version 3"):
             load_tree(path)
 
 
@@ -989,11 +1036,16 @@ class TestMalformedTreeFiles:
     """Every malformed file is a ValueError that names the file."""
 
     @pytest.fixture
-    def saved(self, tmp_path):
+    def tree_and_solution(self):
         problem = gbm_problem()
         tree = build_tree(problem, TimeGrid(3, 0.25), 4)
+        return tree, solve(tree, problem)
+
+    @pytest.fixture
+    def saved(self, tmp_path, tree_and_solution):
+        tree, sol = tree_and_solution
         path = tmp_path / "run.rmq.json"
-        save_tree(tree, path, solution=solve(tree, problem))
+        save_tree(tree, path, solution=sol)
         return path, json.loads(path.read_text())
 
     def test_well_formed_file_loads_with_its_solution(self, saved):
@@ -1003,47 +1055,70 @@ class TestMalformedTreeFiles:
         assert solution == doc["solution"]
 
     @pytest.mark.parametrize(
-        "spoil, message",
+        "spoil, message, version",
         [
-            (lambda doc: doc.pop("layers"), "missing key 'layers'"),
-            (lambda doc: doc["time_grid"].update(n="3"), "number of time steps must be an integer"),
-            (lambda doc: doc["layers"][1].update(step="1"), "layer 1 has step '1'"),
-            (lambda doc: doc["solution"]["values"][1].pop(), "solution values do not match"),
-            (lambda doc: doc["solution"]["controls"][1].pop(), "solution controls do not match"),
-            (lambda doc: doc["layers"][1].update(weights=[math.nan] * 4), "weights must be"),
+            (lambda doc: doc.pop("layers"), "missing key 'layers'", 2),
+            (lambda doc: doc["time_grid"].update(n="3"),
+             "number of time steps must be an integer", 2),
+            (lambda doc: doc["layers"][1].update(step="1"), "layer 1 has step '1'", 2),
+            (lambda doc: doc["solution"]["values"][1].pop(), "solution values do not match", 2),
+            (lambda doc: doc["solution"]["controls"][1].pop(),
+             "solution controls do not match", 2),
+            (lambda doc: doc["layers"][1].update(weights=[math.nan] * 4), "weights must be", 2),
             (lambda doc: doc["transitions"][0].update(entries=[math.nan] * 4),
-             "entries must be finite numbers"),
-            (lambda doc: doc["layers"][2].update(distortion=math.nan), "distortion must be"),
+             "entries must be finite numbers", 1),
+            (lambda doc: doc["layers"][2].update(distortion=math.nan), "distortion must be", 2),
             (lambda doc: doc["solution"]["values"][1].__setitem__(0, "1.5"),
-             "solution values must be finite numbers"),
-            (lambda doc: doc["solution"].update(u0=math.nan), "solution u0 must be a finite"),
+             "solution values must be finite numbers", 2),
+            (lambda doc: doc["solution"].update(u0=math.nan), "solution u0 must be a finite", 2),
             (lambda doc: doc["solution"].update(u0=5.0),
-             "solution u0 5.0 is not the layer-0 value"),
+             "solution u0 5.0 is not the layer-0 value", 2),
             # each of these used to load as the number 1.0 (or the string's value)
             (lambda doc: doc["layers"][0].update(codewords=[True]),
-             "codewords must be finite numbers"),
+             "codewords must be finite numbers", 2),
             (lambda doc: doc["layers"][0].update(weights=[True]),
-             "weights must be finite numbers"),
+             "weights must be finite numbers", 2),
             (lambda doc: doc["transitions"][1].update(
                 entries=[str(x) for x in doc["transitions"][1]["entries"]]),
-             "entries must be finite numbers"),
+             "entries must be finite numbers", 1),
             (lambda doc: doc["layers"][0].update(distortion=True),
-             "distortion must be a finite number, got True"),
+             "distortion must be a finite number, got True", 2),
             (lambda doc: doc["layers"][2]["codewords"].__setitem__(0, 10**400),
-             "int too large to convert to float"),
+             "int too large to convert to float", 2),
             (lambda doc: doc["layers"][1].update(codewords=[], weights=[]),
-             "codewords must be a nonempty 1-d array"),
-            (lambda doc: doc["transitions"][1].update(shape=[16]), "entries must be a matrix"),
+             "codewords must be a nonempty 1-d array", 2),
+            (lambda doc: doc["transitions"][1].update(shape=[16]), "entries must be a matrix", 2),
             (lambda doc: doc["transitions"][1].update(entries=[0.5] * 8, shape=[4, 2]),
-             "transition 1 shape does not match its layers"),
-            (lambda doc: doc["transitions"][1].update(step=2), "transition 1 has step 2"),
+             "transition 1 shape does not match its layers", 1),
+            (lambda doc: doc["transitions"][1].update(step=2), "transition 1 has step 2", 2),
             # each of these used to load as the integer 1
-            (lambda doc: doc.update(version=True), "unsupported tree format version True"),
-            (lambda doc: doc.update(version=1.0), "unsupported tree format version 1.0"),
-            (lambda doc: doc["layers"][1].update(step=True), "layer 1 has step True"),
-            (lambda doc: doc["layers"][1].update(step=1.0), "layer 1 has step 1.0"),
+            (lambda doc: doc.update(version=True), "unsupported tree format version True", 2),
+            (lambda doc: doc.update(version=1.0), "unsupported tree format version 1.0", 2),
+            (lambda doc: doc["layers"][1].update(step=True), "layer 1 has step True", 2),
+            (lambda doc: doc["layers"][1].update(step=1.0), "layer 1 has step 1.0", 2),
             (lambda doc: doc["transitions"][1].update(step=True),
-             "transition 1 has step True"),
+             "transition 1 has step True", 2),
+            # version 2 stores entries as base64 of little-endian float64 bytes
+            (lambda doc: doc["transitions"][1].update(entries=[0.25] * 16),
+             "entries must be a base64 string, got list", 2),
+            (lambda doc: doc["transitions"][1].update(
+                entries="*" + doc["transitions"][1]["entries"][1:]),
+             "entries must be base64", 2),
+            (lambda doc: doc["transitions"][1].update(
+                entries="\u00e9" + doc["transitions"][1]["entries"][1:]),
+             "entries must be base64", 2),
+            (lambda doc: doc["transitions"][1].update(entries=b64_float64s([0.25] * 15)),
+             r"entries hold 120 bytes, not 128 for shape \[4, 4\]", 2),
+            (lambda doc: doc["transitions"][1].update(entries=b64_float64s([0.25] * 17)),
+             r"entries hold 136 bytes, not 128 for shape \[4, 4\]", 2),
+            (lambda doc: doc["transitions"][1].update(
+                entries=b64_float64s([math.nan] + [0.25] * 15)),
+             "entries must be finite numbers", 2),
+            (lambda doc: doc["transitions"][1].update(
+                entries=b64_float64s([0.25] * 15 + [math.inf])),
+             "entries must be finite numbers", 2),
+            (lambda doc: doc["transitions"][1].update(entries=b64_float64s([0.25] * 16)),
+             "entries must be finite numbers", 1),
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
              "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0",
@@ -1051,10 +1126,16 @@ class TestMalformedTreeFiles:
              "boolean-codeword", "boolean-weight", "string-entries", "boolean-distortion",
              "huge-integer", "empty-codewords", "flat-entries", "row-stochastic-misfit",
              "wrong-transition-step", "boolean-version", "float-version", "boolean-step",
-             "float-step", "boolean-transition-step"],
+             "float-step", "boolean-transition-step",
+             "list-entries-in-v2", "non-base64-character", "non-ascii-character",
+             "short-byte-count", "long-byte-count", "encoded-nan", "encoded-inf",
+             "base64-entries-in-v1"],
     )
-    def test_is_a_value_error_naming_the_file(self, saved, spoil, message):
+    def test_is_a_value_error_naming_the_file(self, saved, tree_and_solution, spoil,
+                                              message, version):
         path, doc = saved
+        if version == 1:
+            doc = tree_document(*tree_and_solution, version=1)
         spoil(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"run\.rmq\.json: {message}"):
