@@ -16,8 +16,20 @@ median and quartiles per metric, the number of pairs the change won (ties
 count for neither side), and the largest relative u0 difference between the
 two sides. Quartiles are ``statistics.quantiles(values, n=4)``, the
 definition ``perfbench/steadiness.py`` reports spreads with. Workloads
-default to all of ``BENCHMARK.json``, and each metric's better direction is
-taken from it.
+default to all of ``BENCHMARK.json``, and each metric's better direction and
+bound are taken from it.
+
+Each metric's summary also states a verdict, and the last lines printed give
+one per workload and metric. The bound is a share of the parent's median,
+and so is the parent's spread, the distance between its quartiles:
+
+- ``gain``: the change wins at least 9 of 10 pairs and its median is better
+  than the parent's by more than the parent's spread;
+- ``regression``: the change's median is worse by more than the bound;
+- ``unresolved``: the parent's spread is wider than the bound;
+- ``flat`` otherwise.
+
+The first rule that holds gives the verdict.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -50,6 +63,7 @@ def parse_args(argv=None):
         ap.error("--pairs must be at least 1")
     args.workload = args.workload or [w["name"] for w in spec["workloads"]]
     args.better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    args.bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     args.seconds = spec["run_seconds"]
     return args
 
@@ -89,7 +103,29 @@ def spread(values) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs, better: dict) -> dict:
+def share(diff: float, base: float) -> float:
+    """``diff`` as a share of ``|base|``; 0 for no difference, inf on a base of 0."""
+    if diff == 0:
+        return 0.0
+    return diff / abs(base) if base else math.copysign(math.inf, diff)
+
+
+def verdict(better: str, bound: float, wins: int, pairs: int, parent: dict,
+            change: dict) -> str:
+    """The module docstring's rule for one metric of one workload."""
+    sign = 1.0 if better == "lower" else -1.0
+    worse = sign * (change["median"] - parent["median"])  # > 0: the change is worse
+    width = parent["q3"] - parent["q1"]
+    if 10 * wins >= 9 * pairs and -worse > width:
+        return "gain"
+    if share(worse, parent["median"]) > bound:
+        return "regression"
+    if share(width, parent["median"]) > bound:
+        return "unresolved"
+    return "flat"
+
+
+def summarize(runs, better: dict, bound: dict) -> dict:
     out = {}
     for name, direction in better.items():
         sides = {side: [r["metrics"][name] for r in runs if r["side"] == side]
@@ -97,8 +133,11 @@ def summarize(runs, better: dict) -> dict:
         wins = 0
         for p, c in zip(sides["parent"], sides["change"]):
             wins += (c < p) if direction == "lower" else (c > p)
-        out[name] = {"better": direction, "wins": wins, "pairs": len(sides["change"]),
-                     "parent": spread(sides["parent"]), "change": spread(sides["change"])}
+        parent, change = spread(sides["parent"]), spread(sides["change"])
+        pairs = len(sides["change"])
+        out[name] = {"better": direction, "wins": wins, "pairs": pairs,
+                     "parent": parent, "change": change, "bound": bound[name],
+                     "verdict": verdict(direction, bound[name], wins, pairs, parent, change)}
     return out
 
 
@@ -145,7 +184,7 @@ def main(argv=None) -> int:
             first = {side: next(r for r in runs if r["side"] == side) for side in sides}
             doc["env"] = first["change"]["env"]
             doc["workloads"][workload] = {
-                "summary": summarize(runs, args.better),
+                "summary": summarize(runs, args.better, args.bound),
                 "u0_agreement": u0_agreement(first["parent"]["u0"], first["change"]["u0"]),
                 "runs": [{k: r[k] for k in ("pair", "side", "first", "metrics",
                                              "attempted", "failed")} for r in runs],
@@ -153,6 +192,12 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")
+    for workload, entry in doc["workloads"].items():
+        for name, m in entry["summary"].items():
+            p, c = m["parent"], m["change"]
+            print(f"{workload} {name}: {m['verdict']} (parent {p['median']:.6g} "
+                  f"[{p['q1']:.6g}, {p['q3']:.6g}], change {c['median']:.6g}, "
+                  f"{m['wins']}/{m['pairs']} pairs won, bound {m['bound']})")
     return 0
 
 

@@ -75,7 +75,9 @@ def run_sweep(
     """Solve every (N, n) cell of the sweep; failures are recorded in place.
 
     Cells run one after another, N-major, so each timing is that cell's own
-    build and solve time, up to the failure for a failed cell.
+    build and solve time, up to the failure for a failed cell. A sweep holds
+    one tree at a time: no name keeps a cell's tree or solution past the
+    read of its u0, so the next cell's build starts after it is freed.
     """
     qs, ss = spec.quantizer_counts, spec.step_counts
     values = np.full((len(qs), len(ss)), np.nan)
@@ -86,8 +88,10 @@ def run_sweep(
         for j, n in enumerate(ss):
             t0 = time.perf_counter()
             try:
-                tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, settings)
-                values[i, j] = bsde_solver.solve(tree, problem).u0
+                grid = rmq.TimeGrid(n, problem.T)
+                values[i, j] = bsde_solver.solve(
+                    rmq.build_tree(problem, grid, N, settings), problem
+                ).u0
             except Exception as exc:  # noqa: BLE001 - recorded per cell
                 errors[(N, n)] = f"{type(exc).__name__}: {exc}"
             timings[i, j] = time.perf_counter() - t0

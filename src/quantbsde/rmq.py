@@ -312,8 +312,11 @@ class _Mixture:
     of the kernel's two moment products (``q`` for the density table, ``r``
     for the cell masses), and the K x (n+1) tables and the cdf's work
     arrays, allocated once per layer instead of once per kernel call. The
-    cell masses ``raw`` (K x n) reuse the memory of the density table ``P``
-    once it is spent.
+    cell masses ``raw`` (K x n) reuse the first K x n doubles of the density
+    table ``P`` once it is spent. ``P`` is its own block, apart from the
+    other tables: ``_normalized_transition`` normalizes ``raw`` in place and
+    the layer's transition keeps it, so a stored transition pins ``P``
+    alone, and the rest is freed with the mixture.
     """
 
     def __init__(self, means, stds, probs, n: int):
@@ -328,7 +331,8 @@ class _Mixture:
         self.q = np.array([p * v, p * v * mc, p / v])
         self.r = np.array([p, p * mc, p * e2])
         shape = (m.size, n + 1)
-        self.C, self.P = np.empty((2,) + shape)
+        self.C = np.empty(shape)
+        self.P = np.empty(shape)
         self.raw = self.P.reshape(-1)[: m.size * n].reshape(m.size, n)
         self.band, self.above = np.empty((2,) + shape, dtype=bool)
         self.cdf = CdfBuffers(m.size * (n + 1))
@@ -537,7 +541,11 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
 
     Rows telescope to 1 up to roundoff; they are renormalized if off by at
     most 1e-10 and rejected otherwise, since a larger defect means the grid
-    or cdf is broken upstream.
+    or cdf is broken upstream. The check runs before ``raw`` is touched.
+    ``raw`` is then divided in place and becomes the entries, so no copy is
+    made: a ``raw`` from ``_mixture_stats`` is a view of the mixture's
+    density table ``P``, which the transition then keeps, and the mixture
+    must not run the kernel again.
     """
     sums = raw.sum(axis=1)
     if not np.max(np.abs(sums - 1.0)) <= 1e-10:
@@ -545,7 +553,8 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
             f"transition row sums off by {np.max(np.abs(sums - 1.0)):.3e} "
             f"at step {step}; upstream grid or cdf bug"
         )
-    return TransitionMatrix(step, raw / sums[:, None])
+    raw /= sums[:, None]
+    return TransitionMatrix(step, raw)
 
 
 def _quantize_layer(
@@ -561,7 +570,7 @@ def _quantize_layer(
     """
     x0 = _quantile_start(mix) if start is None else start
     x, dist, raw = _optimize_codewords(mix, x0, settings, prev.step + 1)
-    tr = _normalized_transition(prev.step, raw)  # copies raw out of mix
+    tr = _normalized_transition(prev.step, raw)  # keeps raw, a view of mix.P
     return QuantizedLayer(prev.step + 1, x, prev.weights @ tr.entries, dist), tr
 
 
@@ -755,7 +764,9 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     whose ``values``/``controls`` do not match the layer sizes or whose u0
     is not its first layer-0 value raises ValueError naming ``path``. The
     version and the step labels are JSON integers, so not ``true`` or
-    ``1.0``. Every other number read is finite: v2 entries through
+    ``1.0``, and each transition's shape is two of them, neither negative
+    (``_matrix_shape``), checked before its entries are decoded. Every other
+    number read is finite: v2 entries through
     ``_float64s``, and JSON numbers, each an int or float but not a
     boolean, through ``_numbers`` (lists) and ``_finite_number``
     (distortions and u0). Top-level keys other than those above are ignored.
@@ -816,9 +827,18 @@ def _float64s(name: str, text, shape) -> np.ndarray:
     return x
 
 
+def _matrix_shape(shape) -> list[int]:
+    """A transition's ``shape`` if it is a list of two JSON integers, each at
+    least 0 (``_integer``); ValueError otherwise. Checked before the entries
+    are decoded, so a -1 is not inferred by ``reshape``."""
+    if not (isinstance(shape, list) and len(shape) == 2):
+        raise ValueError(f"entries must be a matrix, got shape {shape!r}")
+    return [_integer("transition shape", size, 0) for size in shape]
+
+
 def _tree_from_doc(doc: dict, matrix) -> QuantizationTree:
     """The tree of ``doc``; ``matrix(name, entries, shape)`` decodes each
-    transition's entries."""
+    transition's entries, once ``_matrix_shape`` has checked its shape."""
     tg = TimeGrid(doc["time_grid"]["n"], doc["time_grid"]["T"])
     layers = [
         QuantizedLayer(la["step"], _numbers("codewords", la["codewords"]),
@@ -826,7 +846,9 @@ def _tree_from_doc(doc: dict, matrix) -> QuantizationTree:
         for la in doc["layers"]
     ]
     transitions = [
-        TransitionMatrix(tr["step"], matrix("entries", tr["entries"], tr["shape"]))
+        TransitionMatrix(
+            tr["step"], matrix("entries", tr["entries"], _matrix_shape(tr["shape"]))
+        )
         for tr in doc["transitions"]
     ]
     return QuantizationTree(tg, layers, transitions)

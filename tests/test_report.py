@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ class TestRunSweep:
         assert "RuntimeError: injected failure" in result.errors[(13, 4)]
         assert np.isfinite(result.values[0, 0])
         assert np.isnan(result.values[1, 0])
+
+    def test_one_tree_alive_at_a_time(self, bs_problem, monkeypatch):
+        # each build starts only once every earlier cell's tree is freed; an
+        # assertion failing inside the build is recorded as that cell's error
+        real, trees = rmq_mod.build_tree, []
+
+        def recorded(problem, grid, N, settings=None):
+            alive = [i for i, ref in enumerate(trees) if ref() is not None]
+            assert not alive, f"trees {alive} alive at build {len(trees)}"
+            tree = real(problem, grid, N, settings)
+            trees.append(weakref.ref(tree))
+            return tree
+
+        monkeypatch.setattr(rmq_mod, "build_tree", recorded)
+        result = run_sweep(SweepSpec(bs_problem, (5, 8), (4, 6)))
+        assert result.errors == {}
+        assert len(trees) == 4 and all(ref() is None for ref in trees)
 
     def test_sweep_spec_validation(self, bs_problem):
         with pytest.raises(ValueError):

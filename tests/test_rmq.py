@@ -771,6 +771,20 @@ class TestBuildTree:
         for ta, tb in zip(a.transitions, b.transitions):
             assert np.array_equal(ta.entries, tb.entries)
 
+    def test_each_transition_owns_one_k_by_n_plus_1_block(self):
+        # a transition keeps at most the kernel's density table of its
+        # layer, K x (N+1) doubles, and no other transition's memory
+        tree = build_tree(gbm_problem(), TimeGrid(8, 0.25), 20)
+        for tr in tree.transitions:
+            K, N = tr.entries.shape
+            owner = tr.entries
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes <= 8 * K * (N + 1)
+        for i, a in enumerate(tree.transitions):
+            for b in tree.transitions[i + 1:]:
+                assert not np.shares_memory(a.entries, b.entries)
+
     def test_rejects_empty_codebook(self):
         with pytest.raises(ValueError):
             build_tree(gbm_problem(), TimeGrid(5, 0.25), 0)
@@ -1119,6 +1133,16 @@ class TestMalformedTreeFiles:
              "entries must be finite numbers", 2),
             (lambda doc: doc["transitions"][1].update(entries=b64_float64s([0.25] * 16)),
              "entries must be finite numbers", 1),
+            # the shape is checked before either decoder runs: v1 used to
+            # infer the -1, and v2 quoted a byte count of -32
+            *[(lambda doc, shape=shape: doc["transitions"][1].update(shape=shape), message,
+               version)
+              for shape, message in (
+                  ([-1, 4], "transition shape must be at least 0, got -1"),
+                  ([True, 4], "transition shape must be an integer, got True"),
+                  ([4.0, 4], "transition shape must be an integer, got 4.0"),
+                  ([4, 4, 1], r"entries must be a matrix, got shape \[4, 4, 1\]"))
+              for version in (1, 2)],
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
              "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0",
@@ -1129,7 +1153,9 @@ class TestMalformedTreeFiles:
              "float-step", "boolean-transition-step",
              "list-entries-in-v2", "non-base64-character", "non-ascii-character",
              "short-byte-count", "long-byte-count", "encoded-nan", "encoded-inf",
-             "base64-entries-in-v1"],
+             "base64-entries-in-v1",
+             *[f"{kind}-shape-in-v{version}" for kind in ("negative", "boolean", "float",
+                                                         "three-entry") for version in (1, 2)]],
     )
     def test_is_a_value_error_naming_the_file(self, saved, tree_and_solution, spoil,
                                               message, version):
