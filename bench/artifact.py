@@ -19,6 +19,9 @@ first alternates from round to round. Every artifact is then decoded
 through this checkout's ``load_tree`` and hashed (``tree_sha256``: the
 arrays' bytes and the solution's JSON text), so ``same_tree`` says whether
 all of them hold bit-identical trees and solutions, whatever their format.
+A file that this checkout cannot decode (a format version it does not read)
+records ``tree_sha256`` null and the reader's message as ``tree_error``,
+and makes ``same_tree`` false.
 The script exits 1 if any two artifacts differ in sha256 (``same_bytes``),
 so a writer change that alters the file shows.
 """
@@ -136,7 +139,10 @@ def main(argv=None) -> int:
             for side in order:
                 path = Path(tmp) / f"{side}-{i}.rmq.json"
                 runs[side].append(measure_in_child(sides[side], path))
-                runs[side][-1]["tree_sha256"] = tree_sha256(path)
+                try:
+                    runs[side][-1]["tree_sha256"] = tree_sha256(path)
+                except ValueError as exc:
+                    runs[side][-1].update(tree_sha256=None, tree_error=str(exc))
                 path.unlink()
     for side, rounds in runs.items():
         doc.setdefault(side, {})["rounds"] = rounds
@@ -145,10 +151,11 @@ def main(argv=None) -> int:
               + f"; VmHWM {rounds[0]['vmhwm_kb_before_save'] / 1024:.1f} -> "
               + ", ".join(f"{r['vmhwm_kb_after_save'] / 1024:.1f}" for r in rounds)
               + f" MB; sha256 {rounds[0]['sha256'][:16]}"
-              + f"; tree_sha256 {rounds[0]['tree_sha256'][:16]}", file=sys.stderr)
+              + f"; tree_sha256 {str(rounds[0]['tree_sha256'])[:16]}", file=sys.stderr)
     every = [r for rounds in runs.values() for r in rounds]
     doc["same_bytes"] = len({r["sha256"] for r in every}) == 1
-    doc["same_tree"] = len({r["tree_sha256"] for r in every}) == 1
+    trees = {r["tree_sha256"] for r in every}
+    doc["same_tree"] = len(trees) == 1 and None not in trees
     print(f"same_bytes {doc['same_bytes']}, same_tree {doc['same_tree']}", file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -5,9 +5,8 @@ A decoupled FBSDE here is: a scalar forward diffusion
 ``(U, V)`` with terminal condition ``U_T = h(Y_T)`` and generator
 ``f(t, y, u, v)``. The built-in models, registered by name in ``MODELS``,
 are geometric Brownian motion with a discounting driver (vanilla call
-pricing/hedging), the same call with no driver (a diagnostic whose u0 is
-the quantized terminal expectation), and a two-rate borrowing/lending model
-with a bull-spread payoff, whose driver is genuinely nonlinear in ``(u, v)``.
+pricing/hedging) and a two-rate borrowing/lending model with a bull-spread
+payoff, whose driver is genuinely nonlinear in ``(u, v)``.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ __all__ = [
     "FbsdeProblem",
     "BlackScholesParams",
     "BergmanParams",
-    "GbmParams",
     "ModelSpec",
     "MODELS",
     "make_black_scholes",
     "make_bergman",
-    "make_gbm",
     "bs_price",
     "bs_control",
 ]
@@ -123,19 +120,6 @@ class BergmanParams:
             raise ValueError("strikes must satisfy 0 < strike_low < strike_high")
 
 
-@dataclass(frozen=True)
-class GbmParams:
-    """Drift, volatility and strike of the driverless call: finite numbers,
-    with ``sigma`` and ``strike`` positive (``_check_numbers``)."""
-
-    mu: float
-    sigma: float
-    strike: float
-
-    def __post_init__(self) -> None:
-        _check_numbers(self, positive=("sigma", "strike"))
-
-
 def _gbm_problem(p, mu, driver, terminal, T, y0, label: str, control=None) -> FbsdeProblem:
     """Geometric Brownian motion ``b(y) = mu y``, ``sigma(y) = p.sigma y``
     under ``driver`` and ``terminal``, with the default diffusion floor
@@ -156,13 +140,6 @@ def _gbm_problem(p, mu, driver, terminal, T, y0, label: str, control=None) -> Fb
     return FbsdeProblem(drift, diffusion, driver, terminal, T, y0, floor, label, asdict(p), control)
 
 
-def _call_payoff(strike: float) -> Callable:
-    def terminal(y):
-        return np.maximum(np.asarray(y, dtype=float) - strike, 0.0)
-
-    return terminal
-
-
 def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProblem:
     """Call option under geometric Brownian motion with rate-``r`` drift.
 
@@ -173,12 +150,14 @@ def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProbl
     delta-hedge scaled by ``sigma y``, ``bs_control``. Raises ValueError
     unless y0 > 0.
     """
-    r = p.rate
+    r, K = p.rate, p.strike
 
     def driver(t, y, u, v):
         return -r * np.asarray(u, dtype=float)
 
-    terminal = _call_payoff(p.strike)
+    def terminal(y):
+        return np.maximum(np.asarray(y, dtype=float) - K, 0.0)
+
     return _gbm_problem(p, r, driver, terminal, T, y0, "black-scholes", partial(bs_control, p))
 
 
@@ -210,20 +189,6 @@ def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:
         return np.maximum(y - K1, 0.0) - 2.0 * np.maximum(y - K2, 0.0)
 
     return _gbm_problem(p, mu, driver, terminal, T, y0, "bergman")
-
-
-def _zero_driver(t, y, u, v):
-    return np.zeros_like(np.asarray(u, dtype=float))
-
-
-def make_gbm(p: GbmParams, T: float, y0: float) -> FbsdeProblem:
-    """Call payoff under geometric Brownian motion with drift ``mu``, no driver.
-
-    The forward part and payoff are those of ``make_black_scholes`` with
-    ``rate = mu``; the driver is zero, so u0 equals the quantized terminal
-    expectation exactly. Raises ValueError unless y0 > 0.
-    """
-    return _gbm_problem(p, p.mu, _zero_driver, _call_payoff(p.strike), T, y0, "gbm")
 
 
 class ModelSpec(NamedTuple):
@@ -258,9 +223,6 @@ MODELS = {
         },
         0.25,
         100.0,
-    ),
-    "gbm": ModelSpec(
-        GbmParams, make_gbm, {"mu": 0.05, "sigma": 0.2, "strike": 100.0}, 1.0, 100.0
     ),
 }
 

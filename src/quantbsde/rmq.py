@@ -176,7 +176,8 @@ class QuantizedLayer:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic one-step transition probabilities between codebooks."""
+    """Row-stochastic one-step transition probabilities between codebooks:
+    a matrix with no empty dimension."""
 
     step: int
     entries: np.ndarray
@@ -186,6 +187,8 @@ class TransitionMatrix:
         object.__setattr__(self, "entries", e)
         if e.ndim != 2:
             raise ValueError("entries must be a matrix")
+        if 0 in e.shape:
+            raise ValueError(f"entries must not be empty, got shape {e.shape}")
         if not np.all((e >= 0) & (e <= 1)):
             raise ValueError("entries must lie in [0, 1]")
         if not np.max(np.abs(e.sum(axis=1) - 1.0)) <= 1e-10:
@@ -697,7 +700,7 @@ def build_tree(
 
 
 _FORMAT = "quantbsde-tree"
-_VERSION = 2  # written; load_tree also reads version 1
+_VERSION = 2  # the one version save_tree writes and load_tree reads
 
 
 def save_tree(tree: QuantizationTree, path, solution=None) -> None:
@@ -755,21 +758,18 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
 def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     """Load a serialized tree; returns (tree, solution-dict-or-None).
 
-    Reads the version-2 files ``save_tree`` writes and the version-1 files
-    of earlier releases, whose transition entries are a flat row-major list
-    of JSON numbers. The decoder follows the file's ``version``: a v2
-    ``entries`` must be base64 (``_float64s``), a v1 one a list of numbers
-    (``_numbers``). A file that is not tree JSON of either version, lacks a
-    key, holds a field of the wrong type or value, or carries a solution
-    whose ``values``/``controls`` do not match the layer sizes or whose u0
-    is not its first layer-0 value raises ValueError naming ``path``. The
-    version and the step labels are JSON integers, so not ``true`` or
-    ``1.0``, and each transition's shape is two of them, neither negative
-    (``_matrix_shape``), checked before its entries are decoded. Every other
-    number read is finite: v2 entries through
-    ``_float64s``, and JSON numbers, each an int or float but not a
-    boolean, through ``_numbers`` (lists) and ``_finite_number``
-    (distortions and u0). Top-level keys other than those above are ignored.
+    Reads the version-2 files ``save_tree`` writes, whose transition
+    entries are base64 (``_float64s``). A file that is not tree JSON, is of
+    another version, lacks a key, holds a field of the wrong type or value,
+    or carries a solution whose ``values``/``controls`` do not match the
+    layer sizes or whose u0 is not its first layer-0 value raises ValueError
+    naming ``path``. The version and the step labels are JSON integers, so
+    not ``true`` or ``2.0``, and each transition's shape is two of them,
+    neither negative (``_matrix_shape``), checked before its entries are
+    decoded. Every other number read is finite: transition entries through
+    ``_float64s``, and JSON numbers, each an int or float but not a boolean,
+    through ``_numbers`` (lists) and ``_finite_number`` (distortions and
+    u0). Top-level keys other than those above are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -779,10 +779,10 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a quantization-tree file: {path}")
     version = doc.get("version")
-    if type(version) is not int or version not in (1, _VERSION):
+    if type(version) is not int or version != _VERSION:
         raise ValueError(f"{path}: unsupported tree format version {version!r}")
     try:
-        tree = _tree_from_doc(doc, _numbers_matrix if version == 1 else _float64s)
+        tree = _tree_from_doc(doc)
         solution = doc.get("solution")
         if solution is not None:
             _check_solution(solution, tree)
@@ -803,15 +803,11 @@ def _numbers(name: str, items) -> np.ndarray:
     raise ValueError(f"{name} must be finite numbers")
 
 
-def _numbers_matrix(name: str, items, shape) -> np.ndarray:
-    """A v1 matrix: ``_numbers`` of the flat row-major ``items``, reshaped."""
-    return _numbers(name, items).reshape(shape)
-
-
 def _float64s(name: str, text, shape) -> np.ndarray:
-    """A v2 matrix: ``text`` decoded as base64 of the row-major little-endian
-    float64 bytes of an array of ``shape``, if it holds 8 bytes per element
-    and every value is finite; ValueError naming ``name`` otherwise."""
+    """A transition matrix: ``text`` decoded as base64 of the row-major
+    little-endian float64 bytes of an array of ``shape``, if it holds 8 bytes
+    per element and every value is finite; ValueError naming ``name``
+    otherwise."""
     if not isinstance(text, str):
         raise ValueError(f"{name} must be a base64 string, got {type(text).__name__}")
     try:
@@ -830,15 +826,15 @@ def _float64s(name: str, text, shape) -> np.ndarray:
 def _matrix_shape(shape) -> list[int]:
     """A transition's ``shape`` if it is a list of two JSON integers, each at
     least 0 (``_integer``); ValueError otherwise. Checked before the entries
-    are decoded, so a -1 is not inferred by ``reshape``."""
+    are decoded, whose byte count it sets."""
     if not (isinstance(shape, list) and len(shape) == 2):
         raise ValueError(f"entries must be a matrix, got shape {shape!r}")
     return [_integer("transition shape", size, 0) for size in shape]
 
 
-def _tree_from_doc(doc: dict, matrix) -> QuantizationTree:
-    """The tree of ``doc``; ``matrix(name, entries, shape)`` decodes each
-    transition's entries, once ``_matrix_shape`` has checked its shape."""
+def _tree_from_doc(doc: dict) -> QuantizationTree:
+    """The tree of ``doc``; ``_float64s`` decodes each transition's entries,
+    once ``_matrix_shape`` has checked its shape."""
     tg = TimeGrid(doc["time_grid"]["n"], doc["time_grid"]["T"])
     layers = [
         QuantizedLayer(la["step"], _numbers("codewords", la["codewords"]),
@@ -847,7 +843,7 @@ def _tree_from_doc(doc: dict, matrix) -> QuantizationTree:
     ]
     transitions = [
         TransitionMatrix(
-            tr["step"], matrix("entries", tr["entries"], _matrix_shape(tr["shape"]))
+            tr["step"], _float64s("entries", tr["entries"], _matrix_shape(tr["shape"]))
         )
         for tr in doc["transitions"]
     ]

@@ -13,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 try:
@@ -85,28 +84,6 @@ class TestSolve:
         assert len(solution["controls"]) == 6
         assert len(solution["values"][3]) == 10
 
-    def test_driverless_model_reduces_to_terminal_expectation(self, capsys, tmp_path):
-        out_path = tmp_path / "gbm.rmq.json"
-        code, out, _ = run_cli(
-            capsys,
-            "solve",
-            "--model",
-            "gbm",
-            "--steps",
-            "10",
-            "--quantizers",
-            "15",
-            "--output",
-            str(out_path),
-        )
-        assert code == 0
-        tree, solution = load_tree(out_path)
-        last = tree.layers[-1]
-        payoff = np.maximum(last.codewords - 100.0, 0.0)
-        assert solution["u0"] == pytest.approx(
-            float(last.weights @ payoff), abs=1e-10
-        )
-
     def test_nonlinear_model_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--model", "bergman", "--steps", "10", "--quantizers", "10"
@@ -116,7 +93,7 @@ class TestSolve:
 
     def test_config_file_drives_the_run(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"model": "gbm", "steps": 4, "quantizers": 5}))
+        cfg.write_text(json.dumps({"model": "bergman", "steps": 4, "quantizers": 5}))
         code, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 0
         assert "u0=" in out
@@ -136,7 +113,7 @@ class TestSolve:
         cfg = tmp_path / "run.json"
         cfg.write_text(
             json.dumps(
-                {"model": "gbm", "steps": 3, "quantizers": 4, "output": str(cfg_out)}
+                {"model": "bergman", "steps": 3, "quantizers": 4, "output": str(cfg_out)}
             )
         )
         code, _, _ = run_cli(
@@ -186,7 +163,7 @@ class TestSweep:
             capsys,
             "sweep",
             "--model",
-            "gbm",
+            "bergman",
             "--quantizers",
             "5,8",
             "--steps",
@@ -205,7 +182,7 @@ class TestSweep:
         assert rows[0] == ["N", "4", "6"]
         assert len(rows) == 3
         sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
-        assert sidecar["model"] == "gbm"
+        assert sidecar["model"] == "bergman"
         assert sidecar["step_counts"] == [4, 6]
 
     def test_failing_cells_are_reported_and_kept_in_the_artifacts(self, capsys, tmp_path):
@@ -285,22 +262,21 @@ class TestHedge:
         assert err == "error: hedge step must be in 0..3, got 4\n"
 
     def test_models_without_closed_form_are_rejected(self, capsys, builds):
-        for model in ("bergman", "gbm"):
-            code, _, err = run_cli(
-                capsys,
-                "hedge",
-                "--model",
-                model,
-                "--steps",
-                "5",
-                "--quantizers",
-                "5",
-                "--hedge-steps",
-                "1",
-            )
-            assert builds == []  # checked before the build
-            assert code == 2
-            assert "black-scholes" in err
+        code, _, err = run_cli(
+            capsys,
+            "hedge",
+            "--model",
+            "bergman",
+            "--steps",
+            "5",
+            "--quantizers",
+            "5",
+            "--hedge-steps",
+            "1",
+        )
+        assert builds == []  # checked before the build
+        assert code == 2
+        assert "black-scholes" in err
 
 
 class TestValidation:
@@ -336,7 +312,7 @@ class TestValidation:
         assert code == 2
         assert "at least 1" in err
 
-    @pytest.mark.parametrize("model", ["black-scholes", "bergman", "gbm"])
+    @pytest.mark.parametrize("model", ["black-scholes", "bergman"])
     @pytest.mark.parametrize(
         "bad, key",
         [
@@ -460,7 +436,7 @@ class TestReadmeConfig:
 
 
 class TestConsoleScript:
-    ARGS = ["solve", "--model", "gbm", "--steps", "3", "--quantizers", "4"]
+    ARGS = ["solve", "--model", "bergman", "--steps", "3", "--quantizers", "4"]
 
     def test_installed_entry_point(self, tmp_path):
         """The `quantbsde` script target runs the CLI in a fresh interpreter.

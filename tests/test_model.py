@@ -11,12 +11,10 @@ from quantbsde import (
     BergmanParams,
     BlackScholesParams,
     FbsdeProblem,
-    GbmParams,
     bs_control,
     bs_price,
     make_bergman,
     make_black_scholes,
-    make_gbm,
 )
 
 from oracles import BS_CONTROL_ATM, BS_PRICE_ATM, quad_call_price
@@ -206,24 +204,6 @@ class TestBergmanProblem:
         assert self.problem.control is None
 
 
-class TestGbmProblem:
-    def test_call_model_without_a_driver(self):
-        gbm = make_gbm(GbmParams(mu=0.05, sigma=0.2, strike=100.0), T=1.0, y0=100.0)
-        bs = make_black_scholes(BlackScholesParams(0.05, 0.2, 100.0), T=1.0, y0=100.0)
-        y = np.array([50.0, 100.0, 150.0])
-        for name in ("drift", "diffusion", "terminal"):
-            assert np.array_equal(getattr(gbm, name)(y), getattr(bs, name)(y))
-        assert np.array_equal(gbm.driver(0.0, y, y, y), np.zeros(3))
-        assert gbm.diffusion_floor == bs.diffusion_floor
-        assert gbm.label == "gbm"
-        assert gbm.params == {"mu": 0.05, "sigma": 0.2, "strike": 100.0}
-        assert gbm.control is None
-
-    def test_parameters_are_checked_as_the_call_model(self):
-        with pytest.raises(ValueError, match="sigma"):
-            make_gbm(GbmParams(mu=0.05, sigma=-0.2, strike=100.0), T=1.0, y0=100.0)
-
-
 class TestRegistry:
     @pytest.mark.parametrize("name", list(MODELS))
     def test_defaults_build_the_named_model(self, name):
@@ -249,13 +229,8 @@ class TestRegistry:
                     ("strike_high", 105.0),
                 ],
             ),
-            (
-                make_gbm,
-                GbmParams(mu=0.05, sigma=0.2, strike=100.0),
-                [("mu", 0.05), ("sigma", 0.2), ("strike", 100.0)],
-            ),
         ],
-        ids=["black-scholes", "bergman", "gbm"],
+        ids=["black-scholes", "bergman"],
     )
     def test_params_keep_their_keys_and_order(self, factory, params, want):
         # the sweep's JSON sidecar writes this dict as it stands
@@ -297,8 +272,7 @@ class TestParameterValidation:
 
     @pytest.mark.parametrize("T", [True, math.inf, "1.0"])
     def test_horizon_must_be_a_finite_number(self, T):
-        gbm = GbmParams(mu=0.05, sigma=0.2, strike=100.0)
-        cases = [(make_black_scholes, BS), (make_gbm, gbm), (make_bergman, BERGMAN)]
+        cases = [(make_black_scholes, BS), (make_bergman, BERGMAN)]
         for factory, params in cases:
             with pytest.raises(ValueError, match="T"):
                 factory(params, T, 100.0)
@@ -307,8 +281,7 @@ class TestParameterValidation:
 
     @pytest.mark.parametrize("y0", [-5.0, 0.0, math.nan, math.inf, True, "100"])
     def test_gbm_models_reject_a_nonpositive_start(self, y0):
-        gbm = GbmParams(mu=0.05, sigma=0.2, strike=100.0)
-        cases = [(make_black_scholes, BS), (make_gbm, gbm), (make_bergman, BERGMAN)]
+        cases = [(make_black_scholes, BS), (make_bergman, BERGMAN)]
         for factory, params in cases:
             with pytest.raises(ValueError, match="y0"):
                 factory(params, 1.0, y0)
@@ -327,8 +300,6 @@ class TestParameterValidation:
     def test_params_must_be_finite_numbers(self, bad):
         with pytest.raises(ValueError, match="sigma"):
             BlackScholesParams(rate=0.04, sigma=bad, strike=100.0)
-        with pytest.raises(ValueError, match="mu"):
-            GbmParams(mu=bad, sigma=0.2, strike=100.0)
         with pytest.raises(ValueError, match="lend_rate"):
             BergmanParams(0.05, 0.2, bad, 0.06, 95.0, 105.0)
 

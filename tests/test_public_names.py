@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "ConvergenceError",
     "DegenerateDiffusionWarning",
     "FbsdeProblem",
-    "GbmParams",
     "HedgeRow",
     "MODELS",
     "ModelSpec",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "load_tree",
     "make_bergman",
     "make_black_scholes",
-    "make_gbm",
     "mixture_distortion",
     "model",
     "normal_cdf",

@@ -1,6 +1,7 @@
 """Sweep orchestration and CSV/JSON emission."""
 
 import csv
+import dataclasses
 import json
 import re
 import time
@@ -14,7 +15,6 @@ from quantbsde import (
     BergmanParams,
     BlackScholesParams,
     FbsdeProblem,
-    GbmParams,
     SweepResult,
     SweepSpec,
     TimeGrid,
@@ -24,7 +24,6 @@ from quantbsde import (
     hedge_compare,
     make_bergman,
     make_black_scholes,
-    make_gbm,
     run_sweep,
     solve,
 )
@@ -157,7 +156,7 @@ class TestHedgeCompare:
             make_bergman(
                 BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0
             ),
-            make_gbm(GbmParams(mu=0.05, sigma=0.2, strike=100.0), T=0.25, y0=100.0),
+            dataclasses.replace(make_black_scholes(BS, T=0.25, y0=100.0), control=None),
         ):
             tree = build_tree(problem, TimeGrid(4, 0.25), 6)
             sol = solve(tree, problem)
@@ -180,9 +179,9 @@ class TestHedgeCompare:
         # the model and step checks come first, as before
         with pytest.raises(ValueError, match=r"must be in 0\.\.9, got 10"):
             hedge_compare(sol, bs_problem, [10])
-        gbm = make_gbm(GbmParams(mu=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0)
+        no_control = dataclasses.replace(bs_problem, control=None)
         with pytest.raises(ValueError, match="black-scholes"):
-            hedge_compare(sol, gbm, [0])
+            hedge_compare(sol, no_control, [0])
 
     def test_rejects_steps_outside_the_control_range(self, bs_problem):
         tree = build_tree(bs_problem, TimeGrid(5, 1.0), 6)

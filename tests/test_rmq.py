@@ -89,17 +89,13 @@ def b64_float64s(values):
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
-def tree_document(tree, sol=None, version=2):
-    """The document of a saved tree, built by hand. Version 2 holds each
-    transition's entries as base64 of their row-major little-endian float64
-    bytes, version 1 as a flat row-major list of JSON numbers."""
-    def entries(e):
-        flat = e.ravel().tolist()
-        return flat if version == 1 else b64_float64s(flat)
-
+def tree_document(tree, sol=None):
+    """The version-2 document of a saved tree, built by hand: each
+    transition's entries are base64 of their row-major little-endian float64
+    bytes."""
     doc = {
         "format": "quantbsde-tree",
-        "version": version,
+        "version": 2,
         "time_grid": {"n": tree.time_grid.n, "T": tree.time_grid.T},
         "layers": [
             {"step": la.step, "codewords": la.codewords.tolist(),
@@ -107,7 +103,8 @@ def tree_document(tree, sol=None, version=2):
             for la in tree.layers
         ],
         "transitions": [
-            {"step": tr.step, "shape": list(tr.entries.shape), "entries": entries(tr.entries)}
+            {"step": tr.step, "shape": list(tr.entries.shape),
+             "entries": b64_float64s(tr.entries.ravel().tolist())}
             for tr in tree.transitions
         ],
     }
@@ -983,30 +980,6 @@ class TestSerialization:
         assert path.read_text(encoding="utf-8") == json.dumps(tree_document(tree, sol))
 
     @pytest.mark.parametrize(
-        "N, n, with_solution",
-        [(6, 8, True), (6, 8, False), (5, 1, True), (5, 1, False), (1, 4, True), (1, 1, False)],
-    )
-    def test_v1_file_loads_bit_for_bit(self, tmp_path, N, n, with_solution):
-        # files of earlier releases hold the entries as a list of JSON numbers
-        problem = gbm_problem()
-        tree = build_tree(problem, TimeGrid(n, 0.25), N)
-        sol = solve(tree, problem) if with_solution else None
-        doc = tree_document(tree, sol, version=1)
-        path = tmp_path / "old.rmq.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        loaded, solution = load_tree(path)
-        assert solution == doc.get("solution")
-        assert loaded.time_grid == tree.time_grid
-        for la, lb in zip(loaded.layers, tree.layers):
-            assert la.step == lb.step
-            assert la.codewords.tobytes() == lb.codewords.tobytes()
-            assert la.weights.tobytes() == lb.weights.tobytes()
-            assert la.distortion == lb.distortion
-        for ta, tb in zip(loaded.transitions, tree.transitions):
-            assert ta.step == tb.step
-            assert ta.entries.tobytes() == tb.entries.tobytes()
-
-    @pytest.mark.parametrize(
         "spoil", ["other-tree", "nan-value", "same-size-tree", "u0-off-layer-0"])
     def test_solution_load_tree_would_reject_is_not_written(self, tmp_path, spoil):
         # the first two files used to be written, and load_tree then rejected
@@ -1069,99 +1042,90 @@ class TestMalformedTreeFiles:
         assert solution == doc["solution"]
 
     @pytest.mark.parametrize(
-        "spoil, message, version",
+        "spoil, message",
         [
-            (lambda doc: doc.pop("layers"), "missing key 'layers'", 2),
+            (lambda doc: doc.pop("layers"), "missing key 'layers'"),
             (lambda doc: doc["time_grid"].update(n="3"),
-             "number of time steps must be an integer", 2),
-            (lambda doc: doc["layers"][1].update(step="1"), "layer 1 has step '1'", 2),
-            (lambda doc: doc["solution"]["values"][1].pop(), "solution values do not match", 2),
+             "number of time steps must be an integer"),
+            (lambda doc: doc["layers"][1].update(step="1"), "layer 1 has step '1'"),
+            (lambda doc: doc["solution"]["values"][1].pop(), "solution values do not match"),
             (lambda doc: doc["solution"]["controls"][1].pop(),
-             "solution controls do not match", 2),
-            (lambda doc: doc["layers"][1].update(weights=[math.nan] * 4), "weights must be", 2),
-            (lambda doc: doc["transitions"][0].update(entries=[math.nan] * 4),
-             "entries must be finite numbers", 1),
-            (lambda doc: doc["layers"][2].update(distortion=math.nan), "distortion must be", 2),
+             "solution controls do not match"),
+            (lambda doc: doc["layers"][1].update(weights=[math.nan] * 4), "weights must be"),
+            (lambda doc: doc["layers"][2].update(distortion=math.nan), "distortion must be"),
             (lambda doc: doc["solution"]["values"][1].__setitem__(0, "1.5"),
-             "solution values must be finite numbers", 2),
-            (lambda doc: doc["solution"].update(u0=math.nan), "solution u0 must be a finite", 2),
+             "solution values must be finite numbers"),
+            (lambda doc: doc["solution"].update(u0=math.nan), "solution u0 must be a finite"),
             (lambda doc: doc["solution"].update(u0=5.0),
-             "solution u0 5.0 is not the layer-0 value", 2),
+             "solution u0 5.0 is not the layer-0 value"),
             # each of these used to load as the number 1.0 (or the string's value)
             (lambda doc: doc["layers"][0].update(codewords=[True]),
-             "codewords must be finite numbers", 2),
+             "codewords must be finite numbers"),
             (lambda doc: doc["layers"][0].update(weights=[True]),
-             "weights must be finite numbers", 2),
-            (lambda doc: doc["transitions"][1].update(
-                entries=[str(x) for x in doc["transitions"][1]["entries"]]),
-             "entries must be finite numbers", 1),
+             "weights must be finite numbers"),
             (lambda doc: doc["layers"][0].update(distortion=True),
-             "distortion must be a finite number, got True", 2),
+             "distortion must be a finite number, got True"),
             (lambda doc: doc["layers"][2]["codewords"].__setitem__(0, 10**400),
-             "int too large to convert to float", 2),
+             "int too large to convert to float"),
             (lambda doc: doc["layers"][1].update(codewords=[], weights=[]),
-             "codewords must be a nonempty 1-d array", 2),
-            (lambda doc: doc["transitions"][1].update(shape=[16]), "entries must be a matrix", 2),
-            (lambda doc: doc["transitions"][1].update(entries=[0.5] * 8, shape=[4, 2]),
-             "transition 1 shape does not match its layers", 1),
-            (lambda doc: doc["transitions"][1].update(step=2), "transition 1 has step 2", 2),
+             "codewords must be a nonempty 1-d array"),
+            (lambda doc: doc["transitions"][1].update(shape=[16]), "entries must be a matrix"),
+            (lambda doc: doc["transitions"][1].update(
+                entries=b64_float64s([0.5] * 8), shape=[4, 2]),
+             "transition 1 shape does not match its layers"),
+            (lambda doc: doc["transitions"][1].update(step=2), "transition 1 has step 2"),
             # each of these used to load as the integer 1
-            (lambda doc: doc.update(version=True), "unsupported tree format version True", 2),
-            (lambda doc: doc.update(version=1.0), "unsupported tree format version 1.0", 2),
-            (lambda doc: doc["layers"][1].update(step=True), "layer 1 has step True", 2),
-            (lambda doc: doc["layers"][1].update(step=1.0), "layer 1 has step 1.0", 2),
+            (lambda doc: doc.update(version=True), "unsupported tree format version True"),
+            (lambda doc: doc.update(version=1.0), "unsupported tree format version 1.0"),
+            (lambda doc: doc["layers"][1].update(step=True), "layer 1 has step True"),
+            (lambda doc: doc["layers"][1].update(step=1.0), "layer 1 has step 1.0"),
             (lambda doc: doc["transitions"][1].update(step=True),
-             "transition 1 has step True", 2),
-            # version 2 stores entries as base64 of little-endian float64 bytes
+             "transition 1 has step True"),
+            # entries are base64 of little-endian float64 bytes
             (lambda doc: doc["transitions"][1].update(entries=[0.25] * 16),
-             "entries must be a base64 string, got list", 2),
+             "entries must be a base64 string, got list"),
             (lambda doc: doc["transitions"][1].update(
                 entries="*" + doc["transitions"][1]["entries"][1:]),
-             "entries must be base64", 2),
+             "entries must be base64"),
             (lambda doc: doc["transitions"][1].update(
                 entries="\u00e9" + doc["transitions"][1]["entries"][1:]),
-             "entries must be base64", 2),
+             "entries must be base64"),
             (lambda doc: doc["transitions"][1].update(entries=b64_float64s([0.25] * 15)),
-             r"entries hold 120 bytes, not 128 for shape \[4, 4\]", 2),
+             r"entries hold 120 bytes, not 128 for shape \[4, 4\]"),
             (lambda doc: doc["transitions"][1].update(entries=b64_float64s([0.25] * 17)),
-             r"entries hold 136 bytes, not 128 for shape \[4, 4\]", 2),
+             r"entries hold 136 bytes, not 128 for shape \[4, 4\]"),
             (lambda doc: doc["transitions"][1].update(
                 entries=b64_float64s([math.nan] + [0.25] * 15)),
-             "entries must be finite numbers", 2),
+             "entries must be finite numbers"),
             (lambda doc: doc["transitions"][1].update(
                 entries=b64_float64s([0.25] * 15 + [math.inf])),
-             "entries must be finite numbers", 2),
-            (lambda doc: doc["transitions"][1].update(entries=b64_float64s([0.25] * 16)),
-             "entries must be finite numbers", 1),
-            # the shape is checked before either decoder runs: v1 used to
-            # infer the -1, and v2 quoted a byte count of -32
-            *[(lambda doc, shape=shape: doc["transitions"][1].update(shape=shape), message,
-               version)
+             "entries must be finite numbers"),
+            (lambda doc: doc.update(version=1), "unsupported tree format version 1$"),
+            (lambda doc: doc["transitions"][1].update(shape=[0, 4], entries=""),
+             r"entries must not be empty, got shape \(0, 4\)"),
+            # the shape is checked before the entries are decoded
+            *[(lambda doc, shape=shape: doc["transitions"][1].update(shape=shape), message)
               for shape, message in (
                   ([-1, 4], "transition shape must be at least 0, got -1"),
                   ([True, 4], "transition shape must be an integer, got True"),
                   ([4.0, 4], "transition shape must be an integer, got 4.0"),
-                  ([4, 4, 1], r"entries must be a matrix, got shape \[4, 4, 1\]"))
-              for version in (1, 2)],
+                  ([4, 4, 1], r"entries must be a matrix, got shape \[4, 4, 1\]"))],
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
-             "nan-weights", "nan-entries", "nan-distortion", "string-value", "nan-u0",
+             "nan-weights", "nan-distortion", "string-value", "nan-u0",
              "u0-off-layer-0",
-             "boolean-codeword", "boolean-weight", "string-entries", "boolean-distortion",
+             "boolean-codeword", "boolean-weight", "boolean-distortion",
              "huge-integer", "empty-codewords", "flat-entries", "row-stochastic-misfit",
              "wrong-transition-step", "boolean-version", "float-version", "boolean-step",
              "float-step", "boolean-transition-step",
              "list-entries-in-v2", "non-base64-character", "non-ascii-character",
              "short-byte-count", "long-byte-count", "encoded-nan", "encoded-inf",
-             "base64-entries-in-v1",
-             *[f"{kind}-shape-in-v{version}" for kind in ("negative", "boolean", "float",
-                                                         "three-entry") for version in (1, 2)]],
+             "version-1", "empty-transition",
+             *[f"{kind}-shape-in-v2" for kind in ("negative", "boolean", "float",
+                                                  "three-entry")]],
     )
-    def test_is_a_value_error_naming_the_file(self, saved, tree_and_solution, spoil,
-                                              message, version):
+    def test_is_a_value_error_naming_the_file(self, saved, spoil, message):
         path, doc = saved
-        if version == 1:
-            doc = tree_document(*tree_and_solution, version=1)
         spoil(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"run\.rmq\.json: {message}"):
@@ -1203,6 +1167,12 @@ class TestDataTypes:
     def test_transition_rejects_bad_row_sums(self):
         with pytest.raises(ValueError):
             TransitionMatrix(0, np.array([[0.5, 0.4]]))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 0), (4, 0)], ids=["0x4", "0x0", "4x0"])
+    def test_transition_rejects_an_empty_matrix(self, shape):
+        with pytest.raises(ValueError) as info:
+            TransitionMatrix(0, np.zeros(shape))
+        assert str(info.value) == f"entries must not be empty, got shape {shape}"
 
     def test_layer_rejects_a_nan_codeword(self):
         # a single codeword has no ordering to violate
