@@ -30,6 +30,12 @@ and so is the parent's spread, the distance between its quartiles:
 - ``flat`` otherwise.
 
 The first rule that holds gives the verdict.
+
+Each run also records ``cpus_usable``, the CPU count of its environment
+line, since a sweep's worker pool gains only where there are two or more.
+The last lines name the counts seen on each side per workload, with a
+warning where a side ran on fewer than 2 or the two sides saw different
+counts; the verdicts and the exit code do not depend on them.
 """
 
 from __future__ import annotations
@@ -95,7 +101,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
-            "u0": detail["u0"], "env": detail["env"]}
+            "u0": detail["u0"], "env": detail["env"],
+            "cpus_usable": detail["env"]["cpus_usable"]}
 
 
 def spread(values) -> dict:
@@ -187,7 +194,8 @@ def main(argv=None) -> int:
                 "summary": summarize(runs, args.better, args.bound),
                 "u0_agreement": u0_agreement(first["parent"]["u0"], first["change"]["u0"]),
                 "runs": [{k: r[k] for k in ("pair", "side", "first", "metrics",
-                                             "attempted", "failed")} for r in runs],
+                                             "attempted", "failed", "cpus_usable")}
+                         for r in runs],
             }
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1)
@@ -198,6 +206,13 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {m['verdict']} (parent {p['median']:.6g} "
                   f"[{p['q1']:.6g}, {p['q3']:.6g}], change {c['median']:.6g}, "
                   f"{m['wins']}/{m['pairs']} pairs won, bound {m['bound']})")
+    for workload, entry in doc["workloads"].items():
+        seen = {side: sorted({r["cpus_usable"] for r in entry["runs"] if r["side"] == side})
+                for side in ("parent", "change")}
+        print(f"{workload} cpus_usable: parent {seen['parent']}, change {seen['change']}")
+        if seen["parent"] != seen["change"] or min(seen["parent"] + seen["change"]) < 2:
+            print(f"{workload}: warning: the sides ran on fewer than 2 usable CPUs "
+                  "or on different counts")
     return 0
 
 

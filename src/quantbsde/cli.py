@@ -134,7 +134,11 @@ def cmd_sweep(cfg) -> int:
     sweep = cfg["sweep"]
     quantizers = _integers(sweep, "quantizers", many=True)
     steps = _integers(sweep, "steps", many=True)
-    spec = report.SweepSpec(_build_problem(cfg), quantizers, steps)
+    problem = _build_problem(cfg)
+    try:  # a repeated count
+        spec = report.SweepSpec(problem, quantizers, steps)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     result = report.run_sweep(spec, _optimizer_settings(cfg))
     out = cfg.get("output", "sweep.csv")
     report.emit_csv(result, out)

@@ -120,11 +120,11 @@ def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarra
     # |x| < 1: cephes takes 1 - erf(|x|) from sqrt(1/2) on, which rounds to
     # the same double as 0.5 + 0.5 erf(x) because erf(|x|) >= 1/2 there.
     near = np.less(z, 1.0, out=w.mask[:n])
-    n_near = np.count_nonzero(near)
-    if n_near:
-        # x, |x|, exp(-x^2) and the denominator are spent; reuse their rows
-        xs = np.compress(near, x, out=w.rows[5, :n_near])
-        tu = _horner2(np.multiply(xs, xs, out=w.rows[0, :n_near]), _TU, w.rows[1:3, :n_near])
+    xs = x[near]
+    if xs.size:
+        # x, |x| and exp(-x^2) are spent; reuse their rows
+        k = xs.size
+        tu = _horner2(np.multiply(xs, xs, out=w.rows[0, :k]), _TU, w.rows[1:3, :k])
         t = np.multiply(xs, tu[0], out=tu[0])
         t /= tu[1]
         t *= 0.5

@@ -2,16 +2,21 @@
 
 A sweep runs the full pipeline (tree build + backward solve) over a grid of
 (quantizer count, step count) pairs and collects the start values u0, wall
-clock per cell, and any per-cell failure without aborting the rest. The
-hedge table compares the quantized control node by node with the closed-form
-control the problem carries (``FbsdeProblem.control``).
+clock per cell, and any per-cell failure without aborting the rest. Its
+cells run on forked worker processes, one per usable CPU, or in this
+process where there is one CPU, one cell or no ``fork`` (``run_sweep``).
+The hedge table compares the quantized control node by node with the
+closed-form control the problem carries (``FbsdeProblem.control``).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +38,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SweepSpec:
     """A model plus the quantizer and step counts to cross, in the given
-    order, each an integer of at least 1 (``rmq._integer``)."""
+    order, each an integer of at least 1 (``rmq._integer``) and none
+    repeated, since a cell is named by its (N, n)."""
 
     problem: FbsdeProblem
     quantizer_counts: tuple
@@ -42,6 +48,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         qs = tuple(rmq._integer("quantizer count", q, 1) for q in self.quantizer_counts)
         ss = tuple(rmq._integer("step count", s, 1) for s in self.step_counts)
+        for name, counts in (("quantizer count", qs), ("step count", ss)):
+            for i, count in enumerate(counts):
+                if count in counts[:i]:
+                    raise ValueError(f"{name} {count} is repeated")
         object.__setattr__(self, "quantizer_counts", qs)
         object.__setattr__(self, "step_counts", ss)
 
@@ -74,28 +84,108 @@ def run_sweep(
 ) -> SweepResult:
     """Solve every (N, n) cell of the sweep; failures are recorded in place.
 
-    Cells run one after another, N-major, so each timing is that cell's own
-    build and solve time, up to the failure for a failed cell. A sweep holds
-    one tree at a time: no name keeps a cell's tree or solution past the
-    read of its u0, so the next cell's build starts after it is freed.
+    Cells run on ``min(len(os.sched_getaffinity(0)), cells)`` worker
+    processes started with ``fork``, so the problem and settings reach them
+    without pickling; only (N, n) goes out and each cell's result comes
+    back. The costliest cells (by N^2 n) are dispatched first. With one
+    usable CPU, at most one cell, or no ``fork`` or ``sched_getaffinity``,
+    the cells run one after another in this process instead, through the
+    same per-cell function. Either way each timing is that cell's own build
+    and solve time, up to the failure for a failed cell, and each worker
+    holds one tree at a time: no name keeps a cell's tree or solution past
+    the read of its u0.
+
+    Warnings raised in a cell are recorded there and re-issued here, with
+    their category and message, in N-major cell order, after every cell
+    has returned; ``errors`` is filled in that order too. A cell whose
+    result never came back, because its worker died, gets the error
+    ``BrokenProcessPool: ...`` and a timing of 0. Every worker is joined
+    before this returns.
     """
     qs, ss = spec.quantizer_counts, spec.step_counts
+    cells = [(N, n) for N in qs for n in ss]
+    workers = _worker_count(len(cells))
+    if workers > 1:
+        done = _run_on_workers(spec.problem, settings, cells, workers)
+    else:
+        done = {(N, n): _solve_cell(spec.problem, settings, N, n) for N, n in cells}
     values = np.full((len(qs), len(ss)), np.nan)
     timings = np.zeros((len(qs), len(ss)))
     errors: dict = {}
-    problem = spec.problem
     for i, N in enumerate(qs):
         for j, n in enumerate(ss):
-            t0 = time.perf_counter()
-            try:
-                grid = rmq.TimeGrid(n, problem.T)
-                values[i, j] = bsde_solver.solve(
-                    rmq.build_tree(problem, grid, N, settings), problem
-                ).u0
-            except Exception as exc:  # noqa: BLE001 - recorded per cell
-                errors[(N, n)] = f"{type(exc).__name__}: {exc}"
-            timings[i, j] = time.perf_counter() - t0
+            values[i, j], timings[i, j], error, caught = done[N, n]
+            if error is not None:
+                errors[(N, n)] = error
+            for category, message in caught:
+                warnings.warn(message, category, stacklevel=2)
     return SweepResult(spec, values, timings, errors)
+
+
+def _solve_cell(problem: FbsdeProblem, settings, N: int, n: int) -> tuple:
+    """(u0, seconds, error text or None, [(category, message)] of the
+    warnings raised) for one cell; u0 is NaN where the cell failed."""
+    u0, error = math.nan, None
+    with warnings.catch_warnings(record=True) as caught:
+        t0 = time.perf_counter()
+        try:
+            grid = rmq.TimeGrid(n, problem.T)
+            u0 = bsde_solver.solve(rmq.build_tree(problem, grid, N, settings), problem).u0
+        except Exception as exc:  # noqa: BLE001 - recorded per cell
+            error = f"{type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - t0
+    return u0, seconds, error, [(w.category, str(w.message)) for w in caught]
+
+
+def _worker_count(cells: int) -> int:
+    """Worker processes for a sweep of ``cells`` cells; 1 means in-process."""
+    if cells < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
+# (problem, settings) of the sweep a worker process serves, set in each
+# worker by _start_worker; it stays None in the calling process
+_worker_sweep = None
+
+
+def _start_worker(problem: FbsdeProblem, settings) -> None:
+    global _worker_sweep
+    _worker_sweep = (problem, settings)
+
+
+def _worker_cell(N: int, n: int) -> tuple:
+    return _solve_cell(*_worker_sweep, N, n)
+
+
+def _run_on_workers(problem: FbsdeProblem, settings, cells, workers: int) -> dict:
+    """``_solve_cell``'s result per cell, from ``workers`` forked processes."""
+    # imported here so that a process that never sweeps does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def lost(exc) -> tuple:
+        return math.nan, 0.0, f"{type(exc).__name__}: {exc}", []
+
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _start_worker, (problem, settings)
+    )
+    try:
+        futures, done = {}, {}
+        for cell in sorted(cells, key=lambda c: c[0] * c[0] * c[1], reverse=True):
+            try:
+                futures[cell] = pool.submit(_worker_cell, *cell)
+            except BrokenProcessPool as exc:  # a worker died before this cell was sent
+                done[cell] = lost(exc)
+        for cell, future in futures.items():
+            try:
+                done[cell] = future.result()
+            except Exception as exc:  # noqa: BLE001 - a dead worker or an unsendable result
+                done[cell] = lost(exc)
+        return done
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _hedge_steps(problem: FbsdeProblem, steps, n: int) -> list[int]:

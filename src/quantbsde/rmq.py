@@ -376,8 +376,7 @@ def _mixture_stats(grid, mix: _Mixture):
     a /= mix.v[:, None]  # standardized, comps x (n+1); C replaces it below
     band = np.greater(a, _BAND_LO, out=mix.band)
     band &= np.less(a, _BAND_HI, out=mix.above)
-    # the in-band values go to the row where cdf_and_pdf keeps a/sqrt(2)
-    in_band = np.compress(band.ravel(), a, out=mix.cdf.rows[0, : np.count_nonzero(band)])
+    in_band = a[band]
     np.copyto(C, np.greater_equal(a, _BAND_HI, out=mix.above))
     P.fill(0.0)
     C[band], P[band] = cdf_and_pdf(in_band, mix.cdf)

@@ -216,6 +216,25 @@ class TestSweep:
         assert err.startswith("error: FileNotFoundError:")
         assert str(out_path) in err
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"quantizers": [5, 5], "steps": [5]}, "quantizer count 5 is repeated"),
+            ({"quantizers": [5], "steps": [4, 6, 4]}, "step count 4 is repeated"),
+        ],
+        ids=["quantizers", "steps"],
+    )
+    def test_repeated_count_is_a_config_error(self, capsys, tmp_path, builds, sweep, message):
+        cfg = tmp_path / "repeat.json"
+        cfg.write_text(json.dumps({"optimizer": {"max_iterations": 1}, "sweep": sweep}))
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--output", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sweep: {message}\n"
+        assert builds == []
+        assert not out_path.exists()
+
     def test_missing_lists_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep")
         assert code == 2

@@ -1,10 +1,15 @@
 """Sweep orchestration and CSV/JSON emission."""
 
+import contextlib
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
+import signal
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -41,6 +46,35 @@ def small_spec(bs_problem):
     return SweepSpec(bs_problem, quantizer_counts=(5, 8), step_counts=(4, 6))
 
 
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_sweep():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``run_sweep`` see ``count`` usable CPUs, and so run its cells
+    on that many workers (or in process for 1)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool needs fork")
+
+
 class TestRunSweep:
     def test_single_cell_matches_direct_solve(self, bs_problem):
         spec = SweepSpec(bs_problem, (10,), (5,))
@@ -51,18 +85,32 @@ class TestRunSweep:
         assert not result.failed
         assert result.timings[0, 0] > 0.0
 
-    def test_timings_are_per_cell(self):
-        # cells run one at a time, so their own times cannot add up to more
-        # than the sweep's wall time
+    @staticmethod
+    def timed_bergman_sweep():
         problem = make_bergman(
             BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0
         )
         spec = SweepSpec(problem, (5, 10, 20), (5, 10, 20))
         t0 = time.perf_counter()
         result = run_sweep(spec)
-        wall = time.perf_counter() - t0
+        return result, time.perf_counter() - t0
+
+    def test_timings_are_per_cell(self, monkeypatch):
+        # one worker runs the cells one at a time, so their own times cannot
+        # add up to more than the sweep's wall time
+        use_cpus(monkeypatch, 1)
+        result, wall = self.timed_bergman_sweep()
         assert np.all(result.timings > 0.0)
         assert result.timings.sum() <= wall
+
+    def test_timings_are_per_cell_on_two_workers(self, monkeypatch):
+        # each timing is taken inside its worker, and two workers run at
+        # most two cells at once
+        use_cpus(monkeypatch, 2)
+        result, wall = self.timed_bergman_sweep()
+        assert np.all(result.timings > 0.0)
+        assert np.all(result.timings <= wall)
+        assert result.timings.sum() <= 2 * wall
 
     def test_cell_failures_are_isolated(self, bs_problem, monkeypatch):
         real = rmq_mod.build_tree
@@ -81,9 +129,11 @@ class TestRunSweep:
         assert np.isfinite(result.values[0, 0])
         assert np.isnan(result.values[1, 0])
 
-    def test_one_tree_alive_at_a_time(self, bs_problem, monkeypatch):
-        # each build starts only once every earlier cell's tree is freed; an
-        # assertion failing inside the build is recorded as that cell's error
+    @staticmethod
+    def sweep_checking_trees(problem, monkeypatch):
+        # each build starts only once every earlier tree of its process is
+        # freed; an assertion failing inside the build is recorded as that
+        # cell's error
         real, trees = rmq_mod.build_tree, []
 
         def recorded(problem, grid, N, settings=None):
@@ -94,9 +144,137 @@ class TestRunSweep:
             return tree
 
         monkeypatch.setattr(rmq_mod, "build_tree", recorded)
-        result = run_sweep(SweepSpec(bs_problem, (5, 8), (4, 6)))
+        return run_sweep(SweepSpec(problem, (5, 8), (4, 6))), trees
+
+    def test_one_tree_alive_at_a_time(self, bs_problem, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        result, trees = self.sweep_checking_trees(bs_problem, monkeypatch)
         assert result.errors == {}
         assert len(trees) == 4 and all(ref() is None for ref in trees)
+
+    def test_one_tree_alive_at_a_time_in_each_worker(self, bs_problem, monkeypatch):
+        # the wrapper runs in the workers, so its assertion reaches this
+        # process only as a cell error; with 4 cells on 2 workers, some
+        # worker builds twice
+        use_cpus(monkeypatch, 2)
+        result, _ = self.sweep_checking_trees(bs_problem, monkeypatch)
+        assert result.errors == {}
+
+    def test_workers_and_in_process_agree(self, monkeypatch):
+        # bit for bit, with errors in N-major order although the costliest
+        # cells (N=20 first) are dispatched first
+        problem = make_bergman(
+            BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), T=0.25, y0=100.0
+        )
+        real = rmq_mod.build_tree
+
+        def flaky(problem, grid, N, settings=None):
+            if (N, grid.n) in ((5, 20), (20, 5)):
+                raise RuntimeError(f"injected failure at N={N}")
+            return real(problem, grid, N, settings)
+
+        monkeypatch.setattr(rmq_mod, "build_tree", flaky)
+        spec = SweepSpec(problem, (5, 10, 20), (5, 10, 20))
+        results = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            results[cpus] = run_sweep(spec)
+        alone, pooled = results[1], results[2]
+        assert np.array_equal(alone.values, pooled.values, equal_nan=True)
+        assert list(pooled.errors.items()) == list(alone.errors.items())
+        assert list(pooled.errors) == [(5, 20), (20, 5)]
+        assert pooled.errors[(20, 5)] == "RuntimeError: injected failure at N=20"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cell_warnings_reach_the_caller(self, bs_problem, monkeypatch, cpus):
+        real = rmq_mod.build_tree
+
+        def warned(problem, grid, N, settings=None):
+            warnings.warn(f"cell N={N}, n={grid.n}", rmq_mod.DegenerateDiffusionWarning)
+            return real(problem, grid, N, settings)
+
+        monkeypatch.setattr(rmq_mod, "build_tree", warned)
+        use_cpus(monkeypatch, cpus)
+        with pytest.warns(rmq_mod.DegenerateDiffusionWarning) as record:
+            result = run_sweep(SweepSpec(bs_problem, (5, 8), (4, 6)))
+        assert result.errors == {}
+        assert [str(w.message) for w in record] == [
+            "cell N=5, n=4", "cell N=5, n=6", "cell N=8, n=4", "cell N=8, n=6"
+        ]
+        assert {w.category for w in record} == {rmq_mod.DegenerateDiffusionWarning}
+
+    def test_warnings_as_errors_fail_their_cell(self, bs_problem, monkeypatch):
+        # the worker inherits the caller's filters, as the cell would in process
+        real = rmq_mod.build_tree
+
+        def warned(problem, grid, N, settings=None):
+            if N == 8:
+                warnings.warn("strict", rmq_mod.DegenerateDiffusionWarning)
+            return real(problem, grid, N, settings)
+
+        monkeypatch.setattr(rmq_mod, "build_tree", warned)
+        use_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", rmq_mod.DegenerateDiffusionWarning)
+            result = run_sweep(SweepSpec(bs_problem, (5, 8), (4,)))
+        assert result.errors == {(8, 4): "DegenerateDiffusionWarning: strict"}
+        assert np.isfinite(result.values[0, 0])
+
+    @needs_fork
+    def test_a_dead_worker_fails_its_cells_without_a_hang(self, bs_problem, monkeypatch):
+        real = rmq_mod.build_tree
+
+        def dying(problem, grid, N, settings=None):
+            if N == 13:
+                os._exit(3)
+            return real(problem, grid, N, settings)
+
+        monkeypatch.setattr(rmq_mod, "build_tree", dying)
+        use_cpus(monkeypatch, 2)
+        with time_limit(60):
+            result = run_sweep(SweepSpec(bs_problem, (5, 13, 8), (4,)))
+        assert (13, 4) in result.errors
+        assert all(msg.startswith("BrokenProcessPool: ") for msg in result.errors.values())
+        failed = np.array([[(N, 4) in result.errors] for N in (5, 13, 8)])
+        assert np.array_equal(np.isnan(result.values), failed)
+        assert np.all(result.timings[failed] == 0.0)
+
+    @needs_fork
+    def test_cells_not_sent_to_a_broken_pool_fail(self, bs_problem, monkeypatch):
+        # a worker that dies while cells are still being sent breaks the
+        # pool, and the cells not yet sent fail; the cheapest is sent last
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real = ProcessPoolExecutor.submit
+
+        def submit(pool, fn, *args):
+            if args == (5, 4):
+                raise BrokenProcessPool("a worker died")
+            return real(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        use_cpus(monkeypatch, 2)
+        with time_limit(60):
+            result = run_sweep(SweepSpec(bs_problem, (5, 8), (4,)))
+        assert result.errors == {(5, 4): "BrokenProcessPool: a worker died"}
+        assert np.isfinite(result.values[1, 0])
+
+    def test_one_cell_and_one_cpu_run_in_process(self, bs_problem, monkeypatch):
+        # the cell's build sees this process's own state; a worker's would
+        # be lost to it
+        real, pids = rmq_mod.build_tree, []
+
+        def recorded(problem, grid, N, settings=None):
+            pids.append(os.getpid())
+            return real(problem, grid, N, settings)
+
+        monkeypatch.setattr(rmq_mod, "build_tree", recorded)
+        use_cpus(monkeypatch, 2)
+        run_sweep(SweepSpec(bs_problem, (5,), (4,)))
+        use_cpus(monkeypatch, 1)
+        run_sweep(SweepSpec(bs_problem, (5, 8), (4,)))
+        assert pids == [os.getpid()] * 3
 
     def test_sweep_spec_validation(self, bs_problem):
         with pytest.raises(ValueError):
@@ -107,6 +285,13 @@ class TestRunSweep:
             SweepSpec(bs_problem, (2.7,), (3,))
         with pytest.raises(ValueError, match="True"):
             SweepSpec(bs_problem, (True,), (4,))
+
+    def test_repeated_counts_are_rejected(self, bs_problem):
+        # a cell is named by its (N, n), so a repeat would share an error
+        with pytest.raises(ValueError, match="quantizer count 5 is repeated"):
+            SweepSpec(bs_problem, (5, 5), (5,))
+        with pytest.raises(ValueError, match="step count 4 is repeated"):
+            SweepSpec(bs_problem, (5,), (4, 6, 4))
 
 
 class TestHedgeCompare:
