@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from quantbsde import (
     BlackScholesParams,
     ConvergenceError,
     DegenerateDiffusionWarning,
+    MODELS,
     FbsdeProblem,
     OptimizerSettings,
     QuantizationTree,
@@ -947,6 +949,38 @@ class TestBuildTree:
         assert exc.value.step == 1
         assert "step 1" in str(exc.value)
 
+    def test_order_reversing_stall_names_the_reversal(self):
+        # Ornstein-Uhlenbeck drift -30 (y - 1) on dt = 0.1: the Euler map has
+        # slope 1 - 3 = -2, and the N=8 build stalls at step 7
+        problem = FbsdeProblem(
+            drift=lambda y: -30.0 * (np.asarray(y, dtype=float) - 1.0),
+            diffusion=lambda y: np.full(np.shape(y), 0.3),
+            driver=lambda t, y, u, v: np.zeros_like(np.asarray(u, dtype=float)),
+            terminal=lambda y: np.asarray(y, dtype=float),
+            T=1.0,
+            y0=1.5,
+            diffusion_floor=1e-8,
+        )
+        with pytest.raises(ConvergenceError) as exc:
+            build_tree(problem, TimeGrid(10, 1.0), 8)
+        assert exc.value.step == 7
+        assert str(exc.value).startswith(
+            "grid optimization stalled at step 7: stationarity residual 4.4")
+        assert str(exc.value).endswith(
+            "; the Euler map reverses order at step 7: smallest slope dm/dy -2 "
+            "across the source codewords")
+        assert exc.value.last_grid.shape == (8,)
+        assert math.isfinite(exc.value.gradient_norm)
+
+    def test_order_keeping_stall_has_no_reversal_note(self):
+        # a later layer of a GBM tree stalls on a budget of 20 iterations;
+        # its Euler map keeps order, so the message is the optimizer's own
+        problem = make_black_scholes(BlackScholesParams(0.04, 1.0, 100.0), T=2.0, y0=100.0)
+        with pytest.raises(ConvergenceError) as exc:
+            build_tree(problem, TimeGrid(10, 2.0), 50, OptimizerSettings(max_iterations=20))
+        assert exc.value.step > 1
+        assert str(exc.value).endswith("after 20 iterations (tol 1e-09)")
+
 
 class TestSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
@@ -1005,6 +1039,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             save_tree(tree, path, solution=sol)
         assert not path.exists()
+
+    def test_writer_memory_does_not_grow_with_the_document(self, tmp_path):
+        # the CLI's (N, n) = (100, 50) case with its solution: one transition's
+        # base64 is 0.1 MB and the whole document 5.6 MB. A writer that holds
+        # the layers and the solution as text and lists at once peaks at +1.5 MB
+        spec = MODELS["black-scholes"]
+        problem = spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+        tree = build_tree(problem, TimeGrid(50, problem.T), 100)
+        sol = solve(tree, problem)
+        path = tmp_path / "tree.rmq.json"
+        save_tree(tree, path, solution=sol)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_tree(tree, path, solution=sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 0.5e6
+        assert path.stat().st_size > 5e6
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
