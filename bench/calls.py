@@ -6,14 +6,15 @@ Every call of ``rmq._mixture_stats`` is counted, and attributed to the
 layer whose ``rmq._quantize_layer`` is running, by wrapping both functions.
 The cases are the bs-refine ladder (Black-Scholes call, N=200,
 n = 10, 20, 40, 80) and the 30 cells of the Bergman sweep
-(N in 5, 10, 15, 20, 50, 100 and n in 5, 10, 20, 50, 100), with the
-parameters of ``perfbench/workloads.py``. Each case records its total
-calls, the calls of each layer, the mean over the warm-started layers 2..n,
-its u0 at full precision and the sha256 of its tree (``tree_digest``).
+(N in 5, 10, 15, 20, 50, 100 and n in 5, 10, 20, 50, 100), each model at
+its ``model.MODELS`` defaults, as in ``perfbench/workloads.py``. Each case
+records its total calls, the calls of each layer, the mean over the
+warm-started layers 2..n, its u0 at full precision and the sha256 of its
+tree (``pairs.tree_digest``).
 
-A third set, the envelope, holds 36 Black-Scholes builds (r = 0.04,
-K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3, 0.5, 0.7,
-1, 1.5, 2, 3 and T in 0.25, 1, 2, 5. Each records whether it converged
+A third set, the envelope, holds 36 Black-Scholes builds (the defaults'
+r = 0.04, K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3,
+0.5, 0.7, 1, 1.5, 2, 3 and T in 0.25, 1, 2, 5. Each records whether it converged
 or stalled (``ConvergenceError``, with the step), its calls, sigma sqrt(T),
 its u0 (None when stalled) and a sha256: of its tree, or for a stalled
 build of the error message and the last grid (``stall_digest``). Beyond
@@ -21,12 +22,13 @@ sigma sqrt(T) = 0.75 the Euler chain puts mass on negative prices and some
 builds stall.
 
 With ``--rev`` the same counts are also taken on that revision, exported
-with ``git archive`` into a temporary directory as ``bench/pairs.py`` does,
-and the output holds both sides, the largest relative u0 difference over
-the two build workloads and, for the envelope, the builds that converge on
-one side only and the largest relative u0 difference of the builds that
-converge on both, up to and beyond sigma sqrt(T) = 0.75, and the count of
-cases, out of all 70, whose digests agree, with the cases that differ
+with ``git archive`` into a temporary directory
+(``pairs.parent_checkout``), and the output holds both sides, the largest
+relative u0 difference (``pairs.largest_rel_diff``) over the two build
+workloads and, for the envelope, the builds that converge on one side only
+and the largest relative u0 difference of the builds that converge on both,
+up to and beyond sigma sqrt(T) = 0.75, and the count of cases, out of all
+70, whose digests agree, with the cases that differ
 (``trees bit-identical: k of 70``). Each side is counted in its own
 interpreter.
 """
@@ -39,29 +41,16 @@ import json
 import math
 import subprocess
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
-from pairs import ROOT, export, git
+from pairs import ROOT, header, largest_rel_diff, parent_checkout, tree_digest
 
 LADDER = (200, (10, 20, 40, 80))
 SWEEP = ((5, 10, 15, 20, 50, 100), (5, 10, 20, 50, 100))
 ENVELOPE = (50, 10, (0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0), (0.25, 1.0, 2.0, 5.0))
 SAFE_SPREAD = 0.75  # largest sigma sqrt(T) at which every envelope build converged
-
-
-def tree_digest(tree) -> str:
-    """sha256 of a tree's codewords, weights, distortions and transition
-    entries, each as float64 bytes."""
-    h = hashlib.sha256()
-    for la in tree.layers:
-        for a in (la.codewords, la.weights, [la.distortion]):
-            h.update(np.asarray(a, dtype=np.float64).tobytes())
-    for tr in tree.transitions:
-        h.update(tr.entries.tobytes())
-    return h.hexdigest()
 
 
 def stall_digest(exc) -> str:
@@ -98,13 +87,17 @@ def count(src: Path) -> dict:
                 "per_layer": list(per_layer), "u0": bsde_solver.solve(tree, problem).u0,
                 "sha256": tree_digest(tree)}
 
-    bs = model.make_black_scholes(model.BlackScholesParams(0.04, 0.25, 100.0), 1.0, 100.0)
-    bergman = model.make_bergman(
-        model.BergmanParams(0.05, 0.2, 0.01, 0.06, 95.0, 105.0), 0.25, 100.0)
+    def default_problem(name: str, T: float | None = None, **params):
+        """The model ``name`` at its defaults, with ``T`` and ``params`` replaced."""
+        spec = model.MODELS[name]
+        return spec.factory(spec.param_type(**{**spec.defaults, **params}),
+                            spec.T if T is None else T, spec.y0)
+
+    bs, bergman = default_problem("black-scholes"), default_problem("bergman")
 
     def envelope_case(sigma: float, T: float) -> dict:
         per_layer.clear()
-        problem = model.make_black_scholes(model.BlackScholesParams(0.04, sigma, 100.0), T, 100.0)
+        problem = default_problem("black-scholes", T, sigma=sigma)
         N, n = ENVELOPE[:2]
         out = {"sigma": sigma, "T": T, "sigma_sqrt_T": sigma * math.sqrt(T)}
         try:
@@ -134,19 +127,9 @@ def count_in_child(src: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def largest_u0_diff(pairs) -> dict:
-    """Largest relative u0 difference over (label, parent case, change case)."""
-    worst, at = 0.0, None
-    for label, a, b in pairs:
-        rel = abs(a["u0"] - b["u0"]) / abs(a["u0"])
-        if at is None or rel > worst:
-            worst, at = rel, label
-    return {"max_rel_diff": worst, "at": at}
-
-
 def u0_agreement(parent: dict, change: dict) -> dict:
-    return largest_u0_diff(
-        (f"{workload} N={a['N']},n={a['n']}", a, b)
+    return largest_rel_diff(
+        (f"{workload} N={a['N']},n={a['n']}", a["u0"], b["u0"])
         for workload in ("bs-refine", "bergman-sweep")
         for a, b in zip(parent[workload]["cases"], change[workload]["cases"]))
 
@@ -161,8 +144,10 @@ def envelope_agreement(parent: dict, change: dict) -> dict:
         "flips": [f"{label(**a)}: {'converged' if a['converged'] else 'stalled'} -> "
                   f"{'converged' if b['converged'] else 'stalled'}"
                   for a, b in pairs if a["converged"] != b["converged"]],
-        "safe": largest_u0_diff(p for p in both if p[1]["sigma_sqrt_T"] <= SAFE_SPREAD),
-        "beyond": largest_u0_diff(p for p in both if p[1]["sigma_sqrt_T"] > SAFE_SPREAD),
+        "safe": largest_rel_diff((name, a["u0"], b["u0"]) for name, a, b in both
+                                 if a["sigma_sqrt_T"] <= SAFE_SPREAD),
+        "beyond": largest_rel_diff((name, a["u0"], b["u0"]) for name, a, b in both
+                                   if a["sigma_sqrt_T"] > SAFE_SPREAD),
     }
 
 
@@ -193,15 +178,11 @@ def main(argv=None) -> int:
         return 0
     if not args.out:
         ap.error("--out is required")
-    doc = {"command": [Path(sys.argv[0]).name, *(argv if argv is not None else sys.argv[1:])],
-           "change": {"head": git("rev-parse", "HEAD"),
-                      "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
-           "counts": count_in_child(ROOT / "src")}
+    doc = {**header(argv), "counts": count_in_child(ROOT / "src")}
     if args.rev:
-        with tempfile.TemporaryDirectory(prefix="calls-parent-") as tmp:
-            export(git("rev-parse", args.rev), Path(tmp))
-            parent = count_in_child(Path(tmp) / "src")
-        doc["parent"] = {"rev": git("rev-parse", args.rev), "counts": parent}
+        with parent_checkout(args.rev) as (sha, parent_root):
+            parent = count_in_child(parent_root / "src")
+        doc["parent"] = {"rev": sha, "counts": parent}
         doc["u0_agreement"] = u0_agreement(parent, doc["counts"])
         doc["envelope_agreement"] = envelope_agreement(parent, doc["counts"])
         doc["tree_agreement"] = tree_agreement(parent, doc["counts"])

@@ -31,6 +31,9 @@ and so is the parent's spread, the distance between its quartiles:
 
 The first rule that holds gives the verdict.
 
+The other ``bench/`` scripts share this module's harness: ``parent_checkout``,
+``header``, ``tree_digest`` and ``largest_rel_diff``.
+
 Each run also records ``cpus_usable``, the CPU count of its environment
 line, since a sweep's worker pool gains only where there are two or more.
 The last lines name the counts seen on each side per workload, with a
@@ -41,6 +44,8 @@ counts; the verdicts and the exit code do not depend on them.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import io
 import json
 import math
@@ -65,8 +70,8 @@ def parse_args(argv=None):
     ap.add_argument("--pairs", type=int, default=10, help="parent/change pairs per workload")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, since each side's quartiles need two runs")
     args.workload = args.workload or [w["name"] for w in spec["workloads"]]
     args.better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     args.bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -79,12 +84,52 @@ def git(*argv) -> str:
                           text=True).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """Write the tree of ``rev`` into ``dest``."""
-    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+def header(argv) -> dict:
+    """The command line, HEAD, and whether a tracked file differs from HEAD."""
+    return {"command": [Path(sys.argv[0]).name, *(argv if argv is not None else sys.argv[1:])],
+            "change": {"head": git("rev-parse", "HEAD"),
+                       "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
+
+
+@contextlib.contextmanager
+def parent_checkout(rev: str):
+    """Yield (sha, directory): the tree of ``rev`` written by ``git archive``
+    into a temporary directory, removed on exit."""
+    sha = git("rev-parse", rev)
+    data = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True,
                           capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(dest, filter="data")
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield sha, Path(tmp)
+
+
+def tree_digest(tree, solution=None) -> str:
+    """sha256 of a quantization tree and a solution as ``load_tree`` returns
+    it: the time grid, each layer's step and distortion, codewords and
+    weights, each transition's step, shape and entries (the arrays as their
+    bytes), and the solution's JSON text."""
+    h = hashlib.sha256(repr((tree.time_grid.n, tree.time_grid.T)).encode())
+    for la in tree.layers:
+        h.update(repr((la.step, la.distortion)).encode())
+        h.update(la.codewords.tobytes())
+        h.update(la.weights.tobytes())
+    for tr in tree.transitions:
+        h.update(repr((tr.step, tr.entries.shape)).encode())
+        h.update(tr.entries.tobytes())
+    h.update(json.dumps(solution).encode())
+    return h.hexdigest()
+
+
+def largest_rel_diff(triples) -> dict:
+    """The largest |a - b| / max(|a|, |b|) over (label, a, b), 0 where
+    a == b, and the label it is at (None for no triples)."""
+    worst, at = 0.0, None
+    for label, a, b in triples:
+        rel = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+        if at is None or rel > worst:
+            worst, at = rel, label
+    return {"max_rel_diff": worst, "at": at}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -150,33 +195,22 @@ def summarize(runs, better: dict, bound: dict) -> dict:
 
 def u0_agreement(parent: dict, change: dict) -> dict:
     """Largest relative u0 difference over the cases both sides priced."""
-    worst, at = 0.0, None
-    for label, a in parent.items():
-        b = change.get(label)
-        if isinstance(a, float) and isinstance(b, float):
-            rel = abs(a - b) / max(abs(a), 1e-300)
-            if at is None or rel > worst:
-                worst, at = rel, label
-    return {"max_rel_diff": worst, "at": at, "cases": len(parent)}
+    both = [(label, a, change.get(label)) for label, a in parent.items()
+            if isinstance(a, float) and isinstance(change.get(label), float)]
+    return {**largest_rel_diff(both), "cases": len(parent)}
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    parent_sha = git("rev-parse", args.rev)
     doc = {
-        "command": [Path(sys.argv[0]).name, *(argv if argv is not None else sys.argv[1:])],
-        "parent": parent_sha,
-        "change": {"head": git("rev-parse", "HEAD"),
-                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        **header(argv),
         "pairs": args.pairs,
         "seconds": args.seconds,
         "quartiles": "statistics.quantiles(n=4)",
         "python": platform.python_version(),
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
-        parent_root = Path(tmp)
-        export(parent_sha, parent_root)
+    with parent_checkout(args.rev) as (doc["parent"], parent_root):
         sides = {"parent": parent_root, "change": ROOT}
         for workload in args.workload:
             runs = []

@@ -3,9 +3,9 @@
     python3 bench/same_output.py --rev HEAD~1
 
 The parent revision ``--rev`` is exported with ``git archive`` into a
-temporary directory (``pairs.export``); the change side is this checkout as
-it stands on disk. On each side every case runs the CLI in a fresh
-interpreter, in an empty directory of its own. The cases are the
+temporary directory (``pairs.parent_checkout``); the change side is this
+checkout as it stands on disk. On each side every case runs the CLI in a
+fresh interpreter, in an empty directory of its own. The cases are the
 ``quantbsde`` commands of README.md's "Command line" section and its JSON
 config example, run through ``solve``, ``sweep`` and ``hedge``; both sides
 take them from this checkout's README.
@@ -16,12 +16,13 @@ sidecar is compared with its ``timings_seconds`` removed, since wall-clock
 times differ from run to run. Prints one line per case and exits 1 on any
 difference. For each JSON file that differs, one more line gives the
 largest absolute and the largest relative difference of any number and
-the JSON path of each; a relative difference is |a - b| / max(|a|, |b|).
+the JSON path of each; a relative difference is |a - b| / max(|a|, |b|)
+(``pairs.largest_rel_diff``).
 Where the two documents differ in anything but their numbers, the line
 names the first path at which they do. For each ``.rmq.json`` tree that
 differs, one more line says whether both files decode through this
 checkout's ``load_tree`` to bit-identical trees and solutions
-(``artifact.tree_sha256``), so a change of file format alone shows as such.
+(``pairs.tree_digest``), so a change of file format alone shows as such.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from artifact import tree_sha256
-from pairs import ROOT, export, git
+from pairs import ROOT, largest_rel_diff, parent_checkout, tree_digest
 
 CONFIG = "run.json"
 
@@ -91,9 +91,8 @@ def comparable(data: bytes) -> bytes:
 
 
 def number_diffs(a, b, path: str = "$"):
-    """(path, |a - b|, relative difference) for each pair of unequal numbers
-    of two JSON documents; ValueError naming the first path at which they
-    differ in anything else."""
+    """(path, a, b) for each pair of unequal numbers of two JSON documents;
+    ValueError naming the first path at which they differ in anything else."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
             yield from number_diffs(a[key], b[key], f"{path}.{key}")
@@ -102,8 +101,7 @@ def number_diffs(a, b, path: str = "$"):
             yield from number_diffs(x, y, f"{path}[{i}]")
     elif {type(a), type(b)} <= {int, float}:
         if a != b:
-            diff = abs(a - b)
-            yield path, diff, diff / max(abs(a), abs(b))
+            yield path, a, b
     elif a != b:
         raise ValueError(f"documents differ beyond their numbers at {path}")
 
@@ -121,16 +119,21 @@ def json_diff_line(a: bytes, b: bytes) -> str | None:
         return str(exc)
     if not diffs:
         return "numbers equal; the text differs"
-    worst_abs = max(diffs, key=lambda d: d[1])
-    worst_rel = max(diffs, key=lambda d: d[2])
-    return (f"{len(diffs)} numbers differ; largest absolute {worst_abs[1]:.3g} at "
-            f"{worst_abs[0]}, largest relative {worst_rel[2]:.3g} at {worst_rel[0]}")
+    at, a, b = max(diffs, key=lambda d: abs(d[1] - d[2]))
+    worst_rel = largest_rel_diff(diffs)
+    return (f"{len(diffs)} numbers differ; largest absolute {abs(a - b):.3g} at {at}, "
+            f"largest relative {worst_rel['max_rel_diff']:.3g} at {worst_rel['at']}")
 
 
 def tree_line(a: Path, b: Path) -> str:
-    """Whether two tree files decode to bit-identical trees and solutions."""
+    """Whether two tree files decode through this checkout's ``load_tree``
+    to bit-identical trees and solutions."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from quantbsde.rmq import load_tree
+
     try:
-        same = tree_sha256(a) == tree_sha256(b)
+        same = tree_digest(*load_tree(a)) == tree_digest(*load_tree(b))
     except ValueError as exc:
         return f"does not load: {exc}"
     return ("decodes to bit-identical trees and solutions" if same
@@ -141,12 +144,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", required=True, help="parent revision to compare against")
     args = ap.parse_args(argv)
-    parent_sha = git("rev-parse", args.rev)
     differ = 0
     cases = readme_cases()
-    with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        export(parent_sha, parent_root)
+    with (parent_checkout(args.rev) as (parent_sha, parent_root),
+          tempfile.TemporaryDirectory(prefix="same-output-") as tmp):
         for i, (name, case_argv, config) in enumerate(cases):
             workdirs = [Path(tmp) / side / str(i) for side in ("parent", "change")]
             sides = [run_case(root / "src", workdir, case_argv, config)

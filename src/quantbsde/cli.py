@@ -86,7 +86,7 @@ def _load_config(args) -> dict:
                 cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config: top level must be a JSON object")

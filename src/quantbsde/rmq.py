@@ -810,9 +810,10 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     """Load a serialized tree; returns (tree, solution-dict-or-None).
 
     Reads the version-2 files ``save_tree`` writes, whose transition
-    entries are base64 (``_float64s``). A file that is not tree JSON, is of
-    another version, lacks a key, holds a field of the wrong type or value,
-    or carries a solution whose ``values``/``controls`` do not match the
+    entries are base64 (``_float64s``). A file that is not tree JSON (not
+    UTF-8, or nested too deep to parse, included), is of another version,
+    lacks a key, holds a field of the wrong type or value, or carries a
+    solution whose ``values``/``controls`` do not match the
     layer sizes or whose u0 is not its first layer-0 value raises ValueError
     naming ``path``. The version and the step labels are JSON integers, so
     not ``true`` or ``2.0``, and each transition's shape is two of them,
@@ -825,7 +826,7 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not a JSON file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError(f"not a quantization-tree file: {path}")

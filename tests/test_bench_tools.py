@@ -1,0 +1,88 @@
+"""The helpers of the ``bench/`` gate scripts, without git or subprocesses.
+
+The scripts are loaded by path, as they are run; ``same_output`` imports
+``pairs`` by that name.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from quantbsde.bsde_solver import solve
+from quantbsde.model import MODELS
+from quantbsde.rmq import TimeGrid, build_tree, load_tree, save_tree
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = load("pairs")
+same_output = load("same_output")
+
+PARENT = {"median": 1.0, "q1": 0.95, "q3": 1.05}
+
+
+@pytest.mark.parametrize("wins, change, parent, expected", [
+    (10, 0.8, PARENT, "gain"),
+    (8, 0.8, PARENT, "flat"),  # better by more than the spread, but 8 of 10 pairs
+    (0, 1.3, PARENT, "regression"),
+    (5, 1.0, {"median": 1.0, "q1": 0.7, "q3": 1.3}, "unresolved"),
+    (5, 1.02, PARENT, "flat"),
+])
+def test_verdict(wins, change, parent, expected):
+    assert pairs.verdict("lower", 0.25, wins, 10, parent,
+                         {"median": change, "q1": change, "q3": change}) == expected
+
+
+def test_verdict_where_higher_is_better():
+    low = {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert pairs.verdict("higher", 0.01, 0, 10, PARENT, low) == "regression"
+    assert pairs.verdict("higher", 0.01, 10, 10, low, PARENT) == "gain"
+
+
+def test_largest_rel_diff():
+    assert pairs.largest_rel_diff([("zero", 0.0, 0.0)]) == {"max_rel_diff": 0.0, "at": "zero"}
+    assert pairs.largest_rel_diff([("zero", 0.0, 0.0), ("half", -2.0, -1.0)]) == {
+        "max_rel_diff": 0.5, "at": "half"}
+    assert pairs.largest_rel_diff([]) == {"max_rel_diff": 0.0, "at": None}
+
+
+def test_parse_args_rejects_fewer_than_two_pairs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        pairs.parse_args(["--rev", "HEAD", "--pairs", "1", "--out", "unused.json"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_tree_digest_survives_a_round_trip_and_sees_the_solution(tmp_path):
+    spec = MODELS["black-scholes"]
+    problem = spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+    tree = build_tree(problem, TimeGrid(3, problem.T), 4)
+    sol = solve(tree, problem)
+    path = tmp_path / "run.rmq.json"
+    save_tree(tree, path, solution=sol)
+    loaded, solution = load_tree(path)
+    in_memory = {"u0": sol.u0, "values": [vl.values.tolist() for vl in sol.value_layers],
+                 "controls": [cl.controls.tolist() for cl in sol.control_layers]}
+    assert pairs.tree_digest(loaded) == pairs.tree_digest(tree)
+    assert pairs.tree_digest(loaded, solution) == pairs.tree_digest(tree, in_memory)
+    solution["values"][1][0] += 1.0
+    assert pairs.tree_digest(loaded, solution) != pairs.tree_digest(tree, in_memory)
+
+
+def test_number_diffs_yields_unequal_numbers_then_names_the_first_other_mismatch():
+    a = {"x": [1, 2.0], "y": "a", "z": [1]}
+    b = {"x": [1, 2.5], "y": "b", "z": []}
+    diffs = same_output.number_diffs(a, b)
+    assert next(diffs) == ("$.x[1]", 2.0, 2.5)
+    with pytest.raises(ValueError, match=r"differ beyond their numbers at \$\.y$"):
+        next(diffs)

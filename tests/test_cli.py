@@ -312,6 +312,20 @@ class TestValidation:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_non_utf8_config(self, capsys, tmp_path):
+        cfg = tmp_path / "bom.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"config: invalid JSON in {cfg}: " in err
+
+    def test_too_deeply_nested_config(self, capsys, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"config: invalid JSON in {cfg}: " in err
+
     def test_non_object_config(self, capsys, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")

@@ -1192,6 +1192,18 @@ class TestMalformedTreeFiles:
         with pytest.raises(ValueError, match=r"run\.rmq\.json: not a JSON file"):
             load_tree(path)
 
+    def test_non_utf8_file(self, saved):
+        path, _ = saved
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValueError, match=r"run\.rmq\.json: not a JSON file"):
+            load_tree(path)
+
+    def test_too_deeply_nested_file(self, saved):
+        path, _ = saved
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match=r"run\.rmq\.json: not a JSON file"):
+            load_tree(path)
+
 
 class TestDataTypes:
     def test_layer_rejects_unsorted_codewords(self):
