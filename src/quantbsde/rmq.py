@@ -315,11 +315,12 @@ class _Mixture:
     of the kernel's two moment products (``q`` for the density table, ``r``
     for the cell masses), and the K x (n+1) tables and the cdf's work
     arrays, allocated once per layer instead of once per kernel call. The
-    cell masses ``raw`` (K x n) reuse the first K x n doubles of the density
-    table ``P`` once it is spent. ``P`` is its own block, apart from the
-    other tables: ``_normalized_transition`` normalizes ``raw`` in place and
-    the layer's transition keeps it, so a stored transition pins ``P``
-    alone, and the rest is freed with the mixture.
+    cell masses ``raw`` (K x n) of the last kernel call reuse the first
+    K x n doubles of the density table ``P`` once it is spent; every reader
+    of the cell masses takes them from here. ``P`` is its own block, apart
+    from the other tables: ``_normalized_transition`` normalizes ``raw`` in
+    place and the layer's transition keeps it, so a stored transition pins
+    ``P`` alone, and the rest is freed with the mixture.
     """
 
     def __init__(self, means, stds, probs, n: int):
@@ -345,11 +346,11 @@ def _mixture_stats(grid, mix: _Mixture):
     """Aggregated cell statistics of the Gaussian mixture ``mix`` over the
     Voronoi cells of ``grid``.
 
-    Returns (M0, M1, distortion, F, raw) where, for cell j,
-    M0_j / M1_j are the mixture's zeroth/first partial moments, F holds the
-    mixture density at the n+1 cell boundaries (exact zeros at the infinite
-    ends), and raw is the per-component cell-mass matrix used for
-    transition probabilities. Infinite boundaries contribute cdf values of
+    Returns (M0, M1, distortion, F) where, for cell j, M0_j / M1_j are the
+    mixture's zeroth/first partial moments and F holds the mixture density
+    at the n+1 cell boundaries (exact zeros at the infinite ends); the
+    per-component cell masses, which give the transition probabilities, are
+    left in ``mix.raw``. Infinite boundaries contribute cdf values of
     exactly 0/1 and pdf values of exactly 0, and so do finite ones outside
     the band (_BAND_LO, _BAND_HI) of standardized values.
 
@@ -361,8 +362,7 @@ def _mixture_stats(grid, mix: _Mixture):
     size c^2 against each other.
 
     The tables are written into ``mix``, which must have been built for
-    ``grid``'s size; the returned ``raw`` is a view of it and is overwritten
-    by the next call that shares ``mix``.
+    ``grid``'s size, and are overwritten by the next call that shares it.
     """
     x = np.asarray(grid, dtype=float)
     n = x.size
@@ -393,7 +393,7 @@ def _mixture_stats(grid, mix: _Mixture):
     t[1:-1] = (bounds[1:-1] - c) * Q[0, 1:-1] + Q[1, 1:-1]
     xc = x - c
     dist = float(((R[2] + t[:-1] - t[1:]) - 2.0 * xc * M1c + xc * xc * M0).sum())
-    return M0, M1, dist, Q[2], raw
+    return M0, M1, dist, Q[2]
 
 
 def mixture_distortion(grid, means, stds, probs) -> float:
@@ -412,7 +412,7 @@ def mixture_distortion(grid, means, stds, probs) -> float:
 def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     """Analytic gradient of mixture_distortion: g_j = 2 (x_j M0_j - M1_j)."""
     x = _ordered_grid(grid)
-    M0, M1, _, _, _ = _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs), x.size))
+    M0, M1, _, _ = _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs), x.size))
     return 2.0 * (x * M0 - M1)
 
 
@@ -478,18 +478,17 @@ def _optimize_codewords(mix: _Mixture, x0, settings: OptimizerSettings, step: in
     stationarity residual max_j |x_j - M1_j/M0_j| = max_j |g_j| / (2 M0_j)
     is read off the stats already computed on the current grid, so the stop
     costs no kernel call. The iteration returns as soon as the residual is
-    below the fixed-point tolerance: the grid, its distortion and the
-    per-component cell masses of the last stats evaluation, which is on that
-    grid. All stats calls share the layer's ``mix``, and the cell masses
-    returned are a view of it.
+    below the fixed-point tolerance, with the grid and its distortion. All
+    stats calls share the layer's ``mix``, and the last one is on the grid
+    returned, so ``mix.raw`` then holds that grid's cell masses.
     """
     x = np.asarray(x0, dtype=float).copy()
-    M0, M1, dist, F, raw = _mixture_stats(x, mix)
+    M0, M1, dist, F = _mixture_stats(x, mix)
     for it in range(settings.max_iterations + 1):
         g = 2.0 * (x * M0 - M1)
         resid = float(np.max(np.abs(g) / np.maximum(2.0 * M0, 1e-300)))
         if resid < settings.fixed_point_tol:
-            return x, dist, raw
+            return x, dist
         if it == settings.max_iterations:
             break
         x_new = stats_new = None
@@ -516,7 +515,7 @@ def _optimize_codewords(mix: _Mixture, x0, settings: OptimizerSettings, step: in
             x_new = cand
             stats_new = _mixture_stats(cand, mix)
         x = x_new
-        M0, M1, dist, F, raw = stats_new
+        M0, M1, dist, F = stats_new
     raise ConvergenceError(
         f"grid optimization stalled at step {step}: stationarity residual "
         f"{resid:.3e} after {settings.max_iterations} iterations "
@@ -545,9 +544,8 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
     most 1e-10 and rejected otherwise, since a larger defect means the grid
     or cdf is broken upstream. The check runs before ``raw`` is touched.
     ``raw`` is then divided in place and becomes the entries, so no copy is
-    made: a ``raw`` from ``_mixture_stats`` is a view of the mixture's
-    density table ``P``, which the transition then keeps, and the mixture
-    must not run the kernel again.
+    made: ``_Mixture.raw`` is a view of its density table ``P``, which the
+    transition then keeps, and the mixture must not run the kernel again.
     """
     sums = raw.sum(axis=1)
     if not np.max(np.abs(sums - 1.0)) <= 1e-10:
@@ -576,7 +574,7 @@ def _quantize_layer(
     """
     x0 = _quantile_start(mix) if start is None else start
     try:
-        x, dist, raw = _optimize_codewords(mix, x0, settings, prev.step + 1)
+        x, dist = _optimize_codewords(mix, x0, settings, prev.step + 1)
     except ConvergenceError as exc:
         slope = np.diff(mix.m) / np.diff(prev.codewords)
         if slope.size and not slope.min() > 0.0:
@@ -586,7 +584,7 @@ def _quantize_layer(
                 exc.last_grid, exc.gradient_norm, exc.step,
             ) from None
         raise
-    tr = _normalized_transition(prev.step, raw)  # keeps raw, a view of mix.P
+    tr = _normalized_transition(prev.step, mix.raw)
     return QuantizedLayer(prev.step + 1, x, prev.weights @ tr.entries, dist), tr
 
 
@@ -629,7 +627,8 @@ def transition_matrix(
     """
     x = next_layer.codewords
     mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights, x.size)
-    return _normalized_transition(prev.step, _mixture_stats(x, mix)[4])
+    _mixture_stats(x, mix)
+    return _normalized_transition(prev.step, mix.raw)
 
 
 def _warm_start_from(mix: _Mixture) -> np.ndarray | None:

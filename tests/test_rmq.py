@@ -77,8 +77,10 @@ def unit_gaussian_problem():
 
 
 def kernel_stats(grid, means, stds, probs):
-    """``rmq._mixture_stats`` of ``grid`` with a fresh ``_Mixture`` object."""
-    return rmq_mod._mixture_stats(grid, rmq_mod._Mixture(means, stds, probs, len(grid)))
+    """``rmq._mixture_stats`` of ``grid`` with a fresh ``_Mixture`` object,
+    followed by the cell masses it leaves in ``_Mixture.raw``."""
+    mix = rmq_mod._Mixture(means, stds, probs, len(grid))
+    return (*rmq_mod._mixture_stats(grid, mix), mix.raw)
 
 
 def layer_mixture(layer, dt, problem):
@@ -352,7 +354,7 @@ class TestKernelWork:
                 grid = 100.0 + spread * np.sort(rng.normal(0.0, 3.0, n))
                 assert np.all(np.diff(grid) > 0)
                 fresh = kernel_stats(grid, means, stds, probs)
-                reused = rmq_mod._mixture_stats(grid, mix)
+                reused = (*rmq_mod._mixture_stats(grid, mix), mix.raw)
                 for got, want in zip(reused, fresh):
                     assert np.array_equal(got, want), spread
 
@@ -641,7 +643,7 @@ class TestOptimizeGrid:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rmq_mod, "_mixture_stats", counted)
-        x, dist, _ = rmq_mod._optimize_codewords(mix, layer.codewords, OptimizerSettings(), 1)
+        x, dist = rmq_mod._optimize_codewords(mix, layer.codewords, OptimizerSettings(), 1)
         assert len(calls) == 1
         assert np.array_equal(x, layer.codewords)
         assert dist == layer.distortion
@@ -705,9 +707,10 @@ class TestTransitionMatrix:
         # sabotage the raw cell masses so every row telescopes to 0.9
         real = rmq_mod._mixture_stats
 
-        def leaky(*args, **kwargs):
-            M0, M1, dist, F, raw = real(*args, **kwargs)
-            return M0, M1, dist, F, 0.9 * raw
+        def leaky(grid, mix):
+            stats = real(grid, mix)
+            mix.raw *= 0.9
+            return stats
 
         monkeypatch.setattr(rmq_mod, "_mixture_stats", leaky)
         nxt = QuantizedLayer(1, np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 0.0)
