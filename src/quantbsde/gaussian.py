@@ -1,10 +1,10 @@
 """Standard-normal distribution function and density.
 
 Every cell integral downstream (cell masses, distortion, transition
-probabilities) is built from ``cdf_and_pdf``, which returns Phi and phi of a
-finite 1-d array with one shared exp. ``normal_cdf`` is its pure form for
-scalars or arrays of any shape, exact 0/1 at infinite arguments, so no NaN
-can leak out of a tail cell.
+probabilities) is built from ``cdf_and_pdf``: Phi(a) - 1{a > 0}, which keeps
+both tails' relative precision, and phi(a) of a finite 1-d array, sharing one
+exp. ``normal_cdf`` adds the 1 back: it is the pure form for scalars or arrays
+of any shape, exact 0/1 at infinite arguments, so no NaN leaks out of a tail.
 
 The distribution function is numpy arithmetic on the rational Chebyshev
 approximations of erf and erfc of Cody, "Rational Chebyshev approximations
@@ -89,7 +89,8 @@ class CdfBuffers:
 
 
 def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Phi(a) and phi(a) of a finite 1-d float array, sharing one exp.
+    """Phi(a) - 1{a > 0} and phi(a) of a finite 1-d float array, sharing one
+    exp: -Phi(-a) on a > 0, which stays small in the upper tail.
 
     Written into ``out`` (fresh buffers if None) and returned as views of it;
     ``a`` may be ``out.rows[0, :a.size]``, which is overwritten. NaN passes
@@ -107,7 +108,7 @@ def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarra
     np.negative(e, out=e)
     np.exp(e, out=e)
     np.multiply(e, _INV_SQRT_2PI, out=pdf)
-    # cdf = erfc(|x|)/2 = Phi(-|a|) on 1 <= |x| < 8, reflected where a > 0
+    # cdf = erfc(|x|)/2 = Phi(-|a|) on 1 <= |x| < 8, negated where a > 0
     pq = _horner2(z, _PQ, w.rows[4:, :n])
     cdf = np.multiply(e, pq[0], out=pq[0])
     cdf /= pq[1]
@@ -116,7 +117,7 @@ def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarra
         far = np.flatnonzero(z >= 8.0)
         rs = _horner2(z[far], _RS, np.empty((2, far.size)))
         cdf[far] = 0.5 * (e[far] * rs[0] / rs[1])
-    np.subtract(1.0, cdf, out=cdf, where=np.greater(x, 0.0, out=w.mask[:n]))
+    np.negative(cdf, out=cdf, where=np.greater(x, 0.0, out=w.mask[:n]))
     # |x| < 1: cephes takes 1 - erf(|x|) from sqrt(1/2) on, which rounds to
     # the same double as 0.5 + 0.5 erf(x) because erf(|x|) >= 1/2 there.
     near = np.less(z, 1.0, out=w.mask[:n])
@@ -129,6 +130,7 @@ def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarra
         t /= tu[1]
         t *= 0.5
         t += 0.5
+        t -= xs > 0.0  # exact where x > 0, by Sterbenz's lemma
         cdf[near] = t
     return cdf, pdf
 
@@ -138,5 +140,5 @@ def normal_cdf(x):
     ``ndtr``; exactly 0/1 at -inf/+inf, NaN for NaN."""
     x = np.asarray(x, dtype=float)
     # Phi rounds to exactly 0/1 beyond |x| = 40, where exp(-x^2/2) is 0
-    out = cdf_and_pdf(np.clip(x, -40.0, 40.0).ravel())[0].reshape(x.shape)
+    out = cdf_and_pdf(np.clip(x, -40.0, 40.0).ravel())[0].reshape(x.shape) + (x > 0.0)
     return float(out) if out.ndim == 0 else out

@@ -5,20 +5,21 @@ codebook, is a finite Gaussian mixture. This module optimizes an N-point
 quantizer of that mixture (damped Newton on the distortion gradient with an
 exact tridiagonal Hessian, Lloyd fixed-point steps as fallback), records the
 marginal weights and the companion transition matrices, and chains the layers
-into a tree. All cell integrals are closed-form Gaussian partial moments,
-taken about the mixture mean so that the distortion does not cancel large
-terms, and building a tree involves no sampling of any kind.
+into a tree. All cell integrals are closed-form Gaussian partial moments
+about the mixture mean, so the distortion cancels no large terms, and cell
+masses are differences of Phi(a) - 1{a > 0}, so both tails keep their
+relative precision. Building a tree involves no sampling of any kind.
 
 Each layer of ``build_tree`` is one pass: one conditional law, one grid
 optimization, and one transition matrix built from the optimizer's last cell
 masses. ``optimize_grid`` and ``transition_matrix`` expose the two halves of
 that pass on their own. The pass reads one per-layer mixture object, which
-holds the law, its mean and spread, the kernel's grid-free coefficients and
-its work arrays. A layer after the first starts from the mixture's
-component means, standardized and mapped through the first Cornish-Fisher
-term to the mixture's mean, spread and skewness, plus the misses of earlier
-layers extrapolated in that spread; the first starts from Gaussian
-quantiles matched to the mixture's mean and variance.
+holds the law, its mean and spread, the kernel's grid-free coefficients, its
+work arrays and the last cell masses. A layer after the first starts from
+the mixture's component means, standardized and mapped through the first
+Cornish-Fisher term to the mixture's mean, spread and skewness, plus the
+misses of earlier layers extrapolated in that spread; the first starts from
+Gaussian quantiles matched to the mixture's mean and variance.
 
 Voronoi cells are the midpoint intervals of the sorted codewords, with
 infinite outer edges; a point exactly on a midpoint belongs to the cell on
@@ -266,10 +267,10 @@ def conditional_law(
     return y + dt * drift, math.sqrt(dt) * sig
 
 
-# The cdf is evaluated only on standardized boundaries inside this band.
-# From a = 8.2924 up it rounds to exactly 1; below the band it is taken as 0,
-# which drops at most Phi(-8.5) = 9.5e-18 of mass per entry. The pdf is 0
-# outside the band, and infinite outer boundaries fall outside it.
+# The cdf table Phi(a) - 1{a > 0} is evaluated only on standardized boundaries
+# inside this band and taken as 0 outside it, dropping at most Phi(-8.3) =
+# 5.2e-17 of mass per entry above it and Phi(-8.5) = 9.5e-18 below. The pdf is
+# 0 outside the band, and infinite outer boundaries fall outside it.
 _BAND_LO, _BAND_HI = -8.5, 8.3
 
 
@@ -338,7 +339,7 @@ class _Mixture:
         self.C = np.empty(shape)
         self.P = np.empty(shape)
         self.raw = self.P.reshape(-1)[: m.size * n].reshape(m.size, n)
-        self.band, self.above = np.empty((2,) + shape, dtype=bool)
+        self.band, self.below = np.empty((2,) + shape, dtype=bool)
         self.cdf = CdfBuffers(m.size * (n + 1))
 
 
@@ -350,9 +351,10 @@ def _mixture_stats(grid, mix: _Mixture):
     mixture's zeroth/first partial moments and F holds the mixture density
     at the n+1 cell boundaries (exact zeros at the infinite ends); the
     per-component cell masses, which give the transition probabilities, are
-    left in ``mix.raw``. Infinite boundaries contribute cdf values of
-    exactly 0/1 and pdf values of exactly 0, and so do finite ones outside
-    the band (_BAND_LO, _BAND_HI) of standardized values.
+    left in ``mix.raw``. The cdf table holds Phi(a) - 1{a > 0}, 0 at infinite
+    boundaries and outside the band (_BAND_LO, _BAND_HI) of standardized
+    values, where the pdf is 0 too; so a cell mass is a difference of small
+    numbers, plus 1 in the cell that holds the component's mean.
 
     Moments are aggregated over components by two 3-row matrix products,
     taken about the mixture mean c: component i contributes
@@ -375,15 +377,16 @@ def _mixture_stats(grid, mix: _Mixture):
     a = np.subtract(bounds[None, :], mix.m[:, None], out=C)
     a /= mix.v[:, None]  # standardized, comps x (n+1); C replaces it below
     band = np.greater(a, _BAND_LO, out=mix.band)
-    band &= np.less(a, _BAND_HI, out=mix.above)
+    band &= np.less(a, _BAND_HI, out=mix.below)
     in_band = a[band]
-    np.copyto(C, np.greater_equal(a, _BAND_HI, out=mix.above))
+    C.fill(0.0)
     P.fill(0.0)
     C[band], P[band] = cdf_and_pdf(in_band, mix.cdf)
 
     c = mix.c
     Q = mix.q @ P
     raw = np.subtract(C[:, 1:], C[:, :-1], out=mix.raw)  # per-component cell masses
+    raw[np.arange(raw.shape[0]), np.searchsorted(bounds, mix.m, side="right") - 1] += 1.0
     R = mix.r @ raw
 
     M0 = R[0]

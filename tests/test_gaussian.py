@@ -105,6 +105,10 @@ class TestAgainstCephes:
     def test_shared_pdf_matches_the_density(self):
         a = np.linspace(-8.5, 8.3, 10_001)
         cdf, pdf = cdf_and_pdf(a)
-        assert np.array_equal(cdf, normal_cdf(a))
+        # the kernel's table is Phi(a) - 1{a > 0}: minus the survival
+        # function above 0, from the same erfc rational beyond sqrt(2)
+        assert np.array_equal(cdf + (a > 0), normal_cdf(a))
+        upper = a > math.sqrt(2.0)
+        assert np.array_equal(-cdf[upper], normal_cdf(-a[upper]))
         exact = INV_SQRT_2PI * np.exp(-0.5 * a * a)
         assert np.max(np.abs(pdf - exact) / exact) <= 5e-14

@@ -38,6 +38,7 @@ from quantbsde import (
     make_bergman,
     make_black_scholes,
     mixture_distortion,
+    normal_cdf,
     optimize_grid,
     save_tree,
     solve,
@@ -334,6 +335,17 @@ class TestBandedKernel:
         assert raw.tolist() == [[0.0, 0.0, 0.5, 0.5, 0.0]]
         assert F[[0, 1, 2, 4, 5]].tolist() == [0.0] * 5
         assert F[3] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+
+    def test_upper_tail_cell_masses_keep_their_relative_precision(self):
+        # above the mean each mass must come from the small side Phi(-a):
+        # a difference of two cdf values near 1 is off by 1.46e-5 here
+        grid = np.linspace(-3.0, 7.5, 22)
+        raw = kernel_stats(grid, [0.0], [1.0], [1.0])[4][0]
+        bounds = np.concatenate(([-np.inf], 0.5 * (grid[:-1] + grid[1:]), [np.inf]))
+        upper = bounds[:-1] > 0.0
+        want = normal_cdf(-bounds[:-1]) - normal_cdf(-bounds[1:])
+        assert upper.sum() == 15
+        assert np.max(np.abs(raw[upper] - want[upper]) / want[upper]) <= 1e-14
 
 
 class TestKernelWork:
@@ -655,6 +667,15 @@ class TestOptimizeGrid:
         tree = build_tree(problem, TimeGrid(20, 1.0), 50, settings)
         u0 = solve(tree, problem).u0
         assert abs(u0 - 11.805803960132348) <= 1e-12 * 11.805803960132348
+
+    @pytest.mark.parametrize("N, n", [(100, 50), (200, 10), (200, 20), (200, 40), (200, 80)])
+    def test_tight_tolerance_converges_at_N_100_and_above(self, N, n):
+        # the residual reaches 1e-12 in the upper tail only if those cell
+        # masses keep their relative precision; taken as differences of cdf
+        # values near 1, each build stalls at step 1 at 7.9e-12 to 9.9e-11
+        problem = make_black_scholes(BlackScholesParams(0.04, 0.25, 100.0), T=1.0, y0=100.0)
+        tree = build_tree(problem, TimeGrid(n, 1.0), N, OptimizerSettings(fixed_point_tol=1e-12))
+        assert len(tree.layers) == n + 1 and tree.layers[-1].size == N
 
 
 class TestTransitionMatrix:
