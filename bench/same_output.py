@@ -23,6 +23,8 @@ names the first path at which they do. For each ``.rmq.json`` tree that
 differs, one more line says whether both files decode through this
 checkout's ``load_tree`` to bit-identical trees and solutions
 (``pairs.tree_digest``), so a change of file format alone shows as such.
+Where they do not, it also gives the count and the largest differences of
+the decoded numbers, transition entries included (``decoded``), as above.
 """
 
 from __future__ import annotations
@@ -113,8 +115,15 @@ def json_diff_line(a: bytes, b: bytes) -> str | None:
         docs = json.loads(a), json.loads(b)
     except (UnicodeDecodeError, ValueError):
         return None
+    return diff_summary(*docs)
+
+
+def diff_summary(a, b) -> str:
+    """The count of unequal numbers of two JSON-like documents and the
+    largest absolute and relative differences, each with its path; or the
+    first path at which they differ in anything else."""
     try:
-        diffs = list(number_diffs(*docs))
+        diffs = list(number_diffs(a, b))
     except ValueError as exc:
         return str(exc)
     if not diffs:
@@ -125,19 +134,32 @@ def json_diff_line(a: bytes, b: bytes) -> str | None:
             f"largest relative {worst_rel['max_rel_diff']:.3g} at {worst_rel['at']}")
 
 
+def decoded(tree, solution) -> dict:
+    """A loaded tree and solution as one JSON-like document whose
+    transitions are their entries as nested lists, for ``number_diffs``."""
+    return {"time_grid": [tree.time_grid.n, tree.time_grid.T],
+            "layers": [{"step": la.step, "codewords": la.codewords.tolist(),
+                        "weights": la.weights.tolist(), "distortion": la.distortion}
+                       for la in tree.layers],
+            "transitions": [tr.entries.tolist() for tr in tree.transitions],
+            "solution": solution}
+
+
 def tree_line(a: Path, b: Path) -> str:
     """Whether two tree files decode through this checkout's ``load_tree``
-    to bit-identical trees and solutions."""
+    to bit-identical trees and solutions, and if not, by how much."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     from quantbsde.rmq import load_tree
 
     try:
-        same = tree_digest(*load_tree(a)) == tree_digest(*load_tree(b))
+        loaded = [load_tree(path) for path in (a, b)]
     except ValueError as exc:
         return f"does not load: {exc}"
-    return ("decodes to bit-identical trees and solutions" if same
-            else "decodes to different trees or solutions")
+    if tree_digest(*loaded[0]) == tree_digest(*loaded[1]):
+        return "decodes to bit-identical trees and solutions"
+    summary = diff_summary(decoded(*loaded[0]), decoded(*loaded[1]))
+    return f"decodes to different trees or solutions: {summary}"
 
 
 def main(argv=None) -> int:

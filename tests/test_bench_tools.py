@@ -86,3 +86,21 @@ def test_number_diffs_yields_unequal_numbers_then_names_the_first_other_mismatch
     assert next(diffs) == ("$.x[1]", 2.0, 2.5)
     with pytest.raises(ValueError, match=r"differ beyond their numbers at \$\.y$"):
         next(diffs)
+
+
+def test_tree_line_sizes_the_difference_of_two_trees(tmp_path):
+    spec = MODELS["black-scholes"]
+    problem = spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+    tree = build_tree(problem, TimeGrid(3, problem.T), 4)
+    bare, solved, moved = (tmp_path / f"{name}.rmq.json" for name in ("bare", "solved", "moved"))
+    save_tree(tree, bare)
+    save_tree(tree, solved, solution=solve(tree, problem))
+    assert same_output.tree_line(bare, bare) == "decodes to bit-identical trees and solutions"
+    tree.transitions[1].entries[0, 1] += 1e-12  # the row still sums to 1 within 1e-10
+    save_tree(tree, moved)
+    assert same_output.tree_line(solved, moved) == (
+        "decodes to different trees or solutions: "
+        "documents differ beyond their numbers at $.solution")
+    assert same_output.tree_line(bare, moved).startswith(
+        "decodes to different trees or solutions: 1 numbers differ; "
+        "largest absolute 1e-12 at $.transitions[1][0][1], largest relative ")
