@@ -1,4 +1,4 @@
-"""Stats-kernel calls per RMQ layer on the benchmark's two build workloads.
+"""Stats-kernel calls per RMQ layer, and the CLI's output, against a parent revision.
 
     python3 bench/calls.py --out CALLS.json [--rev HEAD~1]
 
@@ -21,16 +21,34 @@ build of the error message and the last grid (``stall_digest``). Beyond
 sigma sqrt(T) = 0.75 the Euler chain puts mass on negative prices and some
 builds stall.
 
-With ``--rev`` the same counts are also taken on that revision, exported
-with ``git archive`` into a temporary directory
-(``pairs.parent_checkout``), and the output holds both sides, the largest
-relative u0 difference (``pairs.largest_rel_diff``) over the two build
-workloads and, for the envelope, the builds that converge on one side only
-and the largest relative u0 difference of the builds that converge on both,
-up to and beyond sigma sqrt(T) = 0.75, and the count of cases, out of all
-70, whose digests agree, with the cases that differ
-(``trees bit-identical: k of 70``). Each side is counted in its own
-interpreter.
+With ``--rev`` that revision is exported once with ``git archive`` into a
+temporary directory (``pairs.parent_checkout``) and counted the same way,
+each side in its own interpreter. One pass over the labelled case pairs
+(``agreement``) then gives the largest relative u0 difference
+(``pairs.largest_rel_diff``) over the two build workloads; the envelope
+builds that converge on one side only, and the largest relative u0
+difference of those that converge on both, up to and beyond
+sigma sqrt(T) = 0.75; and how many of all 70 cases have the same digest on
+both sides, with the ones that differ (``trees bit-identical: k of 70``).
+
+The CLI is then run on both sides, the change side being this checkout as
+it stands on disk: each case in a fresh interpreter, in an empty directory
+of its own. The cases are the ``quantbsde`` commands of README.md's
+"Command line" section and its JSON config example, run through ``solve``,
+``sweep`` and ``hedge``; both sides take them from this checkout's README.
+Compared byte for byte: the exit code, stdout, stderr and every file a case
+writes (CSV tables, ``.rmq.json`` trees, the sweep's JSON sidecar without
+its ``timings_seconds``, since wall-clock times differ from run to run).
+One line is printed per case, and the script exits 1 when any case differs.
+For each JSON file that differs, one more line gives the count of unequal
+numbers and the largest absolute and relative difference, each with its
+JSON path; or, where the two documents differ in anything but their
+numbers, the first path at which they do. For each ``.rmq.json`` tree that
+differs, one more line says whether both files decode through this
+checkout's ``load_tree`` to bit-identical trees and solutions
+(``pairs.tree_digest``), so a change of file format alone shows as such,
+and if not, sizes the difference of the decoded numbers, transition
+entries included (``decoded``), in the same way.
 """
 
 from __future__ import annotations
@@ -39,8 +57,12 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -51,6 +73,7 @@ LADDER = (200, (10, 20, 40, 80))
 SWEEP = ((5, 10, 15, 20, 50, 100), (5, 10, 20, 50, 100))
 ENVELOPE = (50, 10, (0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0), (0.25, 1.0, 2.0, 5.0))
 SAFE_SPREAD = 0.75  # largest sigma sqrt(T) at which every envelope build converged
+CONFIG = "run.json"
 
 
 def stall_digest(exc) -> str:
@@ -127,49 +150,179 @@ def count_in_child(src: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def u0_agreement(parent: dict, change: dict) -> dict:
-    return largest_rel_diff(
-        (f"{workload} N={a['N']},n={a['n']}", a["u0"], b["u0"])
-        for workload in ("bs-refine", "bergman-sweep")
-        for a, b in zip(parent[workload]["cases"], change[workload]["cases"]))
+def agreement(parent: dict, change: dict) -> dict:
+    """The u0, envelope and tree agreement of the two sides' counts (module
+    docstring), from one pass over the labelled case pairs."""
+    u0, safe, beyond, flips, differ = [], [], [], [], []
+    state = {True: "converged", False: "stalled"}
+    for workload, side in change.items():
+        for a, b in zip(parent[workload]["cases"], side["cases"]):
+            if workload != "envelope":
+                label = "N={N},n={n}".format(**a)
+                u0.append((f"{workload} {label}", a["u0"], b["u0"]))
+            else:
+                label = "sigma={sigma},T={T}".format(**a)
+                if a["converged"] != b["converged"]:
+                    flips.append(f"{label}: {state[a['converged']]} -> {state[b['converged']]}")
+                elif a["converged"]:
+                    near = a["sigma_sqrt_T"] <= SAFE_SPREAD
+                    (safe if near else beyond).append((label, a["u0"], b["u0"]))
+            if a["sha256"] != b["sha256"]:
+                differ.append(f"{workload} {label}")
+    cases = sum(len(side["cases"]) for side in change.values())
+    return {"u0_agreement": largest_rel_diff(u0),
+            "envelope_agreement": {"flips": flips, "safe": largest_rel_diff(safe),
+                                   "beyond": largest_rel_diff(beyond)},
+            "tree_agreement": {"identical": cases - len(differ), "cases": cases,
+                               "differ": differ}}
 
 
-def envelope_agreement(parent: dict, change: dict) -> dict:
-    """Envelope builds that converge on one side only, and the largest u0
-    difference of those converging on both, up to and beyond SAFE_SPREAD."""
-    pairs = list(zip(parent["envelope"]["cases"], change["envelope"]["cases"]))
-    label = "sigma={sigma},T={T}".format
-    both = [(label(**a), a, b) for a, b in pairs if a["converged"] and b["converged"]]
-    return {
-        "flips": [f"{label(**a)}: {'converged' if a['converged'] else 'stalled'} -> "
-                  f"{'converged' if b['converged'] else 'stalled'}"
-                  for a, b in pairs if a["converged"] != b["converged"]],
-        "safe": largest_rel_diff((name, a["u0"], b["u0"]) for name, a, b in both
-                                 if a["sigma_sqrt_T"] <= SAFE_SPREAD),
-        "beyond": largest_rel_diff((name, a["u0"], b["u0"]) for name, a, b in both
-                                   if a["sigma_sqrt_T"] > SAFE_SPREAD),
-    }
+def readme_cases() -> list:
+    """(name, argv, config text or None) for each README command."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Command line"):]
+    section = section[: section.index("\n## ", 1)]
+    cases = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.DOTALL):
+        for line in block.splitlines():
+            if line.startswith("quantbsde ") and "--config" not in line:
+                argv = shlex.split(line)[1:]
+                cases.append((" ".join(argv), argv, None))
+    config = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    for command in ("solve", "sweep", "hedge"):
+        argv = [command, "--config", CONFIG]
+        cases.append((" ".join(argv), argv, config))
+    return cases
 
 
-def tree_agreement(parent: dict, change: dict) -> dict:
-    """How many cases of the three sets have the same digest on both
-    sides, and the labels of those that do not."""
-    def label(workload: str, case: dict) -> str:
-        if workload == "envelope":
-            return f"envelope sigma={case['sigma']},T={case['T']}"
-        return f"{workload} N={case['N']},n={case['n']}"
+def run_case(src: Path, workdir: Path, argv: list, config: str | None) -> dict:
+    """Run one case with the package under ``src``; return what it left."""
+    workdir.mkdir(parents=True)
+    if config is not None:
+        (workdir / CONFIG).write_text(config, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from quantbsde.cli import entry; entry()", *argv],
+        cwd=workdir, env=env, capture_output=True)
+    out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
+           "stderr": proc.stderr}
+    for path in sorted(workdir.iterdir()):
+        if path.name != CONFIG:
+            out[path.name] = comparable(path.read_bytes())
+    return out
 
-    pairs = [(label(workload, a), a, b)
-             for workload in ("bs-refine", "bergman-sweep", "envelope")
-             for a, b in zip(parent[workload]["cases"], change[workload]["cases"])]
-    differ = [name for name, a, b in pairs if a["sha256"] != b["sha256"]]
-    return {"identical": len(pairs) - len(differ), "cases": len(pairs), "differ": differ}
+
+def comparable(data: bytes) -> bytes:
+    """The file's bytes, or for a sweep sidecar its bytes without the timings."""
+    try:
+        doc = json.loads(data)
+    except (UnicodeDecodeError, ValueError):
+        return data
+    if not (isinstance(doc, dict) and "timings_seconds" in doc):
+        return data
+    del doc["timings_seconds"]
+    return json.dumps(doc, indent=2).encode()
+
+
+def number_diffs(a, b, path: str = "$"):
+    """(path, a, b) for each pair of unequal numbers of two JSON documents;
+    ValueError naming the first path at which they differ in anything else."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from number_diffs(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from number_diffs(x, y, f"{path}[{i}]")
+    elif {type(a), type(b)} <= {int, float}:
+        if a != b:
+            yield path, a, b
+    elif a != b:
+        raise ValueError(f"documents differ beyond their numbers at {path}")
+
+
+def json_diff_line(a: bytes, b: bytes) -> str | None:
+    """The largest differences between two JSON files, or None if either is
+    not JSON."""
+    try:
+        docs = json.loads(a), json.loads(b)
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return diff_summary(*docs)
+
+
+def diff_summary(a, b) -> str:
+    """The count of unequal numbers of two JSON-like documents and the
+    largest absolute and relative differences, each with its path; or the
+    first path at which they differ in anything else."""
+    try:
+        diffs = list(number_diffs(a, b))
+    except ValueError as exc:
+        return str(exc)
+    if not diffs:
+        return "numbers equal; the text differs"
+    at, a, b = max(diffs, key=lambda d: abs(d[1] - d[2]))
+    worst_rel = largest_rel_diff(diffs)
+    return (f"{len(diffs)} numbers differ; largest absolute {abs(a - b):.3g} at {at}, "
+            f"largest relative {worst_rel['max_rel_diff']:.3g} at {worst_rel['at']}")
+
+
+def decoded(tree, solution) -> dict:
+    """A loaded tree and solution as one JSON-like document whose
+    transitions are their entries as nested lists, for ``number_diffs``."""
+    return {"time_grid": [tree.time_grid.n, tree.time_grid.T],
+            "layers": [{"step": la.step, "codewords": la.codewords.tolist(),
+                        "weights": la.weights.tolist(), "distortion": la.distortion}
+                       for la in tree.layers],
+            "transitions": [tr.entries.tolist() for tr in tree.transitions],
+            "solution": solution}
+
+
+def tree_line(a: Path, b: Path) -> str:
+    """Whether two tree files decode through this checkout's ``load_tree``
+    to bit-identical trees and solutions, and if not, by how much."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from quantbsde.rmq import load_tree
+
+    try:
+        loaded = [load_tree(path) for path in (a, b)]
+    except ValueError as exc:
+        return f"does not load: {exc}"
+    if tree_digest(*loaded[0]) == tree_digest(*loaded[1]):
+        return "decodes to bit-identical trees and solutions"
+    summary = diff_summary(decoded(*loaded[0]), decoded(*loaded[1]))
+    return f"decodes to different trees or solutions: {summary}"
+
+
+def same_output(sha: str, parent_root: Path) -> dict:
+    """Run the README cases on both sides and print how they compare; return
+    the count of cases and the names of those that differ."""
+    cases, differ = readme_cases(), []
+    with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
+        for i, (name, case_argv, config) in enumerate(cases):
+            workdirs = [Path(tmp) / side / str(i) for side in ("parent", "change")]
+            sides = [run_case(root / "src", workdir, case_argv, config)
+                     for root, workdir in zip((parent_root, ROOT), workdirs)]
+            keys = sorted(set(sides[0]) | set(sides[1]))
+            bad = [k for k in keys if sides[0].get(k) != sides[1].get(k)]
+            differ += [name] if bad else []
+            print(f"{'DIFF' if bad else 'same'}  {name}"
+                  + (f"  ({', '.join(bad)})" if bad else ""))
+            for key in bad:
+                line = json_diff_line(sides[0].get(key, b""), sides[1].get(key, b""))
+                if line is not None:
+                    print(f"      {key}: {line}")
+                if key.endswith(".rmq.json") and key in sides[0] and key in sides[1]:
+                    print(f"      {key}: {tree_line(*(w / key for w in workdirs))}")
+    print(f"same_output: {len(cases)} cases against {sha[:12]}, {len(differ)} differ")
+    return {"cases": len(cases), "differ": differ}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", help="JSON file to write")
-    ap.add_argument("--rev", help="also count on this revision")
+    ap.add_argument("--rev", help="also count, and run the CLI, on this revision")
     ap.add_argument("--src", help="count with the package under this directory and "
                                   "print the counts as JSON on stdout")
     args = ap.parse_args(argv)
@@ -181,11 +334,9 @@ def main(argv=None) -> int:
     doc = {**header(argv), "counts": count_in_child(ROOT / "src")}
     if args.rev:
         with parent_checkout(args.rev) as (sha, parent_root):
-            parent = count_in_child(parent_root / "src")
-        doc["parent"] = {"rev": sha, "counts": parent}
-        doc["u0_agreement"] = u0_agreement(parent, doc["counts"])
-        doc["envelope_agreement"] = envelope_agreement(parent, doc["counts"])
-        doc["tree_agreement"] = tree_agreement(parent, doc["counts"])
+            doc["parent"] = {"rev": sha, "counts": count_in_child(parent_root / "src")}
+            cli = same_output(sha, parent_root)
+        doc.update(agreement(doc["parent"]["counts"], doc["counts"]), cli=cli)
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)
@@ -194,12 +345,12 @@ def main(argv=None) -> int:
     print(f"envelope: {before}{converged} of {len(doc['counts']['envelope']['cases'])} "
           "builds converge", file=sys.stderr)
     if args.rev:
-        agreement = doc["envelope_agreement"]
-        for flip in agreement["flips"]:
+        envelope = doc["envelope_agreement"]
+        for flip in envelope["flips"]:
             print(f"envelope flip: {flip}", file=sys.stderr)
         print(f"u0 max rel diff: {doc['u0_agreement']}", file=sys.stderr)
         for side in ("safe", "beyond"):
-            print(f"envelope {side} u0 max rel diff: {agreement[side]}", file=sys.stderr)
+            print(f"envelope {side} u0 max rel diff: {envelope[side]}", file=sys.stderr)
         trees = doc["tree_agreement"]
         print(f"trees bit-identical: {trees['identical']} of {trees['cases']}", file=sys.stderr)
         for name in trees["differ"]:
@@ -207,7 +358,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 0
+    return 1 if args.rev and doc["cli"]["differ"] else 0
 
 
 if __name__ == "__main__":

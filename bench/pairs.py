@@ -24,14 +24,15 @@ one per workload and metric. The bound is a share of the parent's median,
 and so is the parent's spread, the distance between its quartiles:
 
 - ``gain``: the change wins at least 9 of 10 pairs and its median is better
-  than the parent's by more than the parent's spread;
+  than the parent's by more than its spread and by more than 1e-12 of its
+  median, so a rounding-level move of a zero-spread metric is no gain;
 - ``regression``: the change's median is worse by more than the bound;
 - ``unresolved``: the parent's spread is wider than the bound;
 - ``flat`` otherwise.
 
 The first rule that holds gives the verdict.
 
-The other ``bench/`` scripts share this module's harness: ``parent_checkout``,
+``bench/calls.py`` shares this module's harness: ``parent_checkout``,
 ``header``, ``tree_digest`` and ``largest_rel_diff``.
 
 Each run also records ``cpus_usable``, the CPU count of its environment
@@ -168,7 +169,7 @@ def verdict(better: str, bound: float, wins: int, pairs: int, parent: dict,
     sign = 1.0 if better == "lower" else -1.0
     worse = sign * (change["median"] - parent["median"])  # > 0: the change is worse
     width = parent["q3"] - parent["q1"]
-    if 10 * wins >= 9 * pairs and -worse > width:
+    if 10 * wins >= 9 * pairs and -worse > max(width, 1e-12 * abs(parent["median"])):
         return "gain"
     if share(worse, parent["median"]) > bound:
         return "regression"

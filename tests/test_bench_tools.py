@@ -1,6 +1,6 @@
 """The helpers of the ``bench/`` gate scripts, without git or subprocesses.
 
-The scripts are loaded by path, as they are run; ``same_output`` imports
+The scripts are loaded by path, as they are run; ``calls`` imports
 ``pairs`` by that name.
 """
 
@@ -26,7 +26,7 @@ def load(name: str):
 
 
 pairs = load("pairs")
-same_output = load("same_output")
+calls = load("calls")
 
 PARENT = {"median": 1.0, "q1": 0.95, "q3": 1.05}
 
@@ -37,6 +37,10 @@ PARENT = {"median": 1.0, "q1": 0.95, "q3": 1.05}
     (0, 1.3, PARENT, "regression"),
     (5, 1.0, {"median": 1.0, "q1": 0.7, "q3": 1.3}, "unresolved"),
     (5, 1.02, PARENT, "flat"),
+    # a deterministic metric: a 2e-13 relative move is rounding, a 1e-6 move is a gain
+    (10, 0.008589963375584375, {"median": 0.008589963375586152, "q1": 0.008589963375586152,
+                                "q3": 0.008589963375586152}, "flat"),
+    (10, 1.0 - 1e-6, {"median": 1.0, "q1": 1.0, "q3": 1.0}, "gain"),
 ])
 def test_verdict(wins, change, parent, expected):
     assert pairs.verdict("lower", 0.25, wins, 10, parent,
@@ -82,7 +86,7 @@ def test_tree_digest_survives_a_round_trip_and_sees_the_solution(tmp_path):
 def test_number_diffs_yields_unequal_numbers_then_names_the_first_other_mismatch():
     a = {"x": [1, 2.0], "y": "a", "z": [1]}
     b = {"x": [1, 2.5], "y": "b", "z": []}
-    diffs = same_output.number_diffs(a, b)
+    diffs = calls.number_diffs(a, b)
     assert next(diffs) == ("$.x[1]", 2.0, 2.5)
     with pytest.raises(ValueError, match=r"differ beyond their numbers at \$\.y$"):
         next(diffs)
@@ -95,12 +99,43 @@ def test_tree_line_sizes_the_difference_of_two_trees(tmp_path):
     bare, solved, moved = (tmp_path / f"{name}.rmq.json" for name in ("bare", "solved", "moved"))
     save_tree(tree, bare)
     save_tree(tree, solved, solution=solve(tree, problem))
-    assert same_output.tree_line(bare, bare) == "decodes to bit-identical trees and solutions"
+    assert calls.tree_line(bare, bare) == "decodes to bit-identical trees and solutions"
     tree.transitions[1].entries[0, 1] += 1e-12  # the row still sums to 1 within 1e-10
     save_tree(tree, moved)
-    assert same_output.tree_line(solved, moved) == (
+    assert calls.tree_line(solved, moved) == (
         "decodes to different trees or solutions: "
         "documents differ beyond their numbers at $.solution")
-    assert same_output.tree_line(bare, moved).startswith(
+    assert calls.tree_line(bare, moved).startswith(
         "decodes to different trees or solutions: 1 numbers differ; "
         "largest absolute 1e-12 at $.transitions[1][0][1], largest relative ")
+
+
+def test_readme_cases_are_the_four_flag_commands_and_the_three_config_runs():
+    cases = calls.readme_cases()
+    assert [config is None for _, _, config in cases] == [True] * 4 + [False] * 3
+    assert [name for name, _, _ in cases[4:]] == [
+        "solve --config run.json", "sweep --config run.json", "hedge --config run.json"]
+
+
+def test_agreement_reports_the_flip_the_differing_digests_and_the_u0_move():
+    def side(bs_u0, bergman_sha, stalled):
+        wide = {"sigma": 1.0, "T": 2.0, "sigma_sqrt_T": 2 ** 0.5, "converged": True,
+                "u0": 59.5, "sha256": "wide"}
+        if stalled:
+            wide.update(converged=False, u0=None, sha256="stall")
+        return {
+            "bs-refine": {"cases": [{"N": 200, "n": 10, "u0": bs_u0, "sha256": "bs"}]},
+            "bergman-sweep": {"cases": [{"N": 5, "n": 5, "u0": 3.0, "sha256": bergman_sha}]},
+            "envelope": {"cases": [{"sigma": 0.2, "T": 1.0, "sigma_sqrt_T": 0.2,
+                                    "converged": True, "u0": 9.0, "sha256": "safe"}, wide]},
+        }
+
+    assert calls.agreement(side(8.0, "b", False), side(8.5, "b2", True)) == {
+        "u0_agreement": {"max_rel_diff": 0.5 / 8.5, "at": "bs-refine N=200,n=10"},
+        "envelope_agreement": {
+            "flips": ["sigma=1.0,T=2.0: converged -> stalled"],
+            "safe": {"max_rel_diff": 0.0, "at": "sigma=0.2,T=1.0"},
+            "beyond": {"max_rel_diff": 0.0, "at": None}},
+        "tree_agreement": {"identical": 2, "cases": 4,
+                           "differ": ["bergman-sweep N=5,n=5", "envelope sigma=1.0,T=2.0"]},
+    }
