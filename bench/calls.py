@@ -21,6 +21,13 @@ build of the error message and the last grid (``stall_digest``). Beyond
 sigma sqrt(T) = 0.75 the Euler chain puts mass on negative prices and some
 builds stall.
 
+The count runs in a fresh interpreter per side, which reads its own peak
+resident memory (VmHWM of ``/proc/self/status``, as
+``perfbench/cli_child.py`` does) when the builds are done; ``count run
+peak RSS: <parent> -> <change> MB`` is printed, and both numbers are kept
+(``peak_rss_mb``). The (200, 80) rung sets it, so a change in how a tree is
+stored shows there without the paired benchmark.
+
 With ``--rev`` that revision is exported once with ``git archive`` into a
 temporary directory (``pairs.parent_checkout``) and counted the same way,
 each side in its own interpreter. One pass over the labelled case pairs
@@ -144,10 +151,19 @@ def count(src: Path) -> dict:
                          "cases": envelope}}
 
 
-def count_in_child(src: Path) -> dict:
+def peak_rss_mb() -> float:
+    """VmHWM of the calling process, in MB (2**20 bytes)."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        kb = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    return kb / 1024
+
+
+def count_in_child(src: Path) -> tuple[dict, float]:
+    """``count(src)`` in a fresh interpreter, and that interpreter's peak RSS."""
     proc = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True,
                           capture_output=True, text=True)
-    return json.loads(proc.stdout)
+    out = json.loads(proc.stdout)
+    return out["counts"], out["peak_rss_mb"]
 
 
 def agreement(parent: dict, change: dict) -> dict:
@@ -327,16 +343,21 @@ def main(argv=None) -> int:
                                   "print the counts as JSON on stdout")
     args = ap.parse_args(argv)
     if args.src:
-        json.dump(count(Path(args.src)), sys.stdout)
+        counts = count(Path(args.src))
+        json.dump({"counts": counts, "peak_rss_mb": peak_rss_mb()}, sys.stdout)
         return 0
     if not args.out:
         ap.error("--out is required")
-    doc = {**header(argv), "counts": count_in_child(ROOT / "src")}
+    counts, peak = count_in_child(ROOT / "src")
+    doc = {**header(argv), "counts": counts, "peak_rss_mb": peak}
     if args.rev:
         with parent_checkout(args.rev) as (sha, parent_root):
-            doc["parent"] = {"rev": sha, "counts": count_in_child(parent_root / "src")}
+            counts, peak = count_in_child(parent_root / "src")
+            doc["parent"] = {"rev": sha, "counts": counts, "peak_rss_mb": peak}
             cli = same_output(sha, parent_root)
         doc.update(agreement(doc["parent"]["counts"], doc["counts"]), cli=cli)
+    before = f"{doc['parent']['peak_rss_mb']:.1f} -> " if args.rev else ""
+    print(f"count run peak RSS: {before}{doc['peak_rss_mb']:.1f} MB", file=sys.stderr)
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)

@@ -13,8 +13,10 @@ sides alike.
 
 The output holds, per workload, every run's end-to-end metrics, each side's
 median and quartiles per metric, the number of pairs the change won (ties
-count for neither side), and the largest relative u0 difference between the
-two sides. Quartiles are ``statistics.quantiles(values, n=4)``, the
+count for neither side), the median over pairs of change / parent
+(``paired_ratio``; 1 for a pair of equal values), and the largest relative
+u0 difference between the two sides. The paired ratio reads a cost smaller
+than the parent's spread, which the verdict below cannot. Quartiles are ``statistics.quantiles(values, n=4)``, the
 definition ``perfbench/steadiness.py`` reports spreads with. Workloads
 default to all of ``BENCHMARK.json``, and each metric's better direction and
 bound are taken from it.
@@ -178,6 +180,13 @@ def verdict(better: str, bound: float, wins: int, pairs: int, parent: dict,
     return "flat"
 
 
+def ratio(change: float, parent: float) -> float:
+    """``change / parent``; 1 where they are equal, inf on a parent of 0."""
+    if change == parent:
+        return 1.0
+    return change / parent if parent else math.copysign(math.inf, change)
+
+
 def summarize(runs, better: dict, bound: dict) -> dict:
     out = {}
     for name, direction in better.items():
@@ -190,8 +199,19 @@ def summarize(runs, better: dict, bound: dict) -> dict:
         pairs = len(sides["change"])
         out[name] = {"better": direction, "wins": wins, "pairs": pairs,
                      "parent": parent, "change": change, "bound": bound[name],
+                     "paired_ratio": statistics.median(
+                         map(ratio, sides["change"], sides["parent"])),
                      "verdict": verdict(direction, bound[name], wins, pairs, parent, change)}
     return out
+
+
+def verdict_line(workload: str, name: str, m: dict) -> str:
+    """The printed verdict of one metric of one workload."""
+    p, c = m["parent"], m["change"]
+    return (f"{workload} {name}: {m['verdict']} (parent {p['median']:.6g} "
+            f"[{p['q1']:.6g}, {p['q3']:.6g}], change {c['median']:.6g}, "
+            f"paired ratio {m['paired_ratio']:.4g}, "
+            f"{m['wins']}/{m['pairs']} pairs won, bound {m['bound']})")
 
 
 def u0_agreement(parent: dict, change: dict) -> dict:
@@ -237,10 +257,7 @@ def main(argv=None) -> int:
                 fh.write("\n")
     for workload, entry in doc["workloads"].items():
         for name, m in entry["summary"].items():
-            p, c = m["parent"], m["change"]
-            print(f"{workload} {name}: {m['verdict']} (parent {p['median']:.6g} "
-                  f"[{p['q1']:.6g}, {p['q3']:.6g}], change {c['median']:.6g}, "
-                  f"{m['wins']}/{m['pairs']} pairs won, bound {m['bound']})")
+            print(verdict_line(workload, name, m))
     for workload, entry in doc["workloads"].items():
         seen = {side: sorted({r["cpus_usable"] for r in entry["runs"] if r["side"] == side})
                 for side in ("parent", "change")}

@@ -4,7 +4,9 @@ The scripts are loaded by path, as they are run; ``calls`` imports
 ``pairs`` by that name.
 """
 
+import dataclasses
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 
 from quantbsde.bsde_solver import solve
 from quantbsde.model import MODELS
-from quantbsde.rmq import TimeGrid, build_tree, load_tree, save_tree
+from quantbsde.rmq import QuantizationTree, TimeGrid, build_tree, load_tree, save_tree
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -51,6 +53,24 @@ def test_verdict_where_higher_is_better():
     low = {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert pairs.verdict("higher", 0.01, 0, 10, PARENT, low) == "regression"
     assert pairs.verdict("higher", 0.01, 10, 10, low, PARENT) == "gain"
+
+
+def test_paired_ratio_is_the_median_over_pairs_of_change_over_parent():
+    # three pairs, the sides run in either order: the ratios are 1.1, 0.9
+    # and 1.05, while the medians alone (2.0 and 1.8) would read 0.9, and the
+    # parent's spread leaves the verdict unresolved
+    times = [("parent", 1.0), ("change", 1.1), ("change", 1.8), ("parent", 2.0),
+             ("parent", 4.0), ("change", 4.2)]
+    runs = [{"side": side, "metrics": {"run_s": t, "ok_ratio": 1.0}} for side, t in times]
+    summary = pairs.summarize(runs, {"run_s": "lower", "ok_ratio": "higher"},
+                              {"run_s": 0.25, "ok_ratio": 0.01})
+    assert summary["run_s"]["paired_ratio"] == pytest.approx(1.05, rel=1e-12)
+    assert summary["run_s"]["wins"] == 1
+    assert summary["ok_ratio"]["paired_ratio"] == 1.0
+    assert pairs.verdict_line("bs-refine", "run_s", summary["run_s"]) == (
+        "bs-refine run_s: unresolved (parent 2 [1, 4], change 1.8, paired ratio 1.05, "
+        "1/3 pairs won, bound 0.25)")
+    assert pairs.ratio(0.0, 0.0) == 1.0 and pairs.ratio(1.0, 0.0) == math.inf
 
 
 def test_largest_rel_diff():
@@ -100,8 +120,11 @@ def test_tree_line_sizes_the_difference_of_two_trees(tmp_path):
     save_tree(tree, bare)
     save_tree(tree, solved, solution=solve(tree, problem))
     assert calls.tree_line(bare, bare) == "decodes to bit-identical trees and solutions"
-    tree.transitions[1].entries[0, 1] += 1e-12  # the row still sums to 1 within 1e-10
-    save_tree(tree, moved)
+    edited = tree.transitions[1].entries.copy()
+    edited[0, 1] += 1e-12  # the row still sums to 1 within 1e-10
+    transitions = list(tree.transitions)
+    transitions[1] = dataclasses.replace(transitions[1], entries=edited)
+    save_tree(QuantizationTree(tree.time_grid, tree.layers, transitions), moved)
     assert calls.tree_line(solved, moved) == (
         "decodes to different trees or solutions: "
         "documents differ beyond their numbers at $.solution")

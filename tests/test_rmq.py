@@ -795,8 +795,9 @@ class TestBuildTree:
             assert np.array_equal(ta.entries, tb.entries)
 
     def test_each_transition_owns_one_k_by_n_plus_1_block(self):
-        # a transition keeps at most the kernel's density table of its
-        # layer, K x (N+1) doubles, and no other transition's memory
+        # a transition stored dense keeps at most the kernel's density table
+        # of its layer, K x (N+1) doubles, and no other transition's memory;
+        # one stored as row windows reads back as a new K x N array
         tree = build_tree(gbm_problem(), TimeGrid(8, 0.25), 20)
         for tr in tree.transitions:
             K, N = tr.entries.shape
@@ -807,6 +808,23 @@ class TestBuildTree:
         for i, a in enumerate(tree.transitions):
             for b in tree.transitions[i + 1:]:
                 assert not np.shares_memory(a.entries, b.entries)
+
+    def test_a_long_black_scholes_tree_retains_at_most_18_mb(self):
+        # the bs-refine rung (200, 80): 51 of its 80 transitions are stored as
+        # row windows; with every transition dense it retains 25.7 MB
+        problem = make_black_scholes(
+            BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
+        )
+        build_tree(problem, TimeGrid(2, 1.0), 200)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tree = build_tree(problem, TimeGrid(80, 1.0), 200)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert sum(isinstance(tr._stored, tuple) for tr in tree.transitions) == 51
+        assert retained <= 18e6
 
     def test_rejects_empty_codebook(self):
         with pytest.raises(ValueError):
@@ -826,7 +844,7 @@ class TestBuildTree:
         assert solve(tree, problem).u0 == 3.916904601358432
 
     @pytest.mark.parametrize(
-        "problem, N",
+        "problem, N, n",
         [
             (
                 make_black_scholes(
@@ -835,6 +853,7 @@ class TestBuildTree:
                     y0=100.0,
                 ),
                 20,
+                5,
             ),
             (
                 make_bergman(
@@ -850,16 +869,31 @@ class TestBuildTree:
                     y0=100.0,
                 ),
                 10,
+                5,
+            ),
+            # a long grid: from step 37 on, the transitions are stored as windows
+            (
+                make_black_scholes(
+                    BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0),
+                    T=1.0,
+                    y0=100.0,
+                ),
+                50,
+                80,
             ),
         ],
-        ids=["black-scholes", "bergman"],
+        ids=["black-scholes", "bergman", "black-scholes-long"],
     )
-    def test_fused_transitions_match_the_public_wrapper(self, problem, N):
-        tree = build_tree(problem, TimeGrid(5, problem.T), N)
+    def test_fused_transitions_match_the_public_wrapper(self, problem, N, n):
+        tree = build_tree(problem, TimeGrid(n, problem.T), N)
         dt = tree.time_grid.dt
+        windowed = 0
         for k, tr in enumerate(tree.transitions):
             public = transition_matrix(tree.layers[k], tree.layers[k + 1], dt, problem)
-            assert np.array_equal(tr.entries, public.entries)
+            assert tr.entries.tobytes() == public.entries.tobytes()
+            assert isinstance(tr._stored, tuple) == isinstance(public._stored, tuple)
+            windowed += isinstance(tr._stored, tuple)
+        assert windowed == (43 if n == 80 else 0)
 
     def test_floored_diffusion_warns_once_per_layer(self):
         # sigma(y) = 0.05 + |y| is below the floor at y0 = 0 and on the
@@ -1084,6 +1118,19 @@ class TestSerialization:
         assert peak - start <= 0.5e6
         assert path.stat().st_size > 5e6
 
+    def test_windowed_transitions_save_load_and_save_to_the_same_bytes(self, tmp_path):
+        problem = gbm_problem(mu=0.04, sigma=0.25, T=1.0)
+        tree = build_tree(problem, TimeGrid(80, 1.0), 50)
+        first, second = tmp_path / "first.rmq.json", tmp_path / "second.rmq.json"
+        save_tree(tree, first, solution=solve(tree, problem))
+        loaded, solution = load_tree(first)
+        assert [isinstance(tr._stored, tuple) for tr in loaded.transitions] == [
+            isinstance(tr._stored, tuple) for tr in tree.transitions]
+        assert sum(isinstance(tr._stored, tuple) for tr in loaded.transitions) == 43
+        save_tree(loaded, second, solution=solve(loaded, problem))
+        assert second.read_bytes() == first.read_bytes()
+        assert solution["u0"] == solve(tree, problem).u0
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else"}))
@@ -1263,6 +1310,29 @@ class TestDataTypes:
         with pytest.raises(ValueError) as info:
             TransitionMatrix(0, np.zeros(shape))
         assert str(info.value) == f"entries must not be empty, got shape {shape}"
+
+    def test_windowed_entries_read_back_bit_for_bit(self):
+        # rows with one contiguous run, a run with a zero inside it, and a
+        # run at each edge: 10 of 24 entries, so the matrix is kept as windows
+        e = np.zeros((4, 6))
+        e[0, 2:4] = [0.25, 0.75]
+        e[1, 1:4] = [0.5, 0.0, 0.5]
+        e[2, 0] = 1.0
+        e[3, 3:] = [0.125, 0.375, 0.5]
+        tr = TransitionMatrix(0, e)
+        assert isinstance(tr._stored, tuple)
+        assert tr.entries.tobytes() == e.tobytes()
+        assert tr.entries is not tr.entries  # each read is a new array
+        moved = dataclasses.replace(tr, step=1)
+        assert moved.step == 1 and moved.entries.tobytes() == e.tobytes()
+        # a -0.0 would read back as +0.0 outside a window, so it keeps e dense
+        e[0, 0] = -0.0
+        signed = TransitionMatrix(0, e)
+        assert isinstance(signed._stored, np.ndarray)
+        assert signed.entries.tobytes() == e.tobytes()
+        # more than half of the entries in windows: dense, as given
+        dense = np.full((2, 2), 0.5)
+        assert TransitionMatrix(0, dense).entries is dense
 
     def test_layer_rejects_a_nan_codeword(self):
         # a single codeword has no ordering to violate
