@@ -25,8 +25,8 @@ The count runs in a fresh interpreter per side, which reads its own peak
 resident memory (VmHWM of ``/proc/self/status``, as
 ``perfbench/cli_child.py`` does) when the builds are done; ``count run
 peak RSS: <parent> -> <change> MB`` is printed, and both numbers are kept
-(``peak_rss_mb``). The (200, 80) rung sets it, so a change in how a tree is
-stored shows there without the paired benchmark.
+(``peak_rss_mb``), so a change in how a tree is stored shows there without
+the paired benchmark.
 
 With ``--rev`` that revision is exported once with ``git archive`` into a
 temporary directory (``pairs.parent_checkout``) and counted the same way,

@@ -16,10 +16,11 @@ median and quartiles per metric, the number of pairs the change won (ties
 count for neither side), the median over pairs of change / parent
 (``paired_ratio``; 1 for a pair of equal values), and the largest relative
 u0 difference between the two sides. The paired ratio reads a cost smaller
-than the parent's spread, which the verdict below cannot. Quartiles are ``statistics.quantiles(values, n=4)``, the
-definition ``perfbench/steadiness.py`` reports spreads with. Workloads
-default to all of ``BENCHMARK.json``, and each metric's better direction and
-bound are taken from it.
+than the parent's spread, which the verdict below cannot. Quartiles are
+``statistics.quantiles(values, n=4)``, the definition
+``perfbench/steadiness.py`` reports spreads with. Workloads default to all
+of ``BENCHMARK.json``, and each metric's better direction and bound are
+taken from it.
 
 Each metric's summary also states a verdict, and the last lines printed give
 one per workload and metric. The bound is a share of the parent's median,

@@ -175,9 +175,14 @@ class QuantizedLayer:
         return int(self.codewords.size)
 
 
-# A transition is stored as its rows' nonzero windows when they hold at most
-# this share of its K x N entries, and as the dense matrix otherwise.
+# A transition of at least _WINDOW_MIN_SIZE entries (128 KiB of doubles) is
+# stored as its rows' nonzero windows when they hold at most _WINDOW_SHARE of
+# its K x N entries, and as the dense matrix otherwise. Below that size the
+# bytes saved are few against the work: windowing a 50 x 50 transition costs
+# about 36 us, and each read 8 us, to save about 12 KB, and with the Bergman
+# sweep's N = 15..100 cells windowed its run_s rose by a paired ratio of 1.085.
 _WINDOW_SHARE = 0.5
+_WINDOW_MIN_SIZE = 16384
 
 
 class _Entries:
@@ -216,15 +221,17 @@ def _window_mask(runs) -> np.ndarray:
 
 
 def _stored_form(e: np.ndarray):
-    """``e`` itself, or, if its rows' windows hold at most ``_WINDOW_SHARE``
-    of its entries, (shape, runs, values): ``runs`` the 2K+1 row-major run
-    lengths of the zeros before each window, each window and the zeros after
-    the last, and ``values`` the windows' entries, row after row. A window
-    runs from a row's first to its last nonzero entry. A matrix that holds a
-    -0.0 stays dense, so its sign cannot be lost outside a window."""
+    """``e`` itself, or, if it has at least ``_WINDOW_MIN_SIZE`` entries and
+    its rows' windows hold at most ``_WINDOW_SHARE`` of them, (shape, runs,
+    values): ``runs`` the 2K+1 row-major run lengths of the zeros before
+    each window, each window and the zeros after the last, and ``values``
+    the windows' entries, row after row. A window runs from a row's first to
+    its last entry with any bit set, so a -0.0 keeps its sign."""
     K, N = e.shape
-    nonzero = e != 0
-    if np.count_nonzero(nonzero) > _WINDOW_SHARE * K * N or np.signbit(e).any():
+    if K * N < _WINDOW_MIN_SIZE:
+        return e
+    nonzero = e.view(np.int64) != 0
+    if np.count_nonzero(nonzero) > _WINDOW_SHARE * K * N:
         return e  # the windows hold at least the nonzero entries
     first = nonzero.argmax(axis=1)
     end = N - nonzero[:, ::-1].argmax(axis=1)
@@ -242,10 +249,11 @@ class TransitionMatrix:
     """Row-stochastic one-step transition probabilities between codebooks:
     a matrix with no empty dimension.
 
-    ``entries`` is read as the dense K x N matrix, but is stored that way
-    only when its rows' nonzero windows (each row's first to last nonzero
-    column) hold more than ``_WINDOW_SHARE`` = 0.5 of its entries, a module
-    constant and not a setting. Otherwise it is stored as those windows
+    ``entries`` is read as the dense K x N matrix. A matrix of at least
+    ``_WINDOW_MIN_SIZE`` = 16384 entries whose rows' nonzero windows (each
+    row's first to last nonzero column) hold at most ``_WINDOW_SHARE`` = 0.5
+    of them is stored as those windows; both are module constants, not
+    settings, and every other matrix is stored as it is. The windows are kept
     (``_stored_form``): the run lengths of the zeros and windows in
     row-major order, and the windows' values in one array. Each read then
     rebuilds the dense matrix, bit for bit, as a new array, so a write into
@@ -258,7 +266,9 @@ class TransitionMatrix:
     at n = 10, 20, 40 and 80, each row's nonzeros in one run; 0, 0, 10 and
     51 of the transitions are stored as windows, and the (200, 80) tree
     retains 15.9 MB against 25.7 MB with every transition dense
-    (tracemalloc). Short grids and small codebooks stay dense.
+    (tracemalloc). Short grids, the early layers of long ones and every
+    transition between codebooks of fewer than 128 codewords stay dense, so
+    no cell of the Bergman sweep and no README command stores a window.
     """
 
     step: int

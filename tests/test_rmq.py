@@ -871,15 +871,15 @@ class TestBuildTree:
                 10,
                 5,
             ),
-            # a long grid: from step 37 on, the transitions are stored as windows
+            # a long grid: from step 31 on, the transitions are stored as windows
             (
                 make_black_scholes(
                     BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0),
                     T=1.0,
                     y0=100.0,
                 ),
-                50,
-                80,
+                128,
+                60,
             ),
         ],
         ids=["black-scholes", "bergman", "black-scholes-long"],
@@ -893,7 +893,7 @@ class TestBuildTree:
             assert tr.entries.tobytes() == public.entries.tobytes()
             assert isinstance(tr._stored, tuple) == isinstance(public._stored, tuple)
             windowed += isinstance(tr._stored, tuple)
-        assert windowed == (43 if n == 80 else 0)
+        assert windowed == (29 if n == 60 else 0)
 
     def test_floored_diffusion_warns_once_per_layer(self):
         # sigma(y) = 0.05 + |y| is below the floor at y0 = 0 and on the
@@ -1120,13 +1120,13 @@ class TestSerialization:
 
     def test_windowed_transitions_save_load_and_save_to_the_same_bytes(self, tmp_path):
         problem = gbm_problem(mu=0.04, sigma=0.25, T=1.0)
-        tree = build_tree(problem, TimeGrid(80, 1.0), 50)
+        tree = build_tree(problem, TimeGrid(60, 1.0), 128)
         first, second = tmp_path / "first.rmq.json", tmp_path / "second.rmq.json"
         save_tree(tree, first, solution=solve(tree, problem))
         loaded, solution = load_tree(first)
         assert [isinstance(tr._stored, tuple) for tr in loaded.transitions] == [
             isinstance(tr._stored, tuple) for tr in tree.transitions]
-        assert sum(isinstance(tr._stored, tuple) for tr in loaded.transitions) == 43
+        assert sum(isinstance(tr._stored, tuple) for tr in loaded.transitions) == 29
         save_tree(loaded, second, solution=solve(loaded, problem))
         assert second.read_bytes() == first.read_bytes()
         assert solution["u0"] == solve(tree, problem).u0
@@ -1311,24 +1311,27 @@ class TestDataTypes:
             TransitionMatrix(0, np.zeros(shape))
         assert str(info.value) == f"entries must not be empty, got shape {shape}"
 
-    def test_windowed_entries_read_back_bit_for_bit(self):
+    def test_windowed_entries_read_back_bit_for_bit(self, monkeypatch):
         # rows with one contiguous run, a run with a zero inside it, and a
-        # run at each edge: 10 of 24 entries, so the matrix is kept as windows
+        # run at each edge: 10 of 24 entries in windows, so they are kept
+        # once the size floor is lowered to this small matrix
         e = np.zeros((4, 6))
         e[0, 2:4] = [0.25, 0.75]
         e[1, 1:4] = [0.5, 0.0, 0.5]
         e[2, 0] = 1.0
         e[3, 3:] = [0.125, 0.375, 0.5]
+        assert TransitionMatrix(0, e).entries is e  # below the floor: as given
+        monkeypatch.setattr(rmq_mod, "_WINDOW_MIN_SIZE", e.size)
         tr = TransitionMatrix(0, e)
         assert isinstance(tr._stored, tuple)
         assert tr.entries.tobytes() == e.tobytes()
         assert tr.entries is not tr.entries  # each read is a new array
         moved = dataclasses.replace(tr, step=1)
         assert moved.step == 1 and moved.entries.tobytes() == e.tobytes()
-        # a -0.0 would read back as +0.0 outside a window, so it keeps e dense
+        # a -0.0 has a bit set, so it widens its row's window and keeps its sign
         e[0, 0] = -0.0
         signed = TransitionMatrix(0, e)
-        assert isinstance(signed._stored, np.ndarray)
+        assert isinstance(signed._stored, tuple)
         assert signed.entries.tobytes() == e.tobytes()
         # more than half of the entries in windows: dense, as given
         dense = np.full((2, 2), 0.5)
