@@ -402,8 +402,8 @@ class _Mixture:
     from the other tables: ``_normalized_transition`` normalizes ``raw`` in
     place and builds the layer's transition from it. A transition stored
     dense keeps ``raw`` and so pins ``P`` alone; one stored as row windows
-    (at most ``_WINDOW_SHARE`` of the entries) copies them, and ``P`` is
-    freed with the rest of the mixture.
+    (``TransitionMatrix``) copies them, and ``P`` is freed with the rest of
+    the mixture.
     """
 
     def __init__(self, means, stds, probs, n: int):
@@ -629,9 +629,10 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
     most 1e-10 and rejected otherwise, since a larger defect means the grid
     or cdf is broken upstream. The check runs before ``raw`` is touched.
     ``raw`` is then divided in place and the transition is built from it,
-    so ``raw`` still holds the dense normalized masses afterwards. If its
-    rows' nonzero windows hold more than ``_WINDOW_SHARE`` = 0.5 of the
-    entries, ``raw`` itself becomes the entries and no copy is made:
+    so ``raw`` still holds the dense normalized masses afterwards. If the
+    transition is stored dense (fewer than ``_WINDOW_MIN_SIZE`` entries, or
+    windows holding more than ``_WINDOW_SHARE`` of them), ``raw`` itself
+    becomes the entries and no copy is made:
     ``_Mixture.raw`` is a view of its density table ``P``, which the
     transition then keeps, and the mixture must not run the kernel again.
     Otherwise the transition copies the windows, and ``P`` is not kept.
