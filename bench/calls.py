@@ -9,17 +9,21 @@ n = 10, 20, 40, 80) and the 30 cells of the Bergman sweep
 (N in 5, 10, 15, 20, 50, 100 and n in 5, 10, 20, 50, 100), each model at
 its ``model.MODELS`` defaults, as in ``perfbench/workloads.py``. Each case
 records its total calls, the calls of each layer, the mean over the
-warm-started layers 2..n, its u0 at full precision and the sha256 of its
-tree (``pairs.tree_digest``).
+warm-started layers 2..n, its u0 at full precision, the sha256 of its
+tree (``pairs.tree_digest``) and how many of its transitions are stored
+sparse (``sparse``), and each workload the sum of those counts, printed
+as ``<workload>: <parent> -> <change> transitions stored sparse``. The
+other gates compare dense reads, so a change of storage form shows only
+there and in the peak RSS below.
 
 A third set, the envelope, holds 36 Black-Scholes builds (the defaults'
 r = 0.04, K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3,
 0.5, 0.7, 1, 1.5, 2, 3 and T in 0.25, 1, 2, 5. Each records whether it converged
 or stalled (``ConvergenceError``, with the step), its calls, sigma sqrt(T),
-its u0 (None when stalled) and a sha256: of its tree, or for a stalled
-build of the error message and the last grid (``stall_digest``). Beyond
-sigma sqrt(T) = 0.75 the Euler chain puts mass on negative prices and some
-builds stall.
+its u0 (None when stalled), its sparse count (0 when stalled) and a
+sha256: of its tree, or for a stalled build of the error message and the
+last grid (``stall_digest``). Beyond sigma sqrt(T) = 0.75 the Euler chain
+puts mass on negative prices and some builds stall.
 
 The count runs in a fresh interpreter per side, which reads its own peak
 resident memory (VmHWM of ``/proc/self/status``, as
@@ -90,6 +94,12 @@ def stall_digest(exc) -> str:
     return h.hexdigest()
 
 
+def sparse(tree) -> int:
+    """How many of ``tree``'s transitions are stored sparse; 0 on a
+    revision that stores every transition as it is (no ``_stored``)."""
+    return sum(isinstance(getattr(tr, "_stored", None), tuple) for tr in tree.transitions)
+
+
 def count(src: Path) -> dict:
     """Count kernel calls with the package found under ``src``."""
     sys.path.insert(0, str(src))
@@ -115,7 +125,7 @@ def count(src: Path) -> dict:
         return {"N": N, "n": n, "calls": sum(per_layer),
                 "later_mean": sum(later) / len(later) if later else None,
                 "per_layer": list(per_layer), "u0": bsde_solver.solve(tree, problem).u0,
-                "sha256": tree_digest(tree)}
+                "sha256": tree_digest(tree), "sparse": sparse(tree)}
 
     def default_problem(name: str, T: float | None = None, **params):
         """The model ``name`` at its defaults, with ``T`` and ``params`` replaced."""
@@ -134,9 +144,11 @@ def count(src: Path) -> dict:
             tree = rmq.build_tree(problem, rmq.TimeGrid(n, T), N)
         except rmq.ConvergenceError as exc:
             return {**out, "converged": False, "stalled_at": exc.step,
-                    "calls": sum(per_layer), "u0": None, "sha256": stall_digest(exc)}
+                    "calls": sum(per_layer), "u0": None, "sha256": stall_digest(exc),
+                    "sparse": 0}
         return {**out, "converged": True, "calls": sum(per_layer),
-                "u0": bsde_solver.solve(tree, problem).u0, "sha256": tree_digest(tree)}
+                "u0": bsde_solver.solve(tree, problem).u0, "sha256": tree_digest(tree),
+                "sparse": sparse(tree)}
 
     N, steps = LADDER
     ladder = [case(bs, N, n) for n in steps]
@@ -144,11 +156,14 @@ def count(src: Path) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", rmq.DegenerateDiffusionWarning)
         envelope = [envelope_case(sigma, T) for sigma in ENVELOPE[2] for T in ENVELOPE[3]]
-    return {"bs-refine": {"calls": sum(c["calls"] for c in ladder), "cases": ladder},
-            "bergman-sweep": {"calls": sum(c["calls"] for c in sweep), "cases": sweep},
-            "envelope": {"calls": sum(c["calls"] for c in envelope),
-                         "converged": sum(c["converged"] for c in envelope),
-                         "cases": envelope}}
+
+    def totals(cases: list) -> dict:
+        return {"calls": sum(c["calls"] for c in cases),
+                "sparse": sum(c["sparse"] for c in cases), "cases": cases}
+
+    return {"bs-refine": totals(ladder), "bergman-sweep": totals(sweep),
+            "envelope": {**totals(envelope),
+                         "converged": sum(c["converged"] for c in envelope)}}
 
 
 def peak_rss_mb() -> float:
@@ -361,6 +376,9 @@ def main(argv=None) -> int:
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)
+        before = f"{doc['parent']['counts'][workload]['sparse']} -> " if args.rev else ""
+        print(f"{workload}: {before}{side['sparse']} transitions stored sparse",
+              file=sys.stderr)
     converged = doc["counts"]["envelope"]["converged"]
     before = f"{doc['parent']['counts']['envelope']['converged']} -> " if args.rev else ""
     print(f"envelope: {before}{converged} of {len(doc['counts']['envelope']['cases'])} "

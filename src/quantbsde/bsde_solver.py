@@ -67,10 +67,25 @@ class BackwardSolution:
     u0: float
 
 
+def _finite(what: str, step: int, y, values) -> np.ndarray:
+    """``values`` as a float array if every one is finite; RuntimeError
+    naming ``what``, ``step`` and the first node and codeword ``y`` at which
+    one is not."""
+    x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():
+        i = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise RuntimeError(
+            f"{what} returned {x.flat[i]} at step {step}, node {i} (codeword {y[i]:g})"
+        )
+    return x
+
+
 def terminal_layer(tree: QuantizationTree, problem: FbsdeProblem) -> ValueLayer:
-    """Payoff evaluated on the last codebook."""
+    """Payoff evaluated on the last codebook; RuntimeError naming the node
+    and codeword of the first value that is not finite."""
     last = tree.layers[-1]
-    return ValueLayer(last.step, problem.terminal(last.codewords))
+    payoff = _finite("payoff", last.step, last.codewords, problem.terminal(last.codewords))
+    return ValueLayer(last.step, payoff)
 
 
 def _step(tree: QuantizationTree, k, next_values: ValueLayer) -> int:
@@ -93,7 +108,8 @@ def backward_step(
 ) -> tuple[ValueLayer, ControlLayer]:
     """One explicit backward step from layer k+1 to layer k, for a step k
     in 0..n-1 (``_step``); sigma is floored as in ``conditional_law``,
-    and the warning names step k."""
+    and the warning names step k. A driver value that is not finite raises
+    RuntimeError naming step k and the first such node and codeword."""
     k = _step(tree, k, next_values)
     dt = tree.time_grid.dt
     y = tree.layers[k].codewords
@@ -105,12 +121,7 @@ def backward_step(
     E2 = P @ (u_next * y_next) - y * E1
     s = _floored_diffusion(problem, y, k)
     v = E2 / (dt * s) - E1 * np.asarray(problem.drift(y), dtype=float) / s
-    f_val = np.asarray(problem.driver(k * dt, y, E1, v), dtype=float)
-    if np.any(np.isnan(f_val)):
-        i = int(np.nonzero(np.isnan(f_val))[0][0])
-        raise RuntimeError(
-            f"driver returned NaN at step {k}, node {i} (codeword {y[i]:g})"
-        )
+    f_val = _finite("driver", k, y, problem.driver(k * dt, y, E1, v))
     u = E1 + dt * f_val
     return ValueLayer(k, u), ControlLayer(k, v)
 

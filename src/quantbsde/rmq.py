@@ -176,19 +176,20 @@ class QuantizedLayer:
 
 
 # A transition of at least _WINDOW_MIN_SIZE entries (128 KiB of doubles) is
-# stored as its rows' nonzero windows when they hold at most _WINDOW_SHARE of
-# its K x N entries, and as the dense matrix otherwise. Below that size the
-# bytes saved are few against the work: windowing a 50 x 50 transition costs
-# about 36 us, and each read 8 us, to save about 12 KB, and with the Bergman
-# sweep's N = 15..100 cells windowed its run_s rose by a paired ratio of 1.085.
+# stored sparse, as its nonzero entries under a bitmask, when they are at most
+# _WINDOW_SHARE of its K x N entries, and as the dense matrix otherwise. Below
+# that size the bytes saved are few against the work: storing a 50 x 50
+# transition sparse costs about 7 us, and each read 5 us, to save about 12 KB,
+# and with the Bergman sweep's N = 15..100 cells stored sparse (as the row
+# windows this form replaced) its run_s rose by a paired ratio of 1.085.
 _WINDOW_SHARE = 0.5
 _WINDOW_MIN_SIZE = 16384
 
 
 class _Entries:
     """The ``entries`` field of ``TransitionMatrix``: set from a matrix,
-    which it checks; stored as that matrix or as its row windows
-    (``_stored_form``); read as the dense matrix, bit for bit."""
+    which it checks; stored as that matrix or sparse (``_stored_form``);
+    read as the dense matrix, bit for bit."""
 
     def __get__(self, tr, owner=None):
         if tr is None:
@@ -196,15 +197,15 @@ class _Entries:
         stored = tr._stored
         if isinstance(stored, np.ndarray):
             return stored
-        shape, runs, values = stored
+        shape, bits, values = stored
         dense = np.zeros(shape)
-        dense[_window_mask(runs).reshape(shape)] = values
+        dense[np.unpackbits(bits, count=dense.size).view(bool).reshape(shape)] = values
         return dense
 
     def __set__(self, tr, value):
         e = np.asarray(value, dtype=float)
         if e.ndim != 2:
-            raise ValueError("entries must be a matrix")
+            raise ValueError(f"entries must be a matrix, got shape {e.shape}")
         if 0 in e.shape:
             raise ValueError(f"entries must not be empty, got shape {e.shape}")
         if not (e.min() >= 0 and e.max() <= 1):  # a NaN fails both
@@ -214,34 +215,18 @@ class _Entries:
         object.__setattr__(tr, "_stored", _stored_form(e))
 
 
-def _window_mask(runs) -> np.ndarray:
-    """The flat row-major mask of the windows whose run lengths are ``runs``
-    (zeros, window, zeros, ..., window, zeros)."""
-    return np.repeat(np.arange(runs.size) % 2 == 1, runs)
-
-
 def _stored_form(e: np.ndarray):
     """``e`` itself, or, if it has at least ``_WINDOW_MIN_SIZE`` entries and
-    its rows' windows hold at most ``_WINDOW_SHARE`` of them, (shape, runs,
-    values): ``runs`` the 2K+1 row-major run lengths of the zeros before
-    each window, each window and the zeros after the last, and ``values``
-    the windows' entries, row after row. A window runs from a row's first to
-    its last entry with any bit set, so a -0.0 keeps its sign."""
-    K, N = e.shape
-    if K * N < _WINDOW_MIN_SIZE:
+    at most ``_WINDOW_SHARE`` of them have any bit set, the sparse form
+    (shape, bits, values): ``bits`` the ``np.packbits`` of the row-major mask
+    of those entries, and ``values`` the entries themselves, row after row.
+    A -0.0 has its sign bit set, so it is stored and keeps its sign."""
+    if e.size < _WINDOW_MIN_SIZE:
         return e
     nonzero = e.view(np.int64) != 0
-    if np.count_nonzero(nonzero) > _WINDOW_SHARE * K * N:
-        return e  # the windows hold at least the nonzero entries
-    first = nonzero.argmax(axis=1)
-    end = N - nonzero[:, ::-1].argmax(axis=1)
-    runs = np.empty(2 * K + 1, dtype=np.intp)
-    runs[1::2] = end - first
-    if runs[1::2].sum() > _WINDOW_SHARE * K * N:
+    if np.count_nonzero(nonzero) > _WINDOW_SHARE * e.size:
         return e
-    runs[0], runs[-1] = first[0], N - end[-1]
-    runs[2:-1:2] = first[1:] + (N - end[:-1])
-    return e.shape, runs, e[_window_mask(runs).reshape(K, N)]
+    return e.shape, np.packbits(nonzero), e[nonzero]
 
 
 @dataclass(frozen=True)
@@ -250,25 +235,23 @@ class TransitionMatrix:
     a matrix with no empty dimension.
 
     ``entries`` is read as the dense K x N matrix. A matrix of at least
-    ``_WINDOW_MIN_SIZE`` = 16384 entries whose rows' nonzero windows (each
-    row's first to last nonzero column) hold at most ``_WINDOW_SHARE`` = 0.5
-    of them is stored as those windows; both are module constants, not
-    settings, and every other matrix is stored as it is. The windows are kept
-    (``_stored_form``): the run lengths of the zeros and windows in
-    row-major order, and the windows' values in one array. Each read then
-    rebuilds the dense matrix, bit for bit, as a new array, so a write into
-    ``entries`` is not kept; build a new transition instead
-    (``dataclasses.replace``).
+    ``_WINDOW_MIN_SIZE`` = 16384 entries of which at most ``_WINDOW_SHARE``
+    = 0.5 are nonzero is stored sparse; both are module constants, not
+    settings, and every other matrix is stored as it is. The sparse form
+    (``_stored_form``) is the packed row-major mask of the entries with any
+    bit set and those entries in one array. Each read then rebuilds the
+    dense matrix, bit for bit, as a new array, so a write into ``entries``
+    is not kept; build a new transition instead (``dataclasses.replace``).
 
     A row is a Gaussian's cell masses, and its mass sits in a band of cells
     that narrows like sqrt(dt). On the Black-Scholes ladder at N = 200
     (model defaults) 0.87, 0.77, 0.63 and 0.50 of the entries are nonzero
-    at n = 10, 20, 40 and 80, each row's nonzeros in one run; 0, 0, 10 and
-    51 of the transitions are stored as windows, and the (200, 80) tree
-    retains 15.9 MB against 25.7 MB with every transition dense
-    (tracemalloc). Short grids, the early layers of long ones and every
-    transition between codebooks of fewer than 128 codewords stay dense, so
-    no cell of the Bergman sweep and no README command stores a window.
+    at n = 10, 20, 40 and 80; 0, 0, 10 and 51 of the transitions are stored
+    sparse, and the (200, 80) tree retains 16.0 MB against 25.7 MB with
+    every transition dense (tracemalloc). Short grids, the early layers of
+    long ones and every transition between codebooks of fewer than 128
+    codewords stay dense, so no cell of the Bergman sweep and no README
+    command stores one sparse.
     """
 
     step: int
@@ -296,7 +279,7 @@ class QuantizationTree:
                     raise ValueError(f"{kind} {k} has step {item.step!r}")
         for k, tr in enumerate(self.transitions):
             a, b = self.layers[k], self.layers[k + 1]
-            e = tr.entries  # read once: a transition stored as windows rebuilds it
+            e = tr.entries  # read once: a transition stored sparse rebuilds it
             if e.shape != (a.size, b.size):
                 raise ValueError(f"transition {k} shape does not match its layers")
             pushed = a.weights @ e
@@ -401,9 +384,9 @@ class _Mixture:
     of the cell masses takes them from here. ``P`` is its own block, apart
     from the other tables: ``_normalized_transition`` normalizes ``raw`` in
     place and builds the layer's transition from it. A transition stored
-    dense keeps ``raw`` and so pins ``P`` alone; one stored as row windows
-    (``TransitionMatrix``) copies them, and ``P`` is freed with the rest of
-    the mixture.
+    dense keeps ``raw`` and so pins ``P`` alone; one stored sparse
+    (``TransitionMatrix``) copies its nonzero entries, and ``P`` is freed
+    with the rest of the mixture.
     """
 
     def __init__(self, means, stds, probs, n: int):
@@ -631,11 +614,12 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
     ``raw`` is then divided in place and the transition is built from it,
     so ``raw`` still holds the dense normalized masses afterwards. If the
     transition is stored dense (fewer than ``_WINDOW_MIN_SIZE`` entries, or
-    windows holding more than ``_WINDOW_SHARE`` of them), ``raw`` itself
-    becomes the entries and no copy is made:
+    more than ``_WINDOW_SHARE`` of them nonzero), ``raw`` itself becomes the
+    entries and no copy is made:
     ``_Mixture.raw`` is a view of its density table ``P``, which the
     transition then keeps, and the mixture must not run the kernel again.
-    Otherwise the transition copies the windows, and ``P`` is not kept.
+    Otherwise the transition is stored sparse, a copy of its nonzero
+    entries and their packed mask, and ``P`` is not kept.
     """
     sums = raw.sum(axis=1)
     if not np.max(np.abs(sums - 1.0)) <= 1e-10:
@@ -657,7 +641,7 @@ def _quantize_layer(
     The transition comes from the optimizer's last cell masses, and the
     layer's weights are ``prev.weights`` pushed through those masses, read
     from ``mix.raw`` rather than from the transition, so that a transition
-    stored as windows is not rebuilt; the two are the same numbers, so the
+    stored sparse is not rebuilt; the two are the same numbers, so the
     propagation invariant holds exactly. If the optimizer stalls while the
     component means ``mix.m`` are not strictly increasing in the codewords
     of ``prev``, the ConvergenceError's message also says that the Euler map
@@ -828,13 +812,13 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
     solution, where the file is 5.6 MB.
 
     Before the file is opened, the solution is checked as ``load_tree``
-    checks it (``_check_solution``, reading one row at a time as a list),
-    and it must be the solution of ``tree`` itself (``solution.tree is
-    tree``); ValueError otherwise.
+    checks it (``_check_solution``, on the solution's own arrays), and it
+    must be the solution of ``tree`` itself (``solution.tree is tree``);
+    ValueError otherwise.
     """
     if solution is not None:
-        values = _Rows([vl.values for vl in solution.value_layers])
-        controls = _Rows([cl.controls for cl in solution.control_layers])
+        values = [vl.values for vl in solution.value_layers]
+        controls = [cl.controls for cl in solution.control_layers]
         _check_solution({"u0": solution.u0, "values": values, "controls": controls}, tree)
         if solution.tree is not tree:
             raise ValueError("solution belongs to another tree")
@@ -853,13 +837,13 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
              base64.b64encode(np.ascontiguousarray(e, dtype="<f8")),  # row-major
              b'"}')
             for tr in tree.transitions
-            for e in (tr.entries,)  # read once: a windowed transition rebuilds it
+            for e in (tr.entries,)  # read once: a sparse transition rebuilds it
         ))
         if solution is not None:
             fh.write(b', "solution": ' + _dumps({"u0": solution.u0})[:-1] + b', "values": ')
-            _write_array(fh, ((_dumps(row),) for row in values))
+            _write_array(fh, ((_dumps(row.tolist()),) for row in values))
             fh.write(b', "controls": ')
-            _write_array(fh, ((_dumps(row),) for row in controls))
+            _write_array(fh, ((_dumps(row.tolist()),) for row in controls))
             fh.write(b"}")
         fh.write(b"}")
 
@@ -881,20 +865,6 @@ def _write_array(fh, items) -> None:
         sep = b", "
         del parts  # freed before the next element is made
     fh.write(b"]")
-
-
-class _Rows:
-    """Solution rows, each read as a list only when it is reached, so a pass
-    over them holds one row as Python floats at a time."""
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-
-    def __iter__(self):
-        return (a.tolist() for a in self.arrays)
-
-    def __getitem__(self, i):
-        return self.arrays[i].tolist()
 
 
 def load_tree(path) -> tuple[QuantizationTree, dict | None]:
@@ -937,10 +907,12 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
 
 
 def _numbers(name: str, items) -> np.ndarray:
-    """``items`` as a float array if it is a list of JSON numbers (int or
-    float, not a boolean), all finite; ValueError naming ``name`` otherwise."""
-    if isinstance(items, list) and set(map(type, items)) <= {int, float}:
-        x = np.array(items, dtype=float)
+    """``items`` as a float array if it is a 1-d float array or a list of
+    JSON numbers (int or float, not a boolean), all finite; ValueError
+    naming ``name`` otherwise."""
+    if (isinstance(items, np.ndarray) and items.dtype == float and items.ndim == 1
+            or isinstance(items, list) and set(map(type, items)) <= {int, float}):
+        x = np.asarray(items, dtype=float)
         if np.isfinite(x).all():
             return x
     raise ValueError(f"{name} must be finite numbers")
@@ -1003,9 +975,7 @@ def _check_solution(solution: dict, tree: QuantizationTree) -> dict:
             raise ValueError(f"solution {key} do not match the layer sizes")
         for row in solution[key]:
             _numbers(f"solution {key}", row)
-    u0 = _finite_number("solution u0", solution["u0"])
-    if u0 != solution["values"][0][0]:
-        raise ValueError(
-            f"solution u0 {u0!r} is not the layer-0 value {solution['values'][0][0]!r}"
-        )
+    u0, first = _finite_number("solution u0", solution["u0"]), solution["values"][0][0]
+    if u0 != first:
+        raise ValueError(f"solution u0 {u0!r} is not the layer-0 value {float(first)!r}")
     return solution

@@ -9,9 +9,12 @@ import importlib.util
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from quantbsde import rmq
 from quantbsde.bsde_solver import solve
 from quantbsde.model import MODELS
 from quantbsde.rmq import QuantizationTree, TimeGrid, build_tree, load_tree, save_tree
@@ -101,6 +104,14 @@ def test_tree_digest_survives_a_round_trip_and_sees_the_solution(tmp_path):
     assert pairs.tree_digest(loaded, solution) == pairs.tree_digest(tree, in_memory)
     solution["values"][1][0] += 1.0
     assert pairs.tree_digest(loaded, solution) != pairs.tree_digest(tree, in_memory)
+
+
+def test_sparse_counts_the_transitions_stored_sparse(monkeypatch):
+    # a transition of an older revision has no _stored and counts as dense
+    monkeypatch.setattr(rmq, "_WINDOW_MIN_SIZE", 1)
+    stored = [rmq.TransitionMatrix(0, np.eye(4)), rmq.TransitionMatrix(0, np.full((4, 4), 0.25))]
+    assert isinstance(stored[0]._stored, tuple)
+    assert calls.sparse(SimpleNamespace(transitions=[*stored, SimpleNamespace()])) == 1
 
 
 def test_number_diffs_yields_unequal_numbers_then_names_the_first_other_mismatch():

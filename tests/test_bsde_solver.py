@@ -6,6 +6,7 @@ oracle-free assertions possible; the Monte Carlo benchmark is checked
 against its own closed-form limit.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -218,6 +219,35 @@ class TestBackwardStep:
         )
         with pytest.raises(RuntimeError, match=r"step 0, node 0"):
             backward_step(tree, 0, ValueLayer(1, np.ones(3)), problem)
+
+    def test_infinite_driver_is_reported_at_its_own_step(self):
+        # an inf used to pass, turn into inf * 0 = NaN one step back, and be
+        # reported as a NaN at step 3, node 0
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(5, 1.0), 10)
+
+        def driver(t, y, u, v):
+            return np.where(np.asarray(y) > 120.0, np.inf, problem.driver(t, y, u, v))
+
+        y = tree.layers[4].codewords
+        i = int(np.flatnonzero(y > 120.0)[0])
+        message = rf"^driver returned inf at step 4, node {i} \(codeword {y[i]:g}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            solve(tree, dataclasses.replace(problem, driver=driver))
+
+    def test_infinite_payoff_is_rejected_with_its_node(self):
+        # it used to be reported as a driver NaN at step 4, node 0
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(5, 1.0), 10)
+
+        def terminal(y):
+            return np.where(np.asarray(y) > 120.0, np.inf, problem.terminal(y))
+
+        y = tree.layers[5].codewords
+        i = int(np.flatnonzero(y > 120.0)[0])
+        message = rf"^payoff returned inf at step 5, node {i} \(codeword {y[i]:g}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            solve(tree, dataclasses.replace(problem, terminal=terminal))
 
     def test_floored_sigma_warning_names_its_step(self):
         # sigma(y) = 0.05 + |y| is below the floor 0.3 at 2 codewords of layer 3

@@ -797,7 +797,7 @@ class TestBuildTree:
     def test_each_transition_owns_one_k_by_n_plus_1_block(self):
         # a transition stored dense keeps at most the kernel's density table
         # of its layer, K x (N+1) doubles, and no other transition's memory;
-        # one stored as row windows reads back as a new K x N array
+        # one stored sparse reads back as a new K x N array
         tree = build_tree(gbm_problem(), TimeGrid(8, 0.25), 20)
         for tr in tree.transitions:
             K, N = tr.entries.shape
@@ -810,8 +810,8 @@ class TestBuildTree:
                 assert not np.shares_memory(a.entries, b.entries)
 
     def test_a_long_black_scholes_tree_retains_at_most_18_mb(self):
-        # the bs-refine rung (200, 80): 51 of its 80 transitions are stored as
-        # row windows; with every transition dense it retains 25.7 MB
+        # the bs-refine rung (200, 80): 51 of its 80 transitions are stored
+        # sparse; with every transition dense it retains 25.7 MB
         problem = make_black_scholes(
             BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
         )
@@ -871,7 +871,7 @@ class TestBuildTree:
                 10,
                 5,
             ),
-            # a long grid: from step 31 on, the transitions are stored as windows
+            # a long grid: from step 31 on, the transitions are stored sparse
             (
                 make_black_scholes(
                     BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0),
@@ -1311,10 +1311,16 @@ class TestDataTypes:
             TransitionMatrix(0, np.zeros(shape))
         assert str(info.value) == f"entries must not be empty, got shape {shape}"
 
+    def test_transition_rejects_a_vector_naming_its_shape(self):
+        with pytest.raises(ValueError) as info:
+            TransitionMatrix(0, np.full(3, 1 / 3))
+        assert str(info.value) == "entries must be a matrix, got shape (3,)"
+
     def test_windowed_entries_read_back_bit_for_bit(self, monkeypatch):
-        # rows with one contiguous run, a run with a zero inside it, and a
-        # run at each edge: 10 of 24 entries in windows, so they are kept
-        # once the size floor is lowered to this small matrix
+        # "windowed" means stored sparse. Rows with one contiguous run, a run
+        # with a zero inside it, and a run at each edge: 8 of 24 entries are
+        # nonzero, so they are stored sparse once the size floor is lowered
+        # to this small matrix
         e = np.zeros((4, 6))
         e[0, 2:4] = [0.25, 0.75]
         e[1, 1:4] = [0.5, 0.0, 0.5]
@@ -1328,12 +1334,18 @@ class TestDataTypes:
         assert tr.entries is not tr.entries  # each read is a new array
         moved = dataclasses.replace(tr, step=1)
         assert moved.step == 1 and moved.entries.tobytes() == e.tobytes()
-        # a -0.0 has a bit set, so it widens its row's window and keeps its sign
+        # a -0.0 has a bit set, so it is stored and keeps its sign
         e[0, 0] = -0.0
         signed = TransitionMatrix(0, e)
         assert isinstance(signed._stored, tuple)
         assert signed.entries.tobytes() == e.tobytes()
-        # more than half of the entries in windows: dense, as given
+        # scattered nonzeros, 8 of 24, though each row's span is all 6 columns
+        scattered = np.zeros((4, 6))
+        scattered[:, [0, 5]] = 0.5
+        scattered[1, [0, 5]] = [0.25, 0.75]
+        assert isinstance(TransitionMatrix(0, scattered)._stored, tuple)
+        assert TransitionMatrix(0, scattered).entries.tobytes() == scattered.tobytes()
+        # more than half of the entries nonzero: dense, as given
         dense = np.full((2, 2), 0.5)
         assert TransitionMatrix(0, dense).entries is dense
 
