@@ -7,7 +7,10 @@ layer whose ``rmq._quantize_layer`` is running, by wrapping both functions.
 The cases are the bs-refine ladder (Black-Scholes call, N=200,
 n = 10, 20, 40, 80) and the 30 cells of the Bergman sweep
 (N in 5, 10, 15, 20, 50, 100 and n in 5, 10, 20, 50, 100), each model at
-its ``model.MODELS`` defaults, as in ``perfbench/workloads.py``. Each case
+its ``model.MODELS`` defaults, as in ``perfbench/workloads.py``, and one
+tree that is not geometric Brownian motion: the Vasicek bond of
+``tests/oracles.py`` at N=50, n=20, its maps written as arrays so that a
+revision which does not take scalar map values builds it too. Each case
 records its total calls, the calls of each layer, the mean over the
 warm-started layers 2..n, its u0 at full precision, the sha256 of its
 tree (``pairs.tree_digest``) and how many of its transitions are stored
@@ -36,11 +39,11 @@ With ``--rev`` that revision is exported once with ``git archive`` into a
 temporary directory (``pairs.parent_checkout``) and counted the same way,
 each side in its own interpreter. One pass over the labelled case pairs
 (``agreement``) then gives the largest relative u0 difference
-(``pairs.largest_rel_diff``) over the two build workloads; the envelope
+(``pairs.largest_rel_diff``) over the other workloads; the envelope
 builds that converge on one side only, and the largest relative u0
 difference of those that converge on both, up to and beyond
-sigma sqrt(T) = 0.75; and how many of all 70 cases have the same digest on
-both sides, with the ones that differ (``trees bit-identical: k of 70``).
+sigma sqrt(T) = 0.75; and how many of all 71 cases have the same digest on
+both sides, with the ones that differ (``trees bit-identical: k of 71``).
 
 The CLI is then run on both sides, the change side being this checkout as
 it stands on disk: each case in a fresh interpreter, in an empty directory
@@ -82,6 +85,7 @@ from pairs import ROOT, header, largest_rel_diff, parent_checkout, tree_digest
 
 LADDER = (200, (10, 20, 40, 80))
 SWEEP = ((5, 10, 15, 20, 50, 100), (5, 10, 20, 50, 100))
+VASICEK = (50, 20, 0.3, 0.05, 0.02, 0.03)  # N, n, a, b, sigma, y0; T = 1
 ENVELOPE = (50, 10, (0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0), (0.25, 1.0, 2.0, 5.0))
 SAFE_SPREAD = 0.75  # largest sigma sqrt(T) at which every envelope build converged
 CONFIG = "run.json"
@@ -134,6 +138,11 @@ def count(src: Path) -> dict:
                             spec.T if T is None else T, spec.y0)
 
     bs, bergman = default_problem("black-scholes"), default_problem("bergman")
+    a, b, sigma, y0 = VASICEK[2:]
+    vasicek = model.FbsdeProblem(
+        drift=lambda y: a * (b - y), diffusion=lambda y: np.full(np.shape(y), sigma),
+        driver=lambda t, y, u, v: -y * u, terminal=lambda y: np.ones(np.shape(y)),
+        T=1.0, y0=y0, diffusion_floor=1e-10)
 
     def envelope_case(sigma: float, T: float) -> dict:
         per_layer.clear()
@@ -162,6 +171,7 @@ def count(src: Path) -> dict:
                 "sparse": sum(c["sparse"] for c in cases), "cases": cases}
 
     return {"bs-refine": totals(ladder), "bergman-sweep": totals(sweep),
+            "vasicek": totals([case(vasicek, *VASICEK[:2])]),
             "envelope": {**totals(envelope),
                          "converged": sum(c["converged"] for c in envelope)}}
 

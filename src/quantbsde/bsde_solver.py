@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FbsdeProblem
+from .model import FbsdeProblem, _map_values
 from .rmq import QuantizationTree, _floored_diffusion, _integer
 
 __all__ = [
@@ -67,24 +67,10 @@ class BackwardSolution:
     u0: float
 
 
-def _finite(what: str, step: int, y, values) -> np.ndarray:
-    """``values`` as a float array if every one is finite; RuntimeError
-    naming ``what``, ``step`` and the first node and codeword ``y`` at which
-    one is not."""
-    x = np.asarray(values, dtype=float)
-    if not np.isfinite(x).all():
-        i = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise RuntimeError(
-            f"{what} returned {x.flat[i]} at step {step}, node {i} (codeword {y[i]:g})"
-        )
-    return x
-
-
 def terminal_layer(tree: QuantizationTree, problem: FbsdeProblem) -> ValueLayer:
-    """Payoff evaluated on the last codebook; RuntimeError naming the node
-    and codeword of the first value that is not finite."""
+    """Payoff evaluated on the last codebook, through ``_map_values``."""
     last = tree.layers[-1]
-    payoff = _finite("payoff", last.step, last.codewords, problem.terminal(last.codewords))
+    payoff = _map_values("payoff", last.step, last.codewords, problem.terminal(last.codewords))
     return ValueLayer(last.step, payoff)
 
 
@@ -108,8 +94,8 @@ def backward_step(
 ) -> tuple[ValueLayer, ControlLayer]:
     """One explicit backward step from layer k+1 to layer k, for a step k
     in 0..n-1 (``_step``); sigma is floored as in ``conditional_law``,
-    and the warning names step k. A driver value that is not finite raises
-    RuntimeError naming step k and the first such node and codeword."""
+    and the warning names step k. Drift, diffusion and driver values go
+    through ``_map_values``."""
     k = _step(tree, k, next_values)
     dt = tree.time_grid.dt
     y = tree.layers[k].codewords
@@ -120,8 +106,8 @@ def backward_step(
     E1 = P @ u_next
     E2 = P @ (u_next * y_next) - y * E1
     s = _floored_diffusion(problem, y, k)
-    v = E2 / (dt * s) - E1 * np.asarray(problem.drift(y), dtype=float) / s
-    f_val = _finite("driver", k, y, problem.driver(k * dt, y, E1, v))
+    v = E2 / (dt * s) - E1 * _map_values("drift", k, y, problem.drift(y)) / s
+    f_val = _map_values("driver", k, y, problem.driver(k * dt, y, E1, v))
     u = E1 + dt * f_val
     return ValueLayer(k, u), ControlLayer(k, v)
 
@@ -157,7 +143,8 @@ def ps_control_benchmark(
     projected onto the next codebook, and the control is estimated as
     E[u_{k+1}(projection) * Z] / sqrt(dt). Deterministic for a fixed seed.
     Source nodes with zero marginal mass have no defined estimate; they are
-    reported with a warning and filled with NaN. Through ``_integer``,
+    reported with a warning and filled with NaN. Drift and diffusion go
+    through ``_map_values``, and sigma is not floored. Through ``_integer``,
     ``paths`` is at least 1 and ``seed`` at least 0; ``k`` is checked as in
     ``backward_step``.
     """
@@ -166,13 +153,14 @@ def ps_control_benchmark(
     seed = _integer("seed", seed, 0)
     dt = tree.time_grid.dt
     src = tree.layers[k]
+    y = src.codewords
     y_next = tree.layers[k + 1].codewords
     u_next = next_values.values
     mids = 0.5 * (y_next[1:] + y_next[:-1])
     rng = np.random.default_rng(seed)
     sq = math.sqrt(dt)
-    mean = src.codewords + dt * problem.drift(src.codewords)
-    scale = sq * problem.diffusion(src.codewords)
+    mean = y + dt * _map_values("drift", k, y, problem.drift(y))
+    scale = sq * _map_values("diffusion", k, y, problem.diffusion(y))
 
     out = np.empty(src.size)
     dead = src.weights == 0.0

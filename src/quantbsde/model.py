@@ -39,10 +39,13 @@ class FbsdeProblem:
     """A decoupled Markovian FBSDE in one dimension.
 
     ``drift``/``diffusion``/``terminal`` are vectorized maps on the state;
-    ``driver`` takes ``(t, y, u, v)``. ``T``, ``y0`` and ``diffusion_floor``
-    are finite real numbers, not booleans, stored as floats; ``T`` and
-    ``diffusion_floor`` are positive. ``diffusion_floor`` is the epsilon used
-    wherever ``1/sigma`` or a conditional standard deviation would degenerate.
+    ``driver`` takes ``(t, y, u, v)``. Every map value, sigma(y0) as node 0
+    of step 0 included, goes through ``_map_values``, so a map may return a
+    scalar; sigma(y0) must also be nonzero. ``T``, ``y0`` and
+    ``diffusion_floor`` are finite real numbers, not booleans, stored as
+    floats; ``T`` and ``diffusion_floor`` are positive. ``diffusion_floor``
+    is the epsilon used wherever ``1/sigma`` or a conditional standard
+    deviation would degenerate.
     ``control`` is the closed-form control ``(t, T, y) -> v``, or None where
     there is none; the hedge table compares against it. ``label``/``params``
     only name the model in the sweep's JSON sidecar.
@@ -64,8 +67,8 @@ class FbsdeProblem:
         object.__setattr__(self, "y0", _finite_number("y0", self.y0))
         floor = _positive("diffusion_floor", self.diffusion_floor)
         object.__setattr__(self, "diffusion_floor", floor)
-        s0 = float(self.diffusion(self.y0))
-        if not abs(s0) > 0.0:
+        s0 = _map_values("diffusion", 0, np.array([self.y0]), self.diffusion(self.y0))
+        if not s0[0] != 0.0:
             raise ValueError("diffusion must be nonzero at the start point y0")
 
 
@@ -83,6 +86,18 @@ def _positive(name: str, value) -> float:
     x = _finite_number(name, value)
     if not x > 0.0:
         raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def _map_values(what: str, step: int, y, values) -> np.ndarray:
+    """``values``, those of map ``what`` at the codewords ``y`` of step
+    ``step``, as a new float array of ``y``'s shape, a scalar standing for
+    every node; ValueError naming ``what``, ``step`` and the first node and
+    codeword at which one is not finite. The one rule for every map value."""
+    x = np.full(y.shape, np.asarray(values, dtype=float))
+    if not np.isfinite(x).all():
+        i = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise ValueError(f"{what} returned {x[i]} at step {step}, node {i} (codeword {y[i]:g})")
     return x
 
 

@@ -39,7 +39,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gaussian import CdfBuffers, cdf_and_pdf
-from .model import FbsdeProblem, _finite_number, _positive
+from .model import FbsdeProblem, _finite_number, _map_values, _positive
 
 __all__ = [
     "TimeGrid",
@@ -81,10 +81,10 @@ class DegenerateDiffusionWarning(UserWarning):
 
 
 def _floored_diffusion(problem: FbsdeProblem, y, step: int) -> np.ndarray:
-    """sigma(y) with |sigma| floored at ``problem.diffusion_floor``, sign kept
-    and exact zeros to +floor; a DegenerateDiffusionWarning names the count of
-    floored nodes and ``step``."""
-    s = np.asarray(problem.diffusion(y), dtype=float)
+    """sigma(y) through ``_map_values``, with |sigma| floored at
+    ``problem.diffusion_floor``, sign kept and exact zeros to +floor; a
+    DegenerateDiffusionWarning names the count of floored nodes and ``step``."""
+    s = _map_values("diffusion", step, y, problem.diffusion(y))
     eps = problem.diffusion_floor
     below = np.abs(s) < eps
     floored = int(np.count_nonzero(below))
@@ -175,15 +175,15 @@ class QuantizedLayer:
         return int(self.codewords.size)
 
 
-# A transition of at least _WINDOW_MIN_SIZE entries (128 KiB of doubles) is
+# A transition of at least _SPARSE_MIN_SIZE entries (128 KiB of doubles) is
 # stored sparse, as its nonzero entries under a bitmask, when they are at most
-# _WINDOW_SHARE of its K x N entries, and as the dense matrix otherwise. Below
+# _SPARSE_SHARE of its K x N entries, and as the dense matrix otherwise. Below
 # that size the bytes saved are few against the work: storing a 50 x 50
 # transition sparse costs about 7 us, and each read 5 us, to save about 12 KB,
-# and with the Bergman sweep's N = 15..100 cells stored sparse (as the row
-# windows this form replaced) its run_s rose by a paired ratio of 1.085.
-_WINDOW_SHARE = 0.5
-_WINDOW_MIN_SIZE = 16384
+# and over 10 serial Bergman sweeps the median wall time was 1.05 s without
+# the floor against 1.03 s with it.
+_SPARSE_SHARE = 0.5
+_SPARSE_MIN_SIZE = 16384
 
 
 class _Entries:
@@ -216,15 +216,15 @@ class _Entries:
 
 
 def _stored_form(e: np.ndarray):
-    """``e`` itself, or, if it has at least ``_WINDOW_MIN_SIZE`` entries and
-    at most ``_WINDOW_SHARE`` of them have any bit set, the sparse form
+    """``e`` itself, or, if it has at least ``_SPARSE_MIN_SIZE`` entries and
+    at most ``_SPARSE_SHARE`` of them have any bit set, the sparse form
     (shape, bits, values): ``bits`` the ``np.packbits`` of the row-major mask
     of those entries, and ``values`` the entries themselves, row after row.
     A -0.0 has its sign bit set, so it is stored and keeps its sign."""
-    if e.size < _WINDOW_MIN_SIZE:
+    if e.size < _SPARSE_MIN_SIZE:
         return e
     nonzero = e.view(np.int64) != 0
-    if np.count_nonzero(nonzero) > _WINDOW_SHARE * e.size:
+    if np.count_nonzero(nonzero) > _SPARSE_SHARE * e.size:
         return e
     return e.shape, np.packbits(nonzero), e[nonzero]
 
@@ -235,7 +235,7 @@ class TransitionMatrix:
     a matrix with no empty dimension.
 
     ``entries`` is read as the dense K x N matrix. A matrix of at least
-    ``_WINDOW_MIN_SIZE`` = 16384 entries of which at most ``_WINDOW_SHARE``
+    ``_SPARSE_MIN_SIZE`` = 16384 entries of which at most ``_SPARSE_SHARE``
     = 0.5 are nonzero is stored sparse; both are module constants, not
     settings, and every other matrix is stored as it is. The sparse form
     (``_stored_form``) is the packed row-major mask of the entries with any
@@ -316,17 +316,11 @@ def conditional_law(
     Component i is N(m_i, v_i^2) with m_i = y_i + dt b(y_i) and
     v_i = sqrt(dt) max(|sigma(y_i)|, floor). Falling back to the floor is
     reported through a DegenerateDiffusionWarning (with the count of floored
-    nodes), never silently. A drift or diffusion that is not finite at some
-    node raises ValueError naming the step and the count of such nodes.
+    nodes), never silently. Drift and diffusion go through ``_map_values``.
     """
     y = source.codewords
-    drift = np.asarray(problem.drift(y), dtype=float)
+    drift = _map_values("drift", source.step, y, problem.drift(y))
     sig = np.abs(_floored_diffusion(problem, y, source.step))
-    bad = int(np.count_nonzero(~(np.isfinite(drift) & np.isfinite(sig))))
-    if bad:
-        raise ValueError(
-            f"drift or diffusion is not finite at {bad} node(s) of step {source.step}"
-        )
     return y + dt * drift, math.sqrt(dt) * sig
 
 
@@ -613,8 +607,8 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
     or cdf is broken upstream. The check runs before ``raw`` is touched.
     ``raw`` is then divided in place and the transition is built from it,
     so ``raw`` still holds the dense normalized masses afterwards. If the
-    transition is stored dense (fewer than ``_WINDOW_MIN_SIZE`` entries, or
-    more than ``_WINDOW_SHARE`` of them nonzero), ``raw`` itself becomes the
+    transition is stored dense (fewer than ``_SPARSE_MIN_SIZE`` entries, or
+    more than ``_SPARSE_SHARE`` of them nonzero), ``raw`` itself becomes the
     entries and no copy is made:
     ``_Mixture.raw`` is a view of its density table ``P``, which the
     transition then keeps, and the mixture must not run the kernel again.

@@ -114,3 +114,24 @@ def random_sorted_grid(rng, n: int, spread: float = 1.0) -> np.ndarray:
     gaps = rng.uniform(0.05, 1.0, n) * spread
     x = np.cumsum(gaps)
     return x - x.mean() + rng.normal(0.0, 2.0)
+
+
+# Vasicek zero-coupon bond (Vasicek, J. Financ. Econ. 1977): the short rate
+# dY = a (b - Y) dt + sigma dW, driver f = -y u and terminal value 1, so
+# u(t, y) = A(tau) exp(-B(tau) y) with tau = T - t and B(tau) =
+# (1 - exp(-a tau)) / a, and the control is v = sigma du/dy = -sigma B u.
+VASICEK_A, VASICEK_B, VASICEK_SIGMA = 0.3, 0.05, 0.02
+
+
+def vasicek_bond(tau: float, y):
+    """Closed-form bond price at time to maturity ``tau`` and short rate ``y``."""
+    a, b, s = VASICEK_A, VASICEK_B, VASICEK_SIGMA
+    B = (1.0 - math.exp(-a * tau)) / a
+    log_A = (b - s * s / (2.0 * a * a)) * (B - tau) - s * s * B * B / (4.0 * a)
+    return np.exp(log_A - B * np.asarray(y, dtype=float))
+
+
+def vasicek_control(tau: float, y):
+    """Closed-form control ``-sigma B(tau) u`` of the bond."""
+    B = (1.0 - math.exp(-VASICEK_A * tau)) / VASICEK_A
+    return -VASICEK_SIGMA * B * vasicek_bond(tau, y)

@@ -31,7 +31,15 @@ from quantbsde import (
     terminal_layer,
 )
 
-from oracles import EULER_STEP_Z1, INV_SQRT_2PI
+from oracles import (
+    EULER_STEP_Z1,
+    INV_SQRT_2PI,
+    VASICEK_A,
+    VASICEK_B,
+    VASICEK_SIGMA,
+    vasicek_bond,
+    vasicek_control,
+)
 
 BS = BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0)
 
@@ -217,7 +225,7 @@ class TestBackwardStep:
             y0=100.0,
             diffusion_floor=1e-6,
         )
-        with pytest.raises(RuntimeError, match=r"step 0, node 0"):
+        with pytest.raises(ValueError, match=r"step 0, node 0"):
             backward_step(tree, 0, ValueLayer(1, np.ones(3)), problem)
 
     def test_infinite_driver_is_reported_at_its_own_step(self):
@@ -232,7 +240,7 @@ class TestBackwardStep:
         y = tree.layers[4].codewords
         i = int(np.flatnonzero(y > 120.0)[0])
         message = rf"^driver returned inf at step 4, node {i} \(codeword {y[i]:g}\)$"
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(ValueError, match=message):
             solve(tree, dataclasses.replace(problem, driver=driver))
 
     def test_infinite_payoff_is_rejected_with_its_node(self):
@@ -246,8 +254,22 @@ class TestBackwardStep:
         y = tree.layers[5].codewords
         i = int(np.flatnonzero(y > 120.0)[0])
         message = rf"^payoff returned inf at step 5, node {i} \(codeword {y[i]:g}\)$"
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(ValueError, match=message):
             solve(tree, dataclasses.replace(problem, terminal=terminal))
+
+    def test_infinite_drift_is_reported_at_its_own_step(self):
+        # it used to pass silently into the controls and u0
+        problem = bs_problem()
+        tree = build_tree(problem, TimeGrid(5, 1.0), 10)
+
+        def drift(y):
+            return np.where(np.asarray(y) > 120.0, np.inf, problem.drift(y))
+
+        y = tree.layers[4].codewords
+        i = int(np.flatnonzero(y > 120.0)[0])
+        message = rf"^drift returned inf at step 4, node {i} \(codeword {y[i]:g}\)$"
+        with pytest.raises(ValueError, match=message):
+            solve(tree, dataclasses.replace(problem, drift=drift))
 
     def test_floored_sigma_warning_names_its_step(self):
         # sigma(y) = 0.05 + |y| is below the floor 0.3 at 2 codewords of layer 3
@@ -319,6 +341,37 @@ class TestSolve:
         sol_hi = solve(tree, hi)
         for a, b in zip(sol_lo.value_layers, sol_hi.value_layers):
             assert np.all(a.values <= b.values + 1e-12)
+
+    @pytest.mark.parametrize("N", [25, 50, 100, 200])
+    def test_vasicek_bond_price_and_covariance_control(self, N):
+        # additive noise, a state-dependent driver and a constant payoff,
+        # written as scalar maps. u0 carries the time error alone (about
+        # +7.5e-5 at n=20), and the covariance form of the control, which
+        # leaves out each row's drift gap, is off by about dt/tau = 0.2, the
+        # first-order time error of a control that vanishes at maturity
+        a, b, sigma = VASICEK_A, VASICEK_B, VASICEK_SIGMA
+        problem = FbsdeProblem(
+            drift=lambda y: a * (b - np.asarray(y, dtype=float)),
+            diffusion=lambda y: sigma,
+            driver=lambda t, y, u, v: -np.asarray(y, dtype=float) * u,
+            terminal=lambda y: 1.0,
+            T=1.0,
+            y0=0.03,
+            diffusion_floor=1e-10,
+        )
+        tree = build_tree(problem, TimeGrid(20, 1.0), N)
+        sol = solve(tree, problem)
+        assert abs(sol.u0 - vasicek_bond(1.0, 0.03)) <= 1e-4
+        k, dt = 15, tree.time_grid.dt
+        P = tree.transitions[k].entries
+        u_next, y_next = sol.value_layers[k + 1].values, tree.layers[k + 1].codewords
+        E1 = P @ u_next
+        v = (P @ (u_next * y_next) - E1 * (P @ y_next)) / (dt * sigma)
+        layer = tree.layers[k]
+        want = vasicek_control(1.0 - k * dt, layer.codewords)
+        mid_mass = np.cumsum(layer.weights) - 0.5 * layer.weights
+        central = (mid_mass >= 0.05) & (mid_mass <= 0.95)
+        assert np.max(np.abs(v[central] / want[central] - 1.0)) <= 0.25
 
 
 class TestSamplingBenchmark:
@@ -418,6 +471,21 @@ class TestSamplingBenchmark:
             got = ps_control_benchmark(tree, problem, k, nxt, 3000, 17).controls
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isfinite(want).sum() == (src.weights > 0.0).sum()
+
+    def test_scalar_maps_stand_for_every_node(self):
+        # an additive-noise problem written with scalars gives the controls
+        # of the same problem written with arrays, bit for bit
+        arrays = dataclasses.replace(
+            zero_driver_problem(),
+            drift=lambda y: np.full(np.shape(y), 4.0),
+            diffusion=lambda y: np.full(np.shape(y), 25.0),
+        )
+        scalars = dataclasses.replace(arrays, drift=lambda y: 4.0, diffusion=lambda y: 25.0)
+        tree = build_tree(arrays, TimeGrid(5, 1.0), 8)
+        nxt = solve(tree, arrays).value_layers[3]
+        got = ps_control_benchmark(tree, scalars, 2, nxt, 500, 3).controls
+        want = ps_control_benchmark(tree, arrays, 2, nxt, 500, 3).controls
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_arguments(self):
         problem = bs_problem()

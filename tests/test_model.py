@@ -315,6 +315,20 @@ class TestParameterValidation:
                 diffusion_floor=1e-6,
             )
 
+    @pytest.mark.parametrize(
+        "s0, message",
+        [
+            (math.inf, r"^diffusion returned inf at step 0, node 0 \(codeword 100\)$"),
+            (math.nan, r"^diffusion returned nan at step 0, node 0 \(codeword 100\)$"),
+            (0.0, r"^diffusion must be nonzero at the start point y0$"),
+        ],
+        ids=["inf", "nan", "zero"],
+    )
+    def test_start_diffusion_must_be_finite_and_nonzero(self, s0, message):
+        problem = make_black_scholes(BS, 1.0, 100.0)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(problem, diffusion=lambda y: s0)
+
     @pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-6"])
     def test_floor_must_be_a_finite_number(self, floor):
         problem = make_black_scholes(BS, 1.0, 100.0)

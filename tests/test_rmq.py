@@ -887,13 +887,13 @@ class TestBuildTree:
     def test_fused_transitions_match_the_public_wrapper(self, problem, N, n):
         tree = build_tree(problem, TimeGrid(n, problem.T), N)
         dt = tree.time_grid.dt
-        windowed = 0
+        sparse = 0
         for k, tr in enumerate(tree.transitions):
             public = transition_matrix(tree.layers[k], tree.layers[k + 1], dt, problem)
             assert tr.entries.tobytes() == public.entries.tobytes()
             assert isinstance(tr._stored, tuple) == isinstance(public._stored, tuple)
-            windowed += isinstance(tr._stored, tuple)
-        assert windowed == (29 if n == 60 else 0)
+            sparse += isinstance(tr._stored, tuple)
+        assert sparse == (29 if n == 60 else 0)
 
     def test_floored_diffusion_warns_once_per_layer(self):
         # sigma(y) = 0.05 + |y| is below the floor at y0 = 0 and on the
@@ -928,10 +928,10 @@ class TestBuildTree:
             gbm_problem(mu=0.04, sigma=0.25, T=1.0),
             drift=lambda y: np.where(np.asarray(y) > 105.0, np.nan, 0.04 * np.asarray(y)),
         )
-        layer1 = build_tree(problem, TimeGrid(1, 0.1), 50).layers[1]
-        bad = int(np.sum(layer1.codewords > 105.0))
-        assert bad > 0
-        with pytest.raises(ValueError, match=rf"not finite at {bad} node\(s\) of step 1$"):
+        y = build_tree(problem, TimeGrid(1, 0.1), 50).layers[1].codewords
+        i = int(np.flatnonzero(y > 105.0)[0])
+        message = rf"^drift returned nan at step 1, node {i} \(codeword {y[i]:g}\)$"
+        with pytest.raises(ValueError, match=message):
             build_tree(problem, TimeGrid(10, 1.0), 50)
 
     @pytest.mark.parametrize("N", [5, 8, 20])
@@ -1118,7 +1118,7 @@ class TestSerialization:
         assert peak - start <= 0.5e6
         assert path.stat().st_size > 5e6
 
-    def test_windowed_transitions_save_load_and_save_to_the_same_bytes(self, tmp_path):
+    def test_sparse_transitions_save_load_and_save_to_the_same_bytes(self, tmp_path):
         problem = gbm_problem(mu=0.04, sigma=0.25, T=1.0)
         tree = build_tree(problem, TimeGrid(60, 1.0), 128)
         first, second = tmp_path / "first.rmq.json", tmp_path / "second.rmq.json"
@@ -1316,18 +1316,17 @@ class TestDataTypes:
             TransitionMatrix(0, np.full(3, 1 / 3))
         assert str(info.value) == "entries must be a matrix, got shape (3,)"
 
-    def test_windowed_entries_read_back_bit_for_bit(self, monkeypatch):
-        # "windowed" means stored sparse. Rows with one contiguous run, a run
-        # with a zero inside it, and a run at each edge: 8 of 24 entries are
-        # nonzero, so they are stored sparse once the size floor is lowered
-        # to this small matrix
+    def test_sparse_entries_read_back_bit_for_bit(self, monkeypatch):
+        # Rows with one contiguous run, a run with a zero inside it, and a
+        # run at each edge: 8 of 24 entries are nonzero, so they are stored
+        # sparse once the size floor is lowered to this small matrix
         e = np.zeros((4, 6))
         e[0, 2:4] = [0.25, 0.75]
         e[1, 1:4] = [0.5, 0.0, 0.5]
         e[2, 0] = 1.0
         e[3, 3:] = [0.125, 0.375, 0.5]
         assert TransitionMatrix(0, e).entries is e  # below the floor: as given
-        monkeypatch.setattr(rmq_mod, "_WINDOW_MIN_SIZE", e.size)
+        monkeypatch.setattr(rmq_mod, "_SPARSE_MIN_SIZE", e.size)
         tr = TransitionMatrix(0, e)
         assert isinstance(tr._stored, tuple)
         assert tr.entries.tobytes() == e.tobytes()
