@@ -9,13 +9,12 @@ n = 10, 20, 40, 80) and the 30 cells of the Bergman sweep
 (N in 5, 10, 15, 20, 50, 100 and n in 5, 10, 20, 50, 100), each model at
 its ``model.MODELS`` defaults, as in ``perfbench/workloads.py``, and one
 tree that is not geometric Brownian motion: the Vasicek bond of
-``tests/oracles.py`` at N=50, n=20, its maps written as arrays so that a
-revision which does not take scalar map values builds it too. Each case
-records its total calls, the calls of each layer, the mean over the
-warm-started layers 2..n, its u0 at full precision, the sha256 of its
-tree (``pairs.tree_digest``) and how many of its transitions are stored
-sparse (``sparse``), and each workload the sum of those counts, printed
-as ``<workload>: <parent> -> <change> transitions stored sparse``. The
+``tests/oracles.py`` at N=50, n=20. Each case records its total calls,
+the calls of each layer, the mean over the warm-started layers 2..n, its
+u0 at full precision, the sha256 of its tree (``pairs.tree_digest``) and
+how many of its transitions are stored sparse (``sparse``), and each
+workload the sum of those counts, printed as ``<workload>: <parent> ->
+<change> transitions stored sparse``. The
 other gates compare dense reads, so a change of storage form shows only
 there and in the peak RSS below.
 
@@ -27,6 +26,13 @@ its u0 (None when stalled), its sparse count (0 when stalled) and a
 sha256: of its tree, or for a stalled build of the error message and the
 last grid (``stall_digest``). Beyond sigma sqrt(T) = 0.75 the Euler chain
 puts mass on negative prices and some builds stall.
+
+The ladder, the sweep and the Vasicek cell are then built a second time
+at ``fixed_point_tol`` = ``TIGHT_TOL`` (1e-11), where u0 no longer
+depends on the optimizer's path: at the default 1e-9 a change of path
+alone moves Bergman u0 by about 1e-10 relative. These
+builds are kept apart (``tight``) and all converge; a stall stops the
+script with its ``ConvergenceError``.
 
 The count runs in a fresh interpreter per side, which reads its own peak
 resident memory (VmHWM of ``/proc/self/status``, as
@@ -44,6 +50,9 @@ builds that converge on one side only, and the largest relative u0
 difference of those that converge on both, up to and beyond
 sigma sqrt(T) = 0.75; and how many of all 71 cases have the same digest on
 both sides, with the ones that differ (``trees bit-identical: k of 71``).
+The largest relative u0 difference of the two sides' builds at
+``TIGHT_TOL`` (``tight_agreement``) is printed as ``u0 at tol 1e-11: max
+rel diff <x> (<case>)``.
 
 The CLI is then run on both sides, the change side being this checkout as
 it stands on disk: each case in a fresh interpreter, in an empty directory
@@ -88,6 +97,7 @@ SWEEP = ((5, 10, 15, 20, 50, 100), (5, 10, 20, 50, 100))
 VASICEK = (50, 20, 0.3, 0.05, 0.02, 0.03)  # N, n, a, b, sigma, y0; T = 1
 ENVELOPE = (50, 10, (0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0), (0.25, 1.0, 2.0, 5.0))
 SAFE_SPREAD = 0.75  # largest sigma sqrt(T) at which every envelope build converged
+TIGHT_TOL = 1e-11  # stop rule at which u0 no longer depends on the optimizer's path
 CONFIG = "run.json"
 
 
@@ -104,8 +114,10 @@ def sparse(tree) -> int:
     return sum(isinstance(getattr(tr, "_stored", None), tuple) for tr in tree.transitions)
 
 
-def count(src: Path) -> dict:
-    """Count kernel calls with the package found under ``src``."""
+def count(src: Path) -> tuple[dict, dict]:
+    """Count kernel calls with the package found under ``src``; return the
+    counts and, per workload but the envelope, the cases built again at
+    ``TIGHT_TOL``."""
     sys.path.insert(0, str(src))
     from quantbsde import bsde_solver, model, rmq
 
@@ -122,9 +134,9 @@ def count(src: Path) -> dict:
 
     rmq._mixture_stats, rmq._quantize_layer = stats, layer
 
-    def case(problem, N: int, n: int) -> dict:
+    def case(problem, N: int, n: int, settings=None) -> dict:
         per_layer.clear()
-        tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N)
+        tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N, settings)
         later = per_layer[1:]
         return {"N": N, "n": n, "calls": sum(per_layer),
                 "later_mean": sum(later) / len(later) if later else None,
@@ -140,8 +152,8 @@ def count(src: Path) -> dict:
     bs, bergman = default_problem("black-scholes"), default_problem("bergman")
     a, b, sigma, y0 = VASICEK[2:]
     vasicek = model.FbsdeProblem(
-        drift=lambda y: a * (b - y), diffusion=lambda y: np.full(np.shape(y), sigma),
-        driver=lambda t, y, u, v: -y * u, terminal=lambda y: np.ones(np.shape(y)),
+        drift=lambda y: a * (b - y), diffusion=lambda y: sigma,
+        driver=lambda t, y, u, v: -y * u, terminal=lambda y: 1.0,
         T=1.0, y0=y0, diffusion_floor=1e-10)
 
     def envelope_case(sigma: float, T: float) -> dict:
@@ -160,8 +172,10 @@ def count(src: Path) -> dict:
                 "sparse": sparse(tree)}
 
     N, steps = LADDER
-    ladder = [case(bs, N, n) for n in steps]
-    sweep = [case(bergman, N, n) for N in SWEEP[0] for n in SWEEP[1]]
+    cells = {"bs-refine": [(bs, N, n) for n in steps],
+             "bergman-sweep": [(bergman, N, n) for N in SWEEP[0] for n in SWEEP[1]],
+             "vasicek": [(vasicek, *VASICEK[:2])]}
+    built = {workload: [case(*cell) for cell in cs] for workload, cs in cells.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", rmq.DegenerateDiffusionWarning)
         envelope = [envelope_case(sigma, T) for sigma in ENVELOPE[2] for T in ENVELOPE[3]]
@@ -170,10 +184,12 @@ def count(src: Path) -> dict:
         return {"calls": sum(c["calls"] for c in cases),
                 "sparse": sum(c["sparse"] for c in cases), "cases": cases}
 
-    return {"bs-refine": totals(ladder), "bergman-sweep": totals(sweep),
-            "vasicek": totals([case(vasicek, *VASICEK[:2])]),
-            "envelope": {**totals(envelope),
-                         "converged": sum(c["converged"] for c in envelope)}}
+    tight = rmq.OptimizerSettings(fixed_point_tol=TIGHT_TOL)
+    counts = {**{workload: totals(cases) for workload, cases in built.items()},
+              "envelope": {**totals(envelope),
+                           "converged": sum(c["converged"] for c in envelope)}}
+    return counts, {workload: [case(*cell, tight) for cell in cs]
+                    for workload, cs in cells.items()}
 
 
 def peak_rss_mb() -> float:
@@ -183,12 +199,12 @@ def peak_rss_mb() -> float:
     return kb / 1024
 
 
-def count_in_child(src: Path) -> tuple[dict, float]:
-    """``count(src)`` in a fresh interpreter, and that interpreter's peak RSS."""
+def count_in_child(src: Path) -> dict:
+    """``count(src)`` in a fresh interpreter, as ``counts`` and ``tight``,
+    and that interpreter's peak RSS (``peak_rss_mb``)."""
     proc = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True,
                           capture_output=True, text=True)
-    out = json.loads(proc.stdout)
-    return out["counts"], out["peak_rss_mb"]
+    return json.loads(proc.stdout)
 
 
 def agreement(parent: dict, change: dict) -> dict:
@@ -216,6 +232,14 @@ def agreement(parent: dict, change: dict) -> dict:
                                    "beyond": largest_rel_diff(beyond)},
             "tree_agreement": {"identical": cases - len(differ), "cases": cases,
                                "differ": differ}}
+
+
+def tight_agreement(parent: dict, change: dict) -> dict:
+    """The largest relative u0 difference between the two sides' builds at
+    ``TIGHT_TOL``, each ``{workload: cases}`` (``pairs.largest_rel_diff``)."""
+    return largest_rel_diff((f"{workload} N={a['N']},n={a['n']}", a["u0"], b["u0"])
+                            for workload, cases in change.items()
+                            for a, b in zip(parent[workload], cases))
 
 
 def readme_cases() -> list:
@@ -368,19 +392,19 @@ def main(argv=None) -> int:
                                   "print the counts as JSON on stdout")
     args = ap.parse_args(argv)
     if args.src:
-        counts = count(Path(args.src))
-        json.dump({"counts": counts, "peak_rss_mb": peak_rss_mb()}, sys.stdout)
+        counts, tight = count(Path(args.src))
+        json.dump({"counts": counts, "tight": tight, "peak_rss_mb": peak_rss_mb()},
+                  sys.stdout)
         return 0
     if not args.out:
         ap.error("--out is required")
-    counts, peak = count_in_child(ROOT / "src")
-    doc = {**header(argv), "counts": counts, "peak_rss_mb": peak}
+    doc = {**header(argv), "tight_tol": TIGHT_TOL, **count_in_child(ROOT / "src")}
     if args.rev:
         with parent_checkout(args.rev) as (sha, parent_root):
-            counts, peak = count_in_child(parent_root / "src")
-            doc["parent"] = {"rev": sha, "counts": counts, "peak_rss_mb": peak}
+            doc["parent"] = {"rev": sha, **count_in_child(parent_root / "src")}
             cli = same_output(sha, parent_root)
-        doc.update(agreement(doc["parent"]["counts"], doc["counts"]), cli=cli)
+        doc.update(agreement(doc["parent"]["counts"], doc["counts"]), cli=cli,
+                   tight_agreement=tight_agreement(doc["parent"]["tight"], doc["tight"]))
     before = f"{doc['parent']['peak_rss_mb']:.1f} -> " if args.rev else ""
     print(f"count run peak RSS: {before}{doc['peak_rss_mb']:.1f} MB", file=sys.stderr)
     for workload, side in doc["counts"].items():
@@ -398,6 +422,9 @@ def main(argv=None) -> int:
         for flip in envelope["flips"]:
             print(f"envelope flip: {flip}", file=sys.stderr)
         print(f"u0 max rel diff: {doc['u0_agreement']}", file=sys.stderr)
+        tight = doc["tight_agreement"]
+        print(f"u0 at tol {TIGHT_TOL:g}: max rel diff {tight['max_rel_diff']} ({tight['at']})",
+              file=sys.stderr)
         for side in ("safe", "beyond"):
             print(f"envelope {side} u0 max rel diff: {envelope[side]}", file=sys.stderr)
         trees = doc["tree_agreement"]

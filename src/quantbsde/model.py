@@ -39,13 +39,13 @@ class FbsdeProblem:
     """A decoupled Markovian FBSDE in one dimension.
 
     ``drift``/``diffusion``/``terminal`` are vectorized maps on the state;
-    ``driver`` takes ``(t, y, u, v)``. Every map value, sigma(y0) as node 0
-    of step 0 included, goes through ``_map_values``, so a map may return a
-    scalar; sigma(y0) must also be nonzero. ``T``, ``y0`` and
-    ``diffusion_floor`` are finite real numbers, not booleans, stored as
-    floats; ``T`` and ``diffusion_floor`` are positive. ``diffusion_floor``
-    is the epsilon used wherever ``1/sigma`` or a conditional standard
-    deviation would degenerate.
+    ``driver`` takes ``(t, y, u, v)``. A map gets a 1-d float codebook ``y``
+    (``np.array([y0])`` for sigma(y0)) and ``u``, ``v`` of its shape, and
+    answers with a scalar or one value per codeword (``_map_values``);
+    sigma(y0) must be nonzero. ``T``, ``y0`` and ``diffusion_floor`` are
+    finite real numbers, not booleans, stored as floats; ``T`` and
+    ``diffusion_floor`` are positive. ``diffusion_floor`` is the epsilon used
+    wherever ``1/sigma`` or a conditional standard deviation would degenerate.
     ``control`` is the closed-form control ``(t, T, y) -> v``, or None where
     there is none; the hedge table compares against it. ``label``/``params``
     only name the model in the sweep's JSON sidecar.
@@ -67,7 +67,8 @@ class FbsdeProblem:
         object.__setattr__(self, "y0", _finite_number("y0", self.y0))
         floor = _positive("diffusion_floor", self.diffusion_floor)
         object.__setattr__(self, "diffusion_floor", floor)
-        s0 = _map_values("diffusion", 0, np.array([self.y0]), self.diffusion(self.y0))
+        y = np.array([self.y0])
+        s0 = _map_values("diffusion", 0, y, self.diffusion(y))
         if not s0[0] != 0.0:
             raise ValueError("diffusion must be nonzero at the start point y0")
 
@@ -91,10 +92,16 @@ def _positive(name: str, value) -> float:
 
 def _map_values(what: str, step: int, y, values) -> np.ndarray:
     """``values``, those of map ``what`` at the codewords ``y`` of step
-    ``step``, as a new float array of ``y``'s shape, a scalar standing for
-    every node; ValueError naming ``what``, ``step`` and the first node and
-    codeword at which one is not finite. The one rule for every map value."""
-    x = np.full(y.shape, np.asarray(values, dtype=float))
+    ``step``, as a new float array of ``y``'s shape: a scalar stands for
+    every node, and any other shape is a ValueError naming it, as is the
+    first node and codeword whose value is not finite. The one rule for
+    every map value."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim and x.shape != y.shape:
+        raise ValueError(
+            f"{what} returned shape {x.shape} at step {step}, expected {y.shape} or a scalar"
+        )
+    x = np.full(y.shape, x)
     if not np.isfinite(x).all():
         i = int(np.flatnonzero(~np.isfinite(x))[0])
         raise ValueError(f"{what} returned {x[i]} at step {step}, node {i} (codeword {y[i]:g})")
@@ -146,10 +153,10 @@ def _gbm_problem(p, mu, driver, terminal, T, y0, label: str, control=None) -> Fb
     s = p.sigma
 
     def drift(y):
-        return mu * np.asarray(y, dtype=float)
+        return mu * y
 
     def diffusion(y):
-        return s * np.asarray(y, dtype=float)
+        return s * y
 
     floor = 1e-8 * y0 * (s * y0)
     return FbsdeProblem(drift, diffusion, driver, terminal, T, y0, floor, label, asdict(p), control)
@@ -168,10 +175,10 @@ def make_black_scholes(p: BlackScholesParams, T: float, y0: float) -> FbsdeProbl
     r, K = p.rate, p.strike
 
     def driver(t, y, u, v):
-        return -r * np.asarray(u, dtype=float)
+        return -r * u
 
     def terminal(y):
-        return np.maximum(np.asarray(y, dtype=float) - K, 0.0)
+        return np.maximum(y - K, 0.0)
 
     return _gbm_problem(p, r, driver, terminal, T, y0, "black-scholes", partial(bs_control, p))
 
@@ -195,12 +202,9 @@ def make_bergman(p: BergmanParams, T: float, y0: float) -> FbsdeProblem:
     K1, K2 = p.strike_low, p.strike_high
 
     def driver(t, y, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
         return -r * u - ((mu - r) / s) * v - (R - r) * np.minimum(u - v / s, 0.0)
 
     def terminal(y):
-        y = np.asarray(y, dtype=float)
         return np.maximum(y - K1, 0.0) - 2.0 * np.maximum(y - K2, 0.0)
 
     return _gbm_problem(p, mu, driver, terminal, T, y0, "bergman")

@@ -239,9 +239,9 @@ class TransitionMatrix:
     = 0.5 are nonzero is stored sparse; both are module constants, not
     settings, and every other matrix is stored as it is. The sparse form
     (``_stored_form``) is the packed row-major mask of the entries with any
-    bit set and those entries in one array. Each read then rebuilds the
-    dense matrix, bit for bit, as a new array, so a write into ``entries``
-    is not kept; build a new transition instead (``dataclasses.replace``).
+    bit set and those entries in one array. A sparse read rebuilds the
+    dense matrix, bit for bit, as a new array, and a dense read returns the
+    stored array, where a write stays unchecked; use ``dataclasses.replace``.
 
     A row is a Gaussian's cell masses, and its mass sits in a band of cells
     that narrows like sqrt(dt). On the Black-Scholes ladder at N = 200
@@ -368,10 +368,10 @@ class _Mixture:
     """One layer's Gaussian mixture sum_i p_i N(m_i, v_i^2) and the work of
     quantizing it with n codewords; every step of the layer reads it.
 
-    It holds the arrays ``m``, ``v``, ``p``, the count ``n``, the mean ``c``,
-    the centred means ``mc``, the spread ``s``, the 3 x K coefficient rows
-    of the kernel's two moment products (``q`` for the density table, ``r``
-    for the cell masses), and the K x (n+1) tables and the cdf's work
+    It holds the float arrays ``m``, ``v``, ``p`` as given, the count ``n``,
+    the mean ``c``, the centred means ``mc``, the spread ``s``, the 3 x K
+    rows of the kernel's two moment products (``q`` for the density table,
+    ``r`` for the cell masses), and the K x (n+1) tables and the cdf's work
     arrays, allocated once per layer instead of once per kernel call. The
     cell masses ``raw`` (K x n) of the last kernel call reuse the first
     K x n doubles of the density table ``P`` once it is spent; every reader
@@ -383,10 +383,7 @@ class _Mixture:
     with the rest of the mixture.
     """
 
-    def __init__(self, means, stds, probs, n: int):
-        m = np.asarray(means, dtype=float)
-        v = np.asarray(stds, dtype=float)
-        p = np.asarray(probs, dtype=float)
+    def __init__(self, m: np.ndarray, v: np.ndarray, p: np.ndarray, n: int):
         self.m, self.v, self.p, self.n = m, v, p, n
         self.c = float(p @ m)
         self.mc = mc = m - self.c
@@ -402,9 +399,9 @@ class _Mixture:
         self.cdf = CdfBuffers(m.size * (n + 1))
 
 
-def _mixture_stats(grid, mix: _Mixture):
+def _mixture_stats(x: np.ndarray, mix: _Mixture):
     """Aggregated cell statistics of the Gaussian mixture ``mix`` over the
-    Voronoi cells of ``grid``.
+    Voronoi cells of the increasing float array ``x``.
 
     Returns (M0, M1, distortion, F) where, for cell j, M0_j / M1_j are the
     mixture's zeroth/first partial moments and F holds the mixture density
@@ -423,9 +420,8 @@ def _mixture_stats(grid, mix: _Mixture):
     size c^2 against each other.
 
     The tables are written into ``mix``, which must have been built for
-    ``grid``'s size, and are overwritten by the next call that shares it.
+    ``x``'s size, and are overwritten by the next call that shares it.
     """
-    x = np.asarray(grid, dtype=float)
     n = x.size
     bounds = np.empty(n + 1)
     bounds[0] = -np.inf
@@ -530,8 +526,8 @@ def _newton_direction(x, M0, F, g):
     return None
 
 
-def _optimize_codewords(mix: _Mixture, x0, settings: OptimizerSettings, step: int):
-    """Damped-Newton / Lloyd iteration to a stationary grid.
+def _optimize_codewords(mix: _Mixture, x: np.ndarray, settings: OptimizerSettings, step: int):
+    """Damped-Newton / Lloyd iteration to a stationary grid from ``x``, which it never writes.
 
     Newton candidates are accepted only if they keep the grid strictly
     increasing and do not increase the distortion (backtracking halves the
@@ -544,7 +540,6 @@ def _optimize_codewords(mix: _Mixture, x0, settings: OptimizerSettings, step: in
     stats calls share the layer's ``mix``, and the last one is on the grid
     returned, so ``mix.raw`` then holds that grid's cell masses.
     """
-    x = np.asarray(x0, dtype=float).copy()
     M0, M1, dist, F = _mixture_stats(x, mix)
     for it in range(settings.max_iterations + 1):
         g = 2.0 * (x * M0 - M1)

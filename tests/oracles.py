@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import ndtr
 
 # frozen at 50-digit precision
 INV_SQRT_2PI = 0.3989422804014327
@@ -135,3 +136,23 @@ def vasicek_control(tau: float, y):
     """Closed-form control ``-sigma B(tau) u`` of the bond."""
     B = (1.0 - math.exp(-VASICEK_A * tau)) / VASICEK_A
     return -VASICEK_SIGMA * B * vasicek_bond(tau, y)
+
+
+# Bachelier call: dY = sigma dW with no drift, driver f = 0 and payoff
+# (y - K)+, so u(t, y) = (y - K) Phi(d) + s phi(d) with s = sigma sqrt(tau)
+# and d = (y - K) / s, and the control is v = sigma du/dy = sigma Phi(d). The
+# Euler step is exact in law for this forward part.
+BACHELIER_SIGMA, BACHELIER_STRIKE = 25.0, 100.0
+
+
+def bachelier_price(tau: float, y):
+    """Closed-form call price at time to maturity ``tau`` and spot ``y``."""
+    s = BACHELIER_SIGMA * math.sqrt(tau)
+    x = np.asarray(y, dtype=float) - BACHELIER_STRIKE
+    return x * ndtr(x / s) + s * INV_SQRT_2PI * np.exp(-0.5 * (x / s) ** 2)
+
+
+def bachelier_control(tau: float, y):
+    """Closed-form control ``sigma Phi(d)`` of the call."""
+    s = BACHELIER_SIGMA * math.sqrt(tau)
+    return BACHELIER_SIGMA * ndtr((np.asarray(y, dtype=float) - BACHELIER_STRIKE) / s)

@@ -173,3 +173,17 @@ def test_agreement_reports_the_flip_the_differing_digests_and_the_u0_move():
         "tree_agreement": {"identical": 2, "cases": 4,
                            "differ": ["bergman-sweep N=5,n=5", "envelope sigma=1.0,T=2.0"]},
     }
+
+
+def test_tight_agreement_is_the_largest_u0_move_at_the_tight_tolerance():
+    def side(bergman_u0):
+        return {"bs-refine": [{"N": 200, "n": 10, "u0": 11.8}],
+                "bergman-sweep": [{"N": 5, "n": 5, "u0": 3.0},
+                                  {"N": 5, "n": 10, "u0": bergman_u0}],
+                "vasicek": [{"N": 50, "n": 20, "u0": 0.97}]}
+
+    assert calls.TIGHT_TOL == 1e-11
+    assert calls.tight_agreement(side(2.5), side(2.5)) == {
+        "max_rel_diff": 0.0, "at": "bs-refine N=200,n=10"}
+    assert calls.tight_agreement(side(2.0), side(2.5)) == {
+        "max_rel_diff": 0.5 / 2.5, "at": "bergman-sweep N=5,n=10"}

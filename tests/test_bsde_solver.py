@@ -32,11 +32,15 @@ from quantbsde import (
 )
 
 from oracles import (
+    BACHELIER_SIGMA,
+    BACHELIER_STRIKE,
     EULER_STEP_Z1,
     INV_SQRT_2PI,
     VASICEK_A,
     VASICEK_B,
     VASICEK_SIGMA,
+    bachelier_control,
+    bachelier_price,
     vasicek_bond,
     vasicek_control,
 )
@@ -271,6 +275,26 @@ class TestBackwardStep:
         with pytest.raises(ValueError, match=message):
             solve(tree, dataclasses.replace(problem, drift=drift))
 
+    @pytest.mark.parametrize(
+        "what, message",
+        [
+            ("payoff", r"^payoff returned shape \(7,\) at step 3, expected \(6,\) or a scalar$"),
+            ("drift", r"^drift returned shape \(1,\) at step 1, expected \(6,\) or a scalar$"),
+        ],
+        ids=["payoff", "drift"],
+    )
+    def test_a_map_of_another_shape_is_named(self, what, message):
+        # the payoff used to fail in numpy's broadcast with no map or step;
+        # the drift, right at step 0's one codeword, was broadcast silently
+        # over step 1 and priced u0 = 11.1332
+        problem = bs_problem()
+        if what == "payoff":
+            problem = dataclasses.replace(problem, terminal=lambda y: np.append(y, 1.0))
+        else:
+            problem = dataclasses.replace(problem, drift=lambda y: np.array([4.0]))
+        with pytest.raises(ValueError, match=message):
+            solve(build_tree(problem, TimeGrid(3, 1.0), 6), problem)
+
     def test_floored_sigma_warning_names_its_step(self):
         # sigma(y) = 0.05 + |y| is below the floor 0.3 at 2 codewords of layer 3
         problem = FbsdeProblem(
@@ -372,6 +396,37 @@ class TestSolve:
         mid_mass = np.cumsum(layer.weights) - 0.5 * layer.weights
         central = (mid_mass >= 0.05) & (mid_mass <= 0.95)
         assert np.max(np.abs(v[central] / want[central] - 1.0)) <= 0.25
+
+    def test_bachelier_call_converges_in_the_codeword_count(self):
+        # additive noise and no drift, so the Euler step is exact in law:
+        # u0 and the k=15 control, over the acceptance test's central 90%
+        # mask, converge as N doubles (errors near 3.2e-2, 8.4e-3, 2.1e-3
+        # and 7.95%, 2.07%, 0.55%)
+        problem = FbsdeProblem(
+            drift=lambda y: 0.0,
+            diffusion=lambda y: BACHELIER_SIGMA,
+            driver=lambda t, y, u, v: 0.0,
+            terminal=lambda y: np.maximum(y - BACHELIER_STRIKE, 0.0),
+            T=1.0,
+            y0=100.0,
+            diffusion_floor=1e-8,
+        )
+        k, price_errors, control_errors = 15, [], []
+        for N in (50, 100, 200):
+            tree = build_tree(problem, TimeGrid(20, 1.0), N)
+            sol = solve(tree, problem)
+            price_errors.append(abs(sol.u0 - bachelier_price(1.0, 100.0)))
+            layer = tree.layers[k]
+            want = bachelier_control(1.0 - k * tree.time_grid.dt, layer.codewords)
+            rel = np.abs(sol.control_layers[k].controls - want) / want
+            c = np.cumsum(layer.weights)
+            central = (c - layer.weights >= 0.05) & (c <= 0.95)
+            control_errors.append(float(np.max(rel[central])))
+        for coarse, fine in zip(price_errors, price_errors[1:]):
+            assert coarse >= 3.5 * fine
+        for coarse, fine in zip(control_errors, control_errors[1:]):
+            assert coarse >= 3.0 * fine
+        assert control_errors[-1] < 0.01
 
 
 class TestSamplingBenchmark:

@@ -329,6 +329,18 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(problem, diffusion=lambda y: s0)
 
+    def test_start_diffusion_is_read_on_the_step_0_codebook(self):
+        # sigma(y0) used to be called with the float y0, so a map reading
+        # y.shape failed with an AttributeError
+        seen = []
+
+        def diffusion(y):
+            seen.append(y)
+            return np.full(y.shape, 0.02)
+
+        dataclasses.replace(make_black_scholes(BS, 1.0, 100.0), diffusion=diffusion)
+        assert [(type(y), y.dtype, y.tolist()) for y in seen] == [(np.ndarray, float, [100.0])]
+
     @pytest.mark.parametrize("floor", [math.inf, math.nan, True, "1e-6"])
     def test_floor_must_be_a_finite_number(self, floor):
         problem = make_black_scholes(BS, 1.0, 100.0)

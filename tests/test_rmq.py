@@ -79,7 +79,9 @@ def unit_gaussian_problem():
 
 def kernel_stats(grid, means, stds, probs):
     """``rmq._mixture_stats`` of ``grid`` with a fresh ``_Mixture`` object,
-    followed by the cell masses it leaves in ``_Mixture.raw``."""
+    followed by the cell masses it leaves in ``_Mixture.raw``; the inputs
+    are taken as float arrays, the form the kernel is given in the package."""
+    grid, means, stds, probs = (np.asarray(a, dtype=float) for a in (grid, means, stds, probs))
     mix = rmq_mod._Mixture(means, stds, probs, len(grid))
     return (*rmq_mod._mixture_stats(grid, mix), mix.raw)
 
