@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem, _map_values
-from .rmq import QuantizationTree, _floored_diffusion, _integer
+from .rmq import QuantizationTree, _floored_diffusion, _integer, _read_only
 
 __all__ = [
     "ValueLayer",
@@ -41,20 +41,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValueLayer:
+    """u_k on the codewords of step k, kept read-only and not copied (``_read_only``)."""
+
     step: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=float)))
 
 
 @dataclass(frozen=True)
 class ControlLayer:
+    """v_k on the codewords of step k, kept read-only and not copied (``_read_only``)."""
+
     step: int
     controls: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", np.asarray(self.controls, dtype=float))
+        object.__setattr__(self, "controls", _read_only(np.asarray(self.controls, dtype=float)))
 
 
 @dataclass(frozen=True)

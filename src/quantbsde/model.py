@@ -110,9 +110,11 @@ def _map_values(what: str, step: int, y, values) -> np.ndarray:
 
 def _check_numbers(params, positive=()) -> None:
     """Every field of ``params`` is a finite real number, and those named in
-    ``positive`` are positive; a boolean is not a number."""
+    ``positive`` are positive; a boolean is not a number. Each is stored as
+    the float its rule returns, so a numpy scalar or an int becomes a float."""
     for f in fields(params):
-        (_positive if f.name in positive else _finite_number)(f.name, getattr(params, f.name))
+        rule = _positive if f.name in positive else _finite_number
+        object.__setattr__(params, f.name, rule(f.name, getattr(params, f.name)))
 
 
 @dataclass(frozen=True)

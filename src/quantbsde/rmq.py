@@ -143,9 +143,18 @@ def _increasing(x) -> bool:
     return bool(np.isfinite(x).all() and (x[1:] > x[:-1]).all())
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that refuses writes; ``a`` is not copied. Every array
+    a layer, a transition or a solution layer holds is stored through it."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class QuantizedLayer:
-    """One layer's codebook: sorted codewords, marginal weights, distortion."""
+    """One layer's codebook: sorted codewords, marginal weights, distortion;
+    the two arrays are kept read-only and not copied (``_read_only``)."""
 
     step: int
     codewords: np.ndarray
@@ -155,8 +164,8 @@ class QuantizedLayer:
     def __post_init__(self) -> None:
         cw = np.asarray(self.codewords, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "codewords", cw)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "codewords", _read_only(cw))
+        object.__setattr__(self, "weights", _read_only(w))
         if cw.ndim != 1 or cw.size < 1:
             raise ValueError("codewords must be a nonempty 1-d array")
         if not _increasing(cw):
@@ -175,21 +184,15 @@ class QuantizedLayer:
         return int(self.codewords.size)
 
 
-# A transition of at least _SPARSE_MIN_SIZE entries (128 KiB of doubles) is
-# stored sparse, as its nonzero entries under a bitmask, when they are at most
-# _SPARSE_SHARE of its K x N entries, and as the dense matrix otherwise. Below
-# that size the bytes saved are few against the work: storing a 50 x 50
-# transition sparse costs about 7 us, and each read 5 us, to save about 12 KB,
-# and over 10 serial Bergman sweeps the median wall time was 1.05 s without
-# the floor against 1.03 s with it.
-_SPARSE_SHARE = 0.5
-_SPARSE_MIN_SIZE = 16384
+_SPARSE_SHARE = 0.5  # the largest nonzero share of a transition stored sparse
 
 
 class _Entries:
-    """The ``entries`` field of ``TransitionMatrix``: set from a matrix,
-    which it checks; stored as that matrix or sparse (``_stored_form``);
-    read as the dense matrix, bit for bit."""
+    """The ``entries`` field of ``TransitionMatrix``: set from a matrix, which
+    it checks and stores read-only and not copied, or, if at most
+    ``_SPARSE_SHARE`` of its entries have any bit set (a -0.0 has its sign
+    bit), as (shape, ``np.packbits`` of their row-major mask, a copy of
+    them); read as the dense matrix, bit for bit and read-only."""
 
     def __get__(self, tr, owner=None):
         if tr is None:
@@ -200,7 +203,7 @@ class _Entries:
         shape, bits, values = stored
         dense = np.zeros(shape)
         dense[np.unpackbits(bits, count=dense.size).view(bool).reshape(shape)] = values
-        return dense
+        return _read_only(dense)
 
     def __set__(self, tr, value):
         e = np.asarray(value, dtype=float)
@@ -212,21 +215,11 @@ class _Entries:
             raise ValueError("entries must lie in [0, 1]")
         if not np.max(np.abs(e.sum(axis=1) - 1.0)) <= 1e-10:
             raise ValueError("every row must sum to 1 within 1e-10")
-        object.__setattr__(tr, "_stored", _stored_form(e))
-
-
-def _stored_form(e: np.ndarray):
-    """``e`` itself, or, if it has at least ``_SPARSE_MIN_SIZE`` entries and
-    at most ``_SPARSE_SHARE`` of them have any bit set, the sparse form
-    (shape, bits, values): ``bits`` the ``np.packbits`` of the row-major mask
-    of those entries, and ``values`` the entries themselves, row after row.
-    A -0.0 has its sign bit set, so it is stored and keeps its sign."""
-    if e.size < _SPARSE_MIN_SIZE:
-        return e
-    nonzero = e.view(np.int64) != 0
-    if np.count_nonzero(nonzero) > _SPARSE_SHARE * e.size:
-        return e
-    return e.shape, np.packbits(nonzero), e[nonzero]
+        nonzero = e.view(np.int64) != 0
+        if np.count_nonzero(nonzero) > _SPARSE_SHARE * e.size:
+            object.__setattr__(tr, "_stored", _read_only(e))
+        else:
+            object.__setattr__(tr, "_stored", (e.shape, np.packbits(nonzero), e[nonzero]))
 
 
 @dataclass(frozen=True)
@@ -234,24 +227,21 @@ class TransitionMatrix:
     """Row-stochastic one-step transition probabilities between codebooks:
     a matrix with no empty dimension.
 
-    ``entries`` is read as the dense K x N matrix. A matrix of at least
-    ``_SPARSE_MIN_SIZE`` = 16384 entries of which at most ``_SPARSE_SHARE``
-    = 0.5 are nonzero is stored sparse; both are module constants, not
-    settings, and every other matrix is stored as it is. The sparse form
-    (``_stored_form``) is the packed row-major mask of the entries with any
-    bit set and those entries in one array. A sparse read rebuilds the
-    dense matrix, bit for bit, as a new array, and a dense read returns the
-    stored array, where a write stays unchecked; use ``dataclasses.replace``.
+    ``entries`` is read as the dense K x N matrix, and refuses writes; use
+    ``dataclasses.replace`` for another matrix. A matrix of which at most
+    ``_SPARSE_SHARE`` = 0.5 of the entries are nonzero is stored sparse,
+    whatever its size, and every other one as a read-only view of the
+    matrix given, not a copy (``_Entries``); the share is a module
+    constant, not a setting. A sparse read rebuilds the dense matrix, bit
+    for bit, as a new array, and a dense read returns the stored view.
 
     A row is a Gaussian's cell masses, and its mass sits in a band of cells
     that narrows like sqrt(dt). On the Black-Scholes ladder at N = 200
     (model defaults) 0.87, 0.77, 0.63 and 0.50 of the entries are nonzero
     at n = 10, 20, 40 and 80; 0, 0, 10 and 51 of the transitions are stored
     sparse, and the (200, 80) tree retains 16.0 MB against 25.7 MB with
-    every transition dense (tracemalloc). Short grids, the early layers of
-    long ones and every transition between codebooks of fewer than 128
-    codewords stay dense, so no cell of the Bergman sweep and no README
-    command stores one sparse.
+    every transition dense (tracemalloc). Short grids and the early layers
+    of long ones stay dense; the Bergman sweep stores 214 of its 1110 sparse.
     """
 
     step: int
@@ -378,9 +368,10 @@ class _Mixture:
     of the cell masses takes them from here. ``P`` is its own block, apart
     from the other tables: ``_normalized_transition`` normalizes ``raw`` in
     place and builds the layer's transition from it. A transition stored
-    dense keeps ``raw`` and so pins ``P`` alone; one stored sparse
-    (``TransitionMatrix``) copies its nonzero entries, and ``P`` is freed
-    with the rest of the mixture.
+    dense keeps a read-only view of ``raw`` and so pins ``P`` alone; one
+    stored sparse (more than half of its entries zero, ``TransitionMatrix``)
+    copies its nonzero entries, and ``P`` is freed with the rest of the
+    mixture.
     """
 
     def __init__(self, m: np.ndarray, v: np.ndarray, p: np.ndarray, n: int):
@@ -602,12 +593,11 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
     or cdf is broken upstream. The check runs before ``raw`` is touched.
     ``raw`` is then divided in place and the transition is built from it,
     so ``raw`` still holds the dense normalized masses afterwards. If the
-    transition is stored dense (fewer than ``_SPARSE_MIN_SIZE`` entries, or
-    more than ``_SPARSE_SHARE`` of them nonzero), ``raw`` itself becomes the
-    entries and no copy is made:
-    ``_Mixture.raw`` is a view of its density table ``P``, which the
-    transition then keeps, and the mixture must not run the kernel again.
-    Otherwise the transition is stored sparse, a copy of its nonzero
+    transition is stored dense (more than ``_SPARSE_SHARE`` of its entries
+    nonzero), a read-only view of ``raw`` becomes the entries and no copy
+    is made: ``_Mixture.raw`` is a view of its density table ``P``, which
+    the transition then keeps, and the mixture must not run the kernel
+    again. Otherwise the transition is stored sparse, a copy of its nonzero
     entries and their packed mask, and ``P`` is not kept.
     """
     sums = raw.sum(axis=1)

@@ -454,3 +454,14 @@ class TestEmission:
         assert doc["values"][1][0] is None
         assert doc["errors"] == {"N=13,n=4": "RuntimeError: boom"}
         assert doc["timings_seconds"][0][0] > 0.0
+
+    def test_json_sidecar_takes_numpy_scalar_and_integer_parameters(self, tmp_path):
+        # they pass the number rule and are stored as floats
+        p = BergmanParams(np.float32(0.05), 0.2, 0.01, 0.06, np.int64(95), 105)
+        result = run_sweep(SweepSpec(make_bergman(p, T=0.25, y0=100.0), (5,), (4,)))
+        path = tmp_path / "sweep.json"
+        emit_json(result, path)
+        params = json.loads(path.read_text())["params"]
+        assert params == {"mu": float(np.float32(0.05)), "sigma": 0.2, "lend_rate": 0.01,
+                          "borrow_rate": 0.06, "strike_low": 95.0, "strike_high": 105.0}
+        assert all(type(v) is float for v in params.values())

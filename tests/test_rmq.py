@@ -492,6 +492,11 @@ class TestNewtonSolve:
         delta = rmq_mod._newton_direction(x, M0, F, g)
         assert pivots_ok[0] is False and pivots_ok[-1] is True
         assert delta is not None and np.all(np.isfinite(delta))
+        # a NaN cell mass fails every shift: 12 factorizations, then no direction
+        pivots_ok.clear()
+        M0, F = np.array([math.nan, 0.5]), np.array([0.0, 1.0, 0.0])
+        assert rmq_mod._newton_direction(x[:2], M0, F, g[:2]) is None
+        assert pivots_ok == [False] * 12
 
 
 class TestCellMoments:
@@ -612,6 +617,26 @@ class TestOptimizeGrid:
         lloyd = optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), N)
         assert np.max(np.abs(lloyd.codewords - newton.codewords)) <= 1e-8
         assert lloyd.codewords == pytest.approx(want, abs=1e-5)
+
+    def test_a_lloyd_step_repairs_tied_cell_means(self, monkeypatch):
+        # the first stats call reports cells 0 and 1 with one mean; the
+        # Lloyd step must still hand the kernel a strictly increasing grid
+        real, grids = rmq_mod._mixture_stats, []
+
+        def tied(grid, mix):
+            grids.append(grid.copy())
+            M0, M1, dist, F = real(grid, mix)
+            if len(grids) == 1:
+                M0, M1 = M0.copy(), M1.copy()
+                M0[1], M1[1] = M0[0], M1[0]
+            return M0, M1, dist, F
+
+        monkeypatch.setattr(rmq_mod, "_mixture_stats", tied)
+        monkeypatch.setattr(rmq_mod, "_newton_direction", lambda *args: None)
+        layer = optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), 3)
+        assert rmq_mod._increasing(grids[1])
+        assert grids[1][1] == np.nextafter(grids[1][0], np.inf)
+        assert layer.codewords == pytest.approx([-1.22401, 0.0, 1.22401], abs=1e-5)
 
     def test_high_volatility_build_through_a_lloyd_step_is_stationary(self):
         # every Newton candidate of one iteration is rejected here, so the
@@ -1318,18 +1343,17 @@ class TestDataTypes:
             TransitionMatrix(0, np.full(3, 1 / 3))
         assert str(info.value) == "entries must be a matrix, got shape (3,)"
 
-    def test_sparse_entries_read_back_bit_for_bit(self, monkeypatch):
+    def test_sparse_entries_read_back_bit_for_bit(self):
         # Rows with one contiguous run, a run with a zero inside it, and a
         # run at each edge: 8 of 24 entries are nonzero, so they are stored
-        # sparse once the size floor is lowered to this small matrix
+        # sparse, whatever the matrix's size
         e = np.zeros((4, 6))
         e[0, 2:4] = [0.25, 0.75]
         e[1, 1:4] = [0.5, 0.0, 0.5]
         e[2, 0] = 1.0
         e[3, 3:] = [0.125, 0.375, 0.5]
-        assert TransitionMatrix(0, e).entries is e  # below the floor: as given
-        monkeypatch.setattr(rmq_mod, "_SPARSE_MIN_SIZE", e.size)
         tr = TransitionMatrix(0, e)
+        assert not np.shares_memory(tr.entries, e) and not tr.entries.flags.writeable
         assert isinstance(tr._stored, tuple)
         assert tr.entries.tobytes() == e.tobytes()
         assert tr.entries is not tr.entries  # each read is a new array
@@ -1346,9 +1370,39 @@ class TestDataTypes:
         scattered[1, [0, 5]] = [0.25, 0.75]
         assert isinstance(TransitionMatrix(0, scattered)._stored, tuple)
         assert TransitionMatrix(0, scattered).entries.tobytes() == scattered.tobytes()
-        # more than half of the entries nonzero: dense, as given
+        # more than half of the entries nonzero: dense, a view of the matrix given
         dense = np.full((2, 2), 0.5)
-        assert TransitionMatrix(0, dense).entries is dense
+        entries = TransitionMatrix(0, dense).entries
+        assert np.shares_memory(entries, dense) and not entries.flags.writeable
+
+    def test_storage_follows_the_nonzero_share_alone(self):
+        # at any size: half of the entries nonzero is sparse, more is dense
+        assert isinstance(TransitionMatrix(0, np.eye(2))._stored, tuple)
+        three_of_four = np.array([[0.5, 0.5], [0.0, 1.0]])
+        assert isinstance(TransitionMatrix(0, three_of_four)._stored, np.ndarray)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda tree, sol: tree.transitions[0].entries,
+            lambda tree, sol: TransitionMatrix(0, np.eye(4)).entries,
+            lambda tree, sol: tree.layers[1].codewords,
+            lambda tree, sol: tree.layers[1].weights,
+            lambda tree, sol: sol.value_layers[1].values,
+            lambda tree, sol: sol.control_layers[1].controls,
+        ],
+        ids=["dense-entries", "sparse-entries", "codewords", "weights", "values", "controls"],
+    )
+    def test_a_write_is_refused(self, read):
+        problem = gbm_problem()
+        tree = build_tree(problem, TimeGrid(3, 0.25), 5)
+        sol = solve(tree, problem)
+        assert isinstance(tree.transitions[0]._stored, np.ndarray)  # stored dense
+        a = read(tree, sol)
+        before = a.tobytes()
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            a[(0,) * a.ndim] = 5.0
+        assert read(tree, sol).tobytes() == before
 
     def test_layer_rejects_a_nan_codeword(self):
         # a single codeword has no ordering to violate
