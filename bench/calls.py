@@ -11,21 +11,23 @@ its ``model.MODELS`` defaults, as in ``perfbench/workloads.py``, and one
 tree that is not geometric Brownian motion: the Vasicek bond of
 ``tests/oracles.py`` at N=50, n=20. Each case records its total calls,
 the calls of each layer, the mean over the warm-started layers 2..n, its
-u0 at full precision, the sha256 of its tree (``pairs.tree_digest``) and
-how many of its transitions are stored sparse (``sparse``), and each
-workload the sum of those counts, printed as ``<workload>: <parent> ->
-<change> transitions stored sparse``. The
-other gates compare dense reads, so a change of storage form shows only
-there and in the peak RSS below.
+u0 at full precision, the sha256 of its tree (``pairs.tree_digest``),
+how many of its transitions are stored sparse (``sparse``) and the bytes
+its transitions store (``stored_bytes``), and each workload the sums of
+those, printed as ``<workload>: <parent> -> <change> transitions stored
+sparse`` and ``<workload>: <parent> -> <change> MiB stored by
+transitions``. The other gates compare dense reads, so a change of
+storage form shows only there and in the peak RSS below; unlike the peak
+RSS, the stored bytes do not move with where the heap places things.
 
 A third set, the envelope, holds 36 Black-Scholes builds (the defaults'
 r = 0.04, K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3,
 0.5, 0.7, 1, 1.5, 2, 3 and T in 0.25, 1, 2, 5. Each records whether it converged
 or stalled (``ConvergenceError``, with the step), its calls, sigma sqrt(T),
-its u0 (None when stalled), its sparse count (0 when stalled) and a
-sha256: of its tree, or for a stalled build of the error message and the
-last grid (``stall_digest``). Beyond sigma sqrt(T) = 0.75 the Euler chain
-puts mass on negative prices and some builds stall.
+its u0 (None when stalled), its sparse count and stored bytes (0 when
+stalled) and a sha256: of its tree, or for a stalled build of the error
+message and the last grid (``stall_digest``). Beyond sigma sqrt(T) = 0.75
+the Euler chain puts mass on negative prices and some builds stall.
 
 The ladder, the sweep and the Vasicek cell are then built a second time
 at ``fixed_point_tol`` = ``TIGHT_TOL`` (1e-11), where u0 no longer
@@ -114,6 +116,19 @@ def sparse(tree) -> int:
     return sum(isinstance(getattr(tr, "_stored", None), tuple) for tr in tree.transitions)
 
 
+def stored_bytes(tree) -> int:
+    """The bytes ``tree``'s transitions store: for one stored as a tuple, its
+    mask plus its nonzero entries; for any other, its K x N doubles."""
+    total = 0
+    for tr in tree.transitions:
+        stored = getattr(tr, "_stored", None)
+        if isinstance(stored, tuple):
+            total += stored[1].nbytes + stored[2].nbytes
+        else:
+            total += 8 * tr.entries.size
+    return total
+
+
 def count(src: Path) -> tuple[dict, dict]:
     """Count kernel calls with the package found under ``src``; return the
     counts and, per workload but the envelope, the cases built again at
@@ -141,7 +156,8 @@ def count(src: Path) -> tuple[dict, dict]:
         return {"N": N, "n": n, "calls": sum(per_layer),
                 "later_mean": sum(later) / len(later) if later else None,
                 "per_layer": list(per_layer), "u0": bsde_solver.solve(tree, problem).u0,
-                "sha256": tree_digest(tree), "sparse": sparse(tree)}
+                "sha256": tree_digest(tree), "sparse": sparse(tree),
+                "stored_bytes": stored_bytes(tree)}
 
     def default_problem(name: str, T: float | None = None, **params):
         """The model ``name`` at its defaults, with ``T`` and ``params`` replaced."""
@@ -166,10 +182,10 @@ def count(src: Path) -> tuple[dict, dict]:
         except rmq.ConvergenceError as exc:
             return {**out, "converged": False, "stalled_at": exc.step,
                     "calls": sum(per_layer), "u0": None, "sha256": stall_digest(exc),
-                    "sparse": 0}
+                    "sparse": 0, "stored_bytes": 0}
         return {**out, "converged": True, "calls": sum(per_layer),
                 "u0": bsde_solver.solve(tree, problem).u0, "sha256": tree_digest(tree),
-                "sparse": sparse(tree)}
+                "sparse": sparse(tree), "stored_bytes": stored_bytes(tree)}
 
     N, steps = LADDER
     cells = {"bs-refine": [(bs, N, n) for n in steps],
@@ -182,7 +198,8 @@ def count(src: Path) -> tuple[dict, dict]:
 
     def totals(cases: list) -> dict:
         return {"calls": sum(c["calls"] for c in cases),
-                "sparse": sum(c["sparse"] for c in cases), "cases": cases}
+                "sparse": sum(c["sparse"] for c in cases),
+                "stored_bytes": sum(c["stored_bytes"] for c in cases), "cases": cases}
 
     tight = rmq.OptimizerSettings(fixed_point_tol=TIGHT_TOL)
     counts = {**{workload: totals(cases) for workload, cases in built.items()},
@@ -413,6 +430,10 @@ def main(argv=None) -> int:
         before = f"{doc['parent']['counts'][workload]['sparse']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['sparse']} transitions stored sparse",
               file=sys.stderr)
+        before = (f"{doc['parent']['counts'][workload]['stored_bytes'] / 2**20:.2f} -> "
+                  if args.rev else "")
+        print(f"{workload}: {before}{side['stored_bytes'] / 2**20:.2f} MiB stored by "
+              "transitions", file=sys.stderr)
     converged = doc["counts"]["envelope"]["converged"]
     before = f"{doc['parent']['counts']['envelope']['converged']} -> " if args.rev else ""
     print(f"envelope: {before}{converged} of {len(doc['counts']['envelope']['cases'])} "

@@ -243,8 +243,20 @@ def emit_csv(result, path) -> None:
                 writer.writerow([r.step] + [f"{x:.6f}" for x in floats])
 
 
+def _json_number(value):
+    """A numpy scalar as the Python value it holds, for ``json``; TypeError
+    for anything else ``json`` cannot write."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_json(result: SweepResult, path) -> None:
-    """Full-precision JSON sidecar for a sweep: values, timings, errors."""
+    """Full-precision JSON sidecar for a sweep: values, timings, errors.
+
+    A numpy scalar in the problem's ``params`` is written as the Python
+    number it holds. The document is serialized before the file is opened,
+    so a value ``json`` cannot write raises TypeError and writes nothing."""
     doc = {
         "model": result.spec.problem.label,
         "params": result.spec.problem.params,
@@ -256,5 +268,6 @@ def emit_json(result: SweepResult, path) -> None:
         "timings_seconds": result.timings.tolist(),
         "errors": {f"N={N},n={n}": msg for (N, n), msg in result.errors.items()},
     }
+    text = json.dumps(doc, indent=2, default=_json_number)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(text)

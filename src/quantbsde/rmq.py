@@ -145,7 +145,8 @@ def _increasing(x) -> bool:
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A view of ``a`` that refuses writes; ``a`` is not copied. Every array
-    a layer, a transition or a solution layer holds is stored through it."""
+    a layer or a solution layer holds is stored through it, and every
+    transition read is returned through it."""
     v = a.view()
     v.flags.writeable = False
     return v
@@ -184,23 +185,17 @@ class QuantizedLayer:
         return int(self.codewords.size)
 
 
-_SPARSE_SHARE = 0.5  # the largest nonzero share of a transition stored sparse
-
-
 class _Entries:
     """The ``entries`` field of ``TransitionMatrix``: set from a matrix, which
-    it checks and stores read-only and not copied, or, if at most
-    ``_SPARSE_SHARE`` of its entries have any bit set (a -0.0 has its sign
-    bit), as (shape, ``np.packbits`` of their row-major mask, a copy of
-    them); read as the dense matrix, bit for bit and read-only."""
+    it checks and stores as (shape, ``np.packbits`` of the row-major mask of
+    its entries with any bit set (a -0.0 has its sign bit), a copy of those
+    entries); read as the dense matrix, rebuilt bit for bit as a new
+    read-only array."""
 
     def __get__(self, tr, owner=None):
         if tr is None:
             raise AttributeError("entries")  # so the field has no default
-        stored = tr._stored
-        if isinstance(stored, np.ndarray):
-            return stored
-        shape, bits, values = stored
+        shape, bits, values = tr._stored
         dense = np.zeros(shape)
         dense[np.unpackbits(bits, count=dense.size).view(bool).reshape(shape)] = values
         return _read_only(dense)
@@ -216,10 +211,7 @@ class _Entries:
         if not np.max(np.abs(e.sum(axis=1) - 1.0)) <= 1e-10:
             raise ValueError("every row must sum to 1 within 1e-10")
         nonzero = e.view(np.int64) != 0
-        if np.count_nonzero(nonzero) > _SPARSE_SHARE * e.size:
-            object.__setattr__(tr, "_stored", _read_only(e))
-        else:
-            object.__setattr__(tr, "_stored", (e.shape, np.packbits(nonzero), e[nonzero]))
+        object.__setattr__(tr, "_stored", (e.shape, np.packbits(nonzero), e[nonzero]))
 
 
 @dataclass(frozen=True)
@@ -228,20 +220,16 @@ class TransitionMatrix:
     a matrix with no empty dimension.
 
     ``entries`` is read as the dense K x N matrix, and refuses writes; use
-    ``dataclasses.replace`` for another matrix. A matrix of which at most
-    ``_SPARSE_SHARE`` = 0.5 of the entries are nonzero is stored sparse,
-    whatever its size, and every other one as a read-only view of the
-    matrix given, not a copy (``_Entries``); the share is a module
-    constant, not a setting. A sparse read rebuilds the dense matrix, bit
-    for bit, as a new array, and a dense read returns the stored view.
+    ``dataclasses.replace`` for another matrix. Every matrix, whatever its
+    size or share of zeros, is stored by its nonzero entries alone, copied,
+    under a bit mask (``_Entries``), and each read rebuilds the dense
+    matrix, bit for bit, as a new array.
 
     A row is a Gaussian's cell masses, and its mass sits in a band of cells
     that narrows like sqrt(dt). On the Black-Scholes ladder at N = 200
     (model defaults) 0.87, 0.77, 0.63 and 0.50 of the entries are nonzero
-    at n = 10, 20, 40 and 80; 0, 0, 10 and 51 of the transitions are stored
-    sparse, and the (200, 80) tree retains 16.0 MB against 25.7 MB with
-    every transition dense (tracemalloc). Short grids and the early layers
-    of long ones stay dense; the Bergman sweep stores 214 of its 1110 sparse.
+    at n = 10, 20, 40 and 80, and the (200, 80) tree retains 13.3 MB
+    against 25.7 MB with every transition dense (tracemalloc).
     """
 
     step: int
@@ -269,7 +257,7 @@ class QuantizationTree:
                     raise ValueError(f"{kind} {k} has step {item.step!r}")
         for k, tr in enumerate(self.transitions):
             a, b = self.layers[k], self.layers[k + 1]
-            e = tr.entries  # read once: a transition stored sparse rebuilds it
+            e = tr.entries  # read once: each read rebuilds the matrix
             if e.shape != (a.size, b.size):
                 raise ValueError(f"transition {k} shape does not match its layers")
             pushed = a.weights @ e
@@ -365,13 +353,10 @@ class _Mixture:
     arrays, allocated once per layer instead of once per kernel call. The
     cell masses ``raw`` (K x n) of the last kernel call reuse the first
     K x n doubles of the density table ``P`` once it is spent; every reader
-    of the cell masses takes them from here. ``P`` is its own block, apart
-    from the other tables: ``_normalized_transition`` normalizes ``raw`` in
-    place and builds the layer's transition from it. A transition stored
-    dense keeps a read-only view of ``raw`` and so pins ``P`` alone; one
-    stored sparse (more than half of its entries zero, ``TransitionMatrix``)
-    copies its nonzero entries, and ``P`` is freed with the rest of the
-    mixture.
+    of the cell masses takes them from here. ``_normalized_transition``
+    normalizes ``raw`` in place and builds the layer's transition from it;
+    the transition copies its nonzero entries, so ``P`` is freed with the
+    rest of the mixture.
     """
 
     def __init__(self, m: np.ndarray, v: np.ndarray, p: np.ndarray, n: int):
@@ -592,13 +577,8 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
     most 1e-10 and rejected otherwise, since a larger defect means the grid
     or cdf is broken upstream. The check runs before ``raw`` is touched.
     ``raw`` is then divided in place and the transition is built from it,
-    so ``raw`` still holds the dense normalized masses afterwards. If the
-    transition is stored dense (more than ``_SPARSE_SHARE`` of its entries
-    nonzero), a read-only view of ``raw`` becomes the entries and no copy
-    is made: ``_Mixture.raw`` is a view of its density table ``P``, which
-    the transition then keeps, and the mixture must not run the kernel
-    again. Otherwise the transition is stored sparse, a copy of its nonzero
-    entries and their packed mask, and ``P`` is not kept.
+    a copy of its nonzero entries and their packed mask, so ``raw`` still
+    holds the dense normalized masses afterwards and is not kept.
     """
     sums = raw.sum(axis=1)
     if not np.max(np.abs(sums - 1.0)) <= 1e-10:
@@ -619,8 +599,8 @@ def _quantize_layer(
 
     The transition comes from the optimizer's last cell masses, and the
     layer's weights are ``prev.weights`` pushed through those masses, read
-    from ``mix.raw`` rather than from the transition, so that a transition
-    stored sparse is not rebuilt; the two are the same numbers, so the
+    from ``mix.raw`` rather than from the transition, so that the
+    transition is not rebuilt; the two are the same numbers, so the
     propagation invariant holds exactly. If the optimizer stalls while the
     component means ``mix.m`` are not strictly increasing in the codewords
     of ``prev``, the ConvergenceError's message also says that the Euler map
@@ -816,7 +796,7 @@ def save_tree(tree: QuantizationTree, path, solution=None) -> None:
              base64.b64encode(np.ascontiguousarray(e, dtype="<f8")),  # row-major
              b'"}')
             for tr in tree.transitions
-            for e in (tr.entries,)  # read once: a sparse transition rebuilds it
+            for e in (tr.entries,)  # read once: each read rebuilds the matrix
         ))
         if solution is not None:
             fh.write(b', "solution": ' + _dumps({"u0": solution.u0})[:-1] + b', "values": ')

@@ -110,7 +110,18 @@ def test_sparse_counts_the_transitions_stored_sparse():
     # a transition of an older revision has no _stored and counts as dense
     stored = [rmq.TransitionMatrix(0, np.eye(4)), rmq.TransitionMatrix(0, np.full((4, 4), 0.25))]
     assert isinstance(stored[0]._stored, tuple)
-    assert calls.sparse(SimpleNamespace(transitions=[*stored, SimpleNamespace()])) == 1
+    assert calls.sparse(SimpleNamespace(transitions=[*stored, SimpleNamespace()])) == 2
+
+
+def test_stored_bytes_counts_the_mask_and_nonzeros_or_every_double():
+    # np.eye(4): a 2-byte mask and 4 doubles; stored dense, or on a revision
+    # with no _stored, its 16 doubles
+    stored = rmq.TransitionMatrix(0, np.eye(4))
+    dense = SimpleNamespace(_stored=np.eye(4), entries=np.eye(4))
+    older = SimpleNamespace(entries=np.eye(4))
+    assert calls.stored_bytes(SimpleNamespace(transitions=[stored])) == 2 + 4 * 8
+    assert calls.stored_bytes(SimpleNamespace(transitions=[stored, dense, older])) == (
+        34 + 2 * 16 * 8)
 
 
 def test_number_diffs_yields_unequal_numbers_then_names_the_first_other_mismatch():

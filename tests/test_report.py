@@ -465,3 +465,20 @@ class TestEmission:
         assert params == {"mu": float(np.float32(0.05)), "sigma": 0.2, "lend_rate": 0.01,
                           "borrow_rate": 0.06, "strike_low": 95.0, "strike_high": 105.0}
         assert all(type(v) is float for v in params.values())
+
+    def test_json_sidecar_writes_a_custom_problems_numpy_scalars_or_nothing(
+            self, bs_problem, tmp_path):
+        # a custom problem's params is a free dict, not checked by the number rule
+        custom = dataclasses.replace(bs_problem, params={"strike": np.int64(95),
+                                                         "rate": np.float64(0.04)})
+        result = run_sweep(SweepSpec(custom, (5,), (4,)))
+        path = tmp_path / "sweep.json"
+        emit_json(result, path)
+        params = json.loads(path.read_text())["params"]
+        assert params == {"strike": 95, "rate": 0.04} and type(params["strike"]) is int
+        bad = tmp_path / "bad.json"
+        unwritable = dataclasses.replace(result, spec=dataclasses.replace(
+            result.spec, problem=dataclasses.replace(custom, params={"shape": (object(),)})))
+        with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+            emit_json(unwritable, bad)
+        assert not bad.exists()

@@ -822,9 +822,8 @@ class TestBuildTree:
             assert np.array_equal(ta.entries, tb.entries)
 
     def test_each_transition_owns_one_k_by_n_plus_1_block(self):
-        # a transition stored dense keeps at most the kernel's density table
-        # of its layer, K x (N+1) doubles, and no other transition's memory;
-        # one stored sparse reads back as a new K x N array
+        # a transition reads back as a new K x N array, apart from every
+        # other transition's memory
         tree = build_tree(gbm_problem(), TimeGrid(8, 0.25), 20)
         for tr in tree.transitions:
             K, N = tr.entries.shape
@@ -836,9 +835,9 @@ class TestBuildTree:
             for b in tree.transitions[i + 1:]:
                 assert not np.shares_memory(a.entries, b.entries)
 
-    def test_a_long_black_scholes_tree_retains_at_most_18_mb(self):
-        # the bs-refine rung (200, 80): 51 of its 80 transitions are stored
-        # sparse; with every transition dense it retains 25.7 MB
+    def test_a_long_black_scholes_tree_retains_at_most_14_mb(self):
+        # the bs-refine rung (200, 80): all 80 of its transitions are stored
+        # by their nonzeros; with every transition dense it retains 25.7 MB
         problem = make_black_scholes(
             BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
         )
@@ -850,8 +849,8 @@ class TestBuildTree:
             retained = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert sum(isinstance(tr._stored, tuple) for tr in tree.transitions) == 51
-        assert retained <= 18e6
+        assert sum(isinstance(tr._stored, tuple) for tr in tree.transitions) == 80
+        assert retained <= 14e6
 
     def test_rejects_empty_codebook(self):
         with pytest.raises(ValueError):
@@ -898,7 +897,7 @@ class TestBuildTree:
                 10,
                 5,
             ),
-            # a long grid: from step 31 on, the transitions are stored sparse
+            # a long grid, half of whose entries are zero by its last steps
             (
                 make_black_scholes(
                     BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0),
@@ -920,7 +919,7 @@ class TestBuildTree:
             assert tr.entries.tobytes() == public.entries.tobytes()
             assert isinstance(tr._stored, tuple) == isinstance(public._stored, tuple)
             sparse += isinstance(tr._stored, tuple)
-        assert sparse == (29 if n == 60 else 0)
+        assert sparse == n
 
     def test_floored_diffusion_warns_once_per_layer(self):
         # sigma(y) = 0.05 + |y| is below the floor at y0 = 0 and on the
@@ -1153,7 +1152,7 @@ class TestSerialization:
         loaded, solution = load_tree(first)
         assert [isinstance(tr._stored, tuple) for tr in loaded.transitions] == [
             isinstance(tr._stored, tuple) for tr in tree.transitions]
-        assert sum(isinstance(tr._stored, tuple) for tr in loaded.transitions) == 29
+        assert sum(isinstance(tr._stored, tuple) for tr in loaded.transitions) == 60
         save_tree(loaded, second, solution=solve(loaded, problem))
         assert second.read_bytes() == first.read_bytes()
         assert solution["u0"] == solve(tree, problem).u0
@@ -1345,8 +1344,7 @@ class TestDataTypes:
 
     def test_sparse_entries_read_back_bit_for_bit(self):
         # Rows with one contiguous run, a run with a zero inside it, and a
-        # run at each edge: 8 of 24 entries are nonzero, so they are stored
-        # sparse, whatever the matrix's size
+        # run at each edge: the 8 nonzero entries of 24 are stored
         e = np.zeros((4, 6))
         e[0, 2:4] = [0.25, 0.75]
         e[1, 1:4] = [0.5, 0.0, 0.5]
@@ -1370,34 +1368,51 @@ class TestDataTypes:
         scattered[1, [0, 5]] = [0.25, 0.75]
         assert isinstance(TransitionMatrix(0, scattered)._stored, tuple)
         assert TransitionMatrix(0, scattered).entries.tobytes() == scattered.tobytes()
-        # more than half of the entries nonzero: dense, a view of the matrix given
-        dense = np.full((2, 2), 0.5)
-        entries = TransitionMatrix(0, dense).entries
-        assert np.shares_memory(entries, dense) and not entries.flags.writeable
+        # every entry nonzero: still a copy, not a view of the matrix given
+        full = np.full((2, 2), 0.5)
+        entries = TransitionMatrix(0, full).entries
+        assert not np.shares_memory(entries, full) and not entries.flags.writeable
+        assert entries.tobytes() == full.tobytes()
 
-    def test_storage_follows_the_nonzero_share_alone(self):
-        # at any size: half of the entries nonzero is sparse, more is dense
+    def test_every_matrix_is_stored_by_its_nonzeros_a_full_one_too(self):
+        # half of the entries nonzero, three of four, and all of them
         assert isinstance(TransitionMatrix(0, np.eye(2))._stored, tuple)
         three_of_four = np.array([[0.5, 0.5], [0.0, 1.0]])
-        assert isinstance(TransitionMatrix(0, three_of_four)._stored, np.ndarray)
+        assert isinstance(TransitionMatrix(0, three_of_four)._stored, tuple)
+        assert isinstance(TransitionMatrix(0, np.full((2, 2), 0.5))._stored, tuple)
+
+    def test_transition_matrix_build_tree_and_load_tree_store_by_nonzeros(self, tmp_path):
+        # transition 0 of this tree has every entry nonzero, the last ones do not
+        problem = gbm_problem()
+        tree = build_tree(problem, TimeGrid(4, 0.25), 20)
+        path = tmp_path / "tree.rmq.json"
+        save_tree(tree, path)
+        public = transition_matrix(tree.layers[0], tree.layers[1], tree.time_grid.dt, problem)
+        made = [public, *tree.transitions, *load_tree(path)[0].transitions]
+        assert np.all(made[0].entries > 0.0) and not np.all(made[-1].entries > 0.0)
+        for tr in made:
+            e = tr.entries
+            mask = e.view(np.int64) != 0
+            shape, bits, values = tr._stored
+            assert shape == e.shape
+            assert bits.tobytes() == np.packbits(mask).tobytes()
+            assert values.tobytes() == e[mask].tobytes()
 
     @pytest.mark.parametrize(
         "read",
         [
-            lambda tree, sol: tree.transitions[0].entries,
             lambda tree, sol: TransitionMatrix(0, np.eye(4)).entries,
             lambda tree, sol: tree.layers[1].codewords,
             lambda tree, sol: tree.layers[1].weights,
             lambda tree, sol: sol.value_layers[1].values,
             lambda tree, sol: sol.control_layers[1].controls,
         ],
-        ids=["dense-entries", "sparse-entries", "codewords", "weights", "values", "controls"],
+        ids=["sparse-entries", "codewords", "weights", "values", "controls"],
     )
     def test_a_write_is_refused(self, read):
         problem = gbm_problem()
         tree = build_tree(problem, TimeGrid(3, 0.25), 5)
         sol = solve(tree, problem)
-        assert isinstance(tree.transitions[0]._stored, np.ndarray)  # stored dense
         a = read(tree, sol)
         before = a.tobytes()
         with pytest.raises(ValueError, match="assignment destination is read-only"):
