@@ -43,6 +43,16 @@ peak RSS: <parent> -> <change> MB`` is printed, and both numbers are kept
 (``peak_rss_mb``), so a change in how a tree is stored shows there without
 the paired benchmark.
 
+After that reading, and with the count's wrappers taken off, the same
+interpreter builds the bs-refine ladder once more under ``tracemalloc``,
+one trace per build (``transients``): the bytes each tree retains and the
+peak traced above them, the build's transient workspace. The (200, 80)
+build's transient is printed as ``bs-refine: <parent> -> <change> MiB
+build transient (peak above retained)`` and kept as ``build_transient``.
+Unlike the peak RSS, it does not move with where the heap places things,
+and the count run itself stays untraced, so its counts and time are as
+before.
+
 With ``--rev`` that revision is exported once with ``git archive`` into a
 temporary directory (``pairs.parent_checkout``) and counted the same way,
 each side in its own interpreter. One pass over the labelled case pairs
@@ -88,6 +98,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -205,8 +216,33 @@ def count(src: Path) -> tuple[dict, dict]:
     counts = {**{workload: totals(cases) for workload, cases in built.items()},
               "envelope": {**totals(envelope),
                            "converged": sum(c["converged"] for c in envelope)}}
-    return counts, {workload: [case(*cell, tight) for cell in cs]
-                    for workload, cs in cells.items()}
+    tight_cases = {workload: [case(*cell, tight) for cell in cs]
+                   for workload, cs in cells.items()}
+    rmq._mixture_stats, rmq._quantize_layer = real_stats, real_layer
+    return counts, tight_cases
+
+
+def transients() -> list:
+    """Build the bs-refine ladder with the package ``count`` imported, each
+    build traced on its own by ``tracemalloc``; return, per build, the
+    bytes its tree retains and the peak traced above them."""
+    from quantbsde import model, rmq
+
+    spec = model.MODELS["black-scholes"]
+    problem = spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+    N, steps = LADDER
+    out = []
+    for n in steps:
+        tracemalloc.start()
+        try:
+            tree = rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del tree
+        out.append({"N": N, "n": n, "retained_bytes": retained,
+                    "transient_bytes": peak - retained})
+    return out
 
 
 def peak_rss_mb() -> float:
@@ -218,7 +254,8 @@ def peak_rss_mb() -> float:
 
 def count_in_child(src: Path) -> dict:
     """``count(src)`` in a fresh interpreter, as ``counts`` and ``tight``,
-    and that interpreter's peak RSS (``peak_rss_mb``)."""
+    that interpreter's peak RSS (``peak_rss_mb``), then ``transients()`` and
+    the (200, 80) build's transient (``build_transient``)."""
     proc = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -410,8 +447,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.src:
         counts, tight = count(Path(args.src))
-        json.dump({"counts": counts, "tight": tight, "peak_rss_mb": peak_rss_mb()},
-                  sys.stdout)
+        rss, traced = peak_rss_mb(), transients()
+        json.dump({"counts": counts, "tight": tight, "peak_rss_mb": rss,
+                   "transients": traced,
+                   "build_transient": traced[-1]["transient_bytes"]}, sys.stdout)
         return 0
     if not args.out:
         ap.error("--out is required")
@@ -424,6 +463,9 @@ def main(argv=None) -> int:
                    tight_agreement=tight_agreement(doc["parent"]["tight"], doc["tight"]))
     before = f"{doc['parent']['peak_rss_mb']:.1f} -> " if args.rev else ""
     print(f"count run peak RSS: {before}{doc['peak_rss_mb']:.1f} MB", file=sys.stderr)
+    before = f"{doc['parent']['build_transient'] / 2**20:.2f} -> " if args.rev else ""
+    print(f"bs-refine: {before}{doc['build_transient'] / 2**20:.2f} MiB build transient "
+          "(peak above retained)", file=sys.stderr)
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueLayer:
     """u_k on the codewords of step k, kept read-only and not copied (``_read_only``)."""
 
@@ -50,7 +50,7 @@ class ValueLayer:
         object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlLayer:
     """v_k on the codewords of step k, kept read-only and not copied (``_read_only``)."""
 
@@ -61,7 +61,7 @@ class ControlLayer:
         object.__setattr__(self, "controls", _read_only(np.asarray(self.controls, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackwardSolution:
     """Value layers 0..n, control layers 0..n-1, and the start value u0."""
 

@@ -64,10 +64,10 @@ _TU = (
 _PQ, _RS, _TU = (np.array(c)[:, :, None] for c in (_PQ, _RS, _TU))
 
 
-def _horner2(x, coefs, out):
-    """Numerator and denominator rows of a rational in ``x``, written to the
-    2-row array ``out``."""
-    y = np.multiply(coefs[0], x, out=out)
+def _horner2(x, coefs):
+    """Numerator and denominator rows of a rational in ``x``, as one 2-row
+    array."""
+    y = coefs[0] * x
     y += coefs[1]
     for c in coefs[2:]:
         y *= x
@@ -75,57 +75,42 @@ def _horner2(x, coefs, out):
     return y
 
 
-class CdfBuffers:
-    """Work arrays for ``cdf_and_pdf`` on up to ``size`` points.
-
-    Reusing one instance across calls spares allocating, and page-faulting
-    in, a dozen arrays per call. The results of a call are views into it,
-    valid until its next call.
-    """
-
-    def __init__(self, size: int):
-        self.rows = np.empty((6, size))
-        self.mask = np.empty(size, dtype=bool)
-
-
-def cdf_and_pdf(a, out: CdfBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cdf_and_pdf(a) -> tuple[np.ndarray, np.ndarray]:
     """Phi(a) - 1{a > 0} and phi(a) of a finite 1-d float array, sharing one
     exp: -Phi(-a) on a > 0, which stays small in the upper tail.
 
-    Written into ``out`` (fresh buffers if None) and returned as views of it;
-    ``a`` may be ``out.rows[0, :a.size]``, which is overwritten. NaN passes
-    through; infinite entries are the caller's to handle (see
-    ``normal_cdf``). Each branch keeps the cephes order of operations.
+    ``a`` is not written, and each call returns arrays of its own. The work
+    arrays have ``a``'s length and live only for the call: x = a/sqrt(2),
+    whose memory then holds |x| and then exp(-x^2), which becomes the pdf,
+    and the two rows of the 1 <= |x| < 8 rational, the first of which
+    becomes the cdf. NaN passes through; infinite entries are the caller's
+    to handle (see ``normal_cdf``). Each branch keeps the cephes order of
+    operations.
     """
-    n = a.size
-    w = CdfBuffers(n) if out is None else out
-    # rows: x, |x|, exp(-x^2), pdf, and the numerator (which becomes the
-    # cdf) and denominator of the 1 <= |x| < 8 rational
-    x, z, e, pdf = w.rows[:4, :n]
-    np.multiply(a, _SQRT1_2, out=x)
-    np.abs(x, out=z)
-    np.multiply(x, x, out=e)
+    x = a * _SQRT1_2
+    positive = x > 0.0
+    near = np.abs(x) < 1.0
+    xs = x[near]
+    z = np.abs(x, out=x)  # the sign is kept in ``positive`` and ``xs``
+    far = np.flatnonzero(z >= 8.0)
+    # erfc(|x|) = exp(-x^2) P/Q on 1 <= |x| < 8 and exp(-x^2) R/S beyond
+    pq = _horner2(z, _PQ)
+    rs = _horner2(z[far], _RS) if far.size else None
+    e = np.multiply(z, z, out=z)  # |x| is spent; exp(-x^2) takes its place
     np.negative(e, out=e)
     np.exp(e, out=e)
-    np.multiply(e, _INV_SQRT_2PI, out=pdf)
-    # cdf = erfc(|x|)/2 = Phi(-|a|) on 1 <= |x| < 8, negated where a > 0
-    pq = _horner2(z, _PQ, w.rows[4:, :n])
+    # cdf = erfc(|x|)/2 = Phi(-|a|), negated where a > 0
     cdf = np.multiply(e, pq[0], out=pq[0])
     cdf /= pq[1]
     cdf *= 0.5
-    if n and z.max() >= 8.0:
-        far = np.flatnonzero(z >= 8.0)
-        rs = _horner2(z[far], _RS, np.empty((2, far.size)))
+    if far.size:
         cdf[far] = 0.5 * (e[far] * rs[0] / rs[1])
-    np.negative(cdf, out=cdf, where=np.greater(x, 0.0, out=w.mask[:n]))
+    np.negative(cdf, out=cdf, where=positive)
+    pdf = np.multiply(e, _INV_SQRT_2PI, out=e)
     # |x| < 1: cephes takes 1 - erf(|x|) from sqrt(1/2) on, which rounds to
     # the same double as 0.5 + 0.5 erf(x) because erf(|x|) >= 1/2 there.
-    near = np.less(z, 1.0, out=w.mask[:n])
-    xs = x[near]
     if xs.size:
-        # x, |x| and exp(-x^2) are spent; reuse their rows
-        k = xs.size
-        tu = _horner2(np.multiply(xs, xs, out=w.rows[0, :k]), _TU, w.rows[1:3, :k])
+        tu = _horner2(xs * xs, _TU)
         t = np.multiply(xs, tu[0], out=tu[0])
         t /= tu[1]
         t *= 0.5

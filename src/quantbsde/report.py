@@ -56,7 +56,7 @@ class SweepSpec:
         object.__setattr__(self, "step_counts", ss)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """u0 per cell (NaN where a cell failed), timings, and failure messages."""
 

@@ -15,7 +15,7 @@ optimization, and one transition matrix built from the optimizer's last cell
 masses. ``optimize_grid`` and ``transition_matrix`` expose the two halves of
 that pass on their own. The pass reads one per-layer mixture object, which
 holds the law, its mean and spread, the kernel's grid-free coefficients, its
-work arrays and the last cell masses. A layer after the first starts from
+two tables and the last cell masses. A layer after the first starts from
 the mixture's component means, standardized and mapped through the first
 Cornish-Fisher term to the mixture's mean, spread and skewness, plus the
 misses of earlier layers extrapolated in that spread; the first starts from
@@ -38,7 +38,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .gaussian import CdfBuffers, cdf_and_pdf
+from .gaussian import cdf_and_pdf
 from .model import FbsdeProblem, _finite_number, _map_values, _positive
 
 __all__ = [
@@ -152,7 +152,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+# A class whose fields hold arrays (these three, ``bsde_solver``'s layers and
+# solution, ``report.SweepResult``) compares and hashes by identity: == on its
+# arrays has no single truth value, and ``save_tree`` pairs a solution with
+# its tree by ``is``.
+@dataclass(frozen=True, eq=False)
 class QuantizedLayer:
     """One layer's codebook: sorted codewords, marginal weights, distortion;
     the two arrays are kept read-only and not copied (``_read_only``)."""
@@ -214,7 +218,7 @@ class _Entries:
         object.__setattr__(tr, "_stored", (e.shape, np.packbits(nonzero), e[nonzero]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic one-step transition probabilities between codebooks:
     a matrix with no empty dimension.
@@ -236,7 +240,7 @@ class TransitionMatrix:
     entries: np.ndarray = _Entries()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizationTree:
     """Layers 0..n plus the n transition matrices linking them; layer k and
     transition k carry the integer step k (``_is_integer``)."""
@@ -349,14 +353,16 @@ class _Mixture:
     It holds the float arrays ``m``, ``v``, ``p`` as given, the count ``n``,
     the mean ``c``, the centred means ``mc``, the spread ``s``, the 3 x K
     rows of the kernel's two moment products (``q`` for the density table,
-    ``r`` for the cell masses), and the K x (n+1) tables and the cdf's work
-    arrays, allocated once per layer instead of once per kernel call. The
-    cell masses ``raw`` (K x n) of the last kernel call reuse the first
-    K x n doubles of the density table ``P`` once it is spent; every reader
-    of the cell masses takes them from here. ``_normalized_transition``
-    normalizes ``raw`` in place and builds the layer's transition from it;
-    the transition copies its nonzero entries, so ``P`` is freed with the
-    rest of the mixture.
+    ``r`` for the cell masses), and the kernel's K x (n+1) arrays, allocated
+    once per layer instead of once per kernel call: the cdf table ``C``, the
+    density table ``P`` and the two band masks. These are the only K x (n+1)
+    arrays the kernel keeps; the cdf's work arrays are sized by the in-band
+    boundaries alone and live only for its call (``gaussian.cdf_and_pdf``).
+    The cell masses ``raw`` (K x n) of the last kernel call reuse the first
+    K x n doubles of ``P`` once it is spent; every reader of the cell masses
+    takes them from here. ``_normalized_transition`` normalizes ``raw`` in
+    place and builds the layer's transition from it; the transition copies
+    its nonzero entries, so ``P`` is freed with the rest of the mixture.
     """
 
     def __init__(self, m: np.ndarray, v: np.ndarray, p: np.ndarray, n: int):
@@ -372,7 +378,6 @@ class _Mixture:
         self.P = np.empty(shape)
         self.raw = self.P.reshape(-1)[: m.size * n].reshape(m.size, n)
         self.band, self.below = np.empty((2,) + shape, dtype=bool)
-        self.cdf = CdfBuffers(m.size * (n + 1))
 
 
 def _mixture_stats(x: np.ndarray, mix: _Mixture):
@@ -396,7 +401,11 @@ def _mixture_stats(x: np.ndarray, mix: _Mixture):
     size c^2 against each other.
 
     The tables are written into ``mix``, which must have been built for
-    ``x``'s size, and are overwritten by the next call that shares it.
+    ``x``'s size, and are overwritten by the next call that shares it. The
+    cdf runs on the in-band boundaries alone, on work arrays of their count
+    that it frees on return. With the mixture's tables and masks, this puts
+    the peak of the Black-Scholes (200, 80) build 1.2 MB above the tree it
+    retains (tracemalloc).
     """
     n = x.size
     bounds = np.empty(n + 1)
@@ -412,7 +421,7 @@ def _mixture_stats(x: np.ndarray, mix: _Mixture):
     in_band = a[band]
     C.fill(0.0)
     P.fill(0.0)
-    C[band], P[band] = cdf_and_pdf(in_band, mix.cdf)
+    C[band], P[band] = cdf_and_pdf(in_band)
 
     c = mix.c
     Q = mix.q @ P

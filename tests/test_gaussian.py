@@ -112,3 +112,17 @@ class TestAgainstCephes:
         assert np.array_equal(-cdf[upper], normal_cdf(-a[upper]))
         exact = INV_SQRT_2PI * np.exp(-0.5 * a * a)
         assert np.max(np.abs(pdf - exact) / exact) <= 5e-14
+
+    def test_leaves_its_argument_and_earlier_results_alone(self):
+        # every branch: |x| < 1, 1 <= |x| < 8 and |x| >= 8, signed zeros, NaN
+        a = np.concatenate([np.linspace(-13.0, 13.0, 2_001), [0.0, -0.0, np.nan]])
+        before = a.tobytes()
+        first = cdf_and_pdf(a)
+        assert a.tobytes() == before
+        kept = [r.tobytes() for r in first]
+        for other in (-a, a[::7].copy(), np.zeros(4)):
+            second = cdf_and_pdf(other)
+            assert not any(np.shares_memory(r, s) for r in first for s in second)
+        assert not any(np.shares_memory(r, a) for r in first)
+        assert [r.tobytes() for r in first] == kept
+        assert [r.tobytes() for r in cdf_and_pdf(a)] == kept

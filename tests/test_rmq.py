@@ -29,6 +29,8 @@ from quantbsde import (
     OptimizerSettings,
     QuantizationTree,
     QuantizedLayer,
+    SweepResult,
+    SweepSpec,
     TimeGrid,
     TransitionMatrix,
     build_tree,
@@ -852,6 +854,24 @@ class TestBuildTree:
         assert sum(isinstance(tr._stored, tuple) for tr in tree.transitions) == 80
         assert retained <= 14e6
 
+    def test_a_long_black_scholes_build_peaks_at_most_1_5_mb_above_its_tree(self):
+        # the bs-refine rung (200, 80): above the tree the build holds one
+        # layer's two K x (N+1) tables and band masks, and the cdf's work
+        # arrays for one kernel call, sized by its in-band boundaries; with
+        # six rows for all K x (N+1) boundaries kept per layer it peaks at 2.86 MB
+        problem = make_black_scholes(
+            BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0), T=1.0, y0=100.0
+        )
+        build_tree(problem, TimeGrid(2, 1.0), 200)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            tree = build_tree(problem, TimeGrid(80, 1.0), 200)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.time_grid.n == 80
+        assert peak - retained <= 1.5e6
+
     def test_rejects_empty_codebook(self):
         with pytest.raises(ValueError):
             build_tree(gbm_problem(), TimeGrid(5, 0.25), 0)
@@ -1322,6 +1342,27 @@ class TestDataTypes:
     def test_layer_rejects_negative_distortion(self):
         with pytest.raises(ValueError):
             QuantizedLayer(0, np.array([0.0]), np.array([1.0]), -1.0)
+
+    def test_array_holders_compare_and_hash_by_identity(self):
+        # == on a field's array has no single truth value, so two builds of
+        # one problem are unequal, and at N=1 too, where the arrays are 1-long
+        problem = gbm_problem()
+        for N in (1, 5):
+            trees = [build_tree(problem, TimeGrid(3, 0.25), N) for _ in range(2)]
+            sols = [solve(tree, problem) for tree in trees]
+            spec = SweepSpec(problem, (N,), (3,))
+            results = [SweepResult(spec, np.zeros((1, 1)), np.zeros((1, 1)), {}) for _ in sols]
+            pairs = [trees, sols, results, [t.layers[1] for t in trees],
+                     [t.transitions[0] for t in trees],
+                     [s.value_layers[1] for s in sols], [s.control_layers[1] for s in sols]]
+            for a, b in pairs:
+                assert a == a and not a != a
+                assert a != b and not a == b
+                assert len({a, b, a}) == 2
+            assert {trees[0], sols[0]} == {sols[0], trees[0]}
+            assert trees[0].time_grid == trees[1].time_grid == TimeGrid(3, 0.25)
+            assert spec == SweepSpec(problem, (N,), (3,))
+        assert OptimizerSettings() == OptimizerSettings()
 
     def test_transition_rejects_out_of_range_entries(self):
         with pytest.raises(ValueError):
