@@ -11,12 +11,10 @@ its ``model.MODELS`` defaults, as in ``perfbench/workloads.py``, and one
 tree that is not geometric Brownian motion: the Vasicek bond of
 ``tests/oracles.py`` at N=50, n=20. Each case records its total calls,
 the calls of each layer, the mean over the warm-started layers 2..n, its
-u0 at full precision, the sha256 of its tree (``pairs.tree_digest``),
-how many of its transitions are stored sparse (``sparse``) and the bytes
-its transitions store (``stored_bytes``), and each workload the sums of
-those, printed as ``<workload>: <parent> -> <change> transitions stored
-sparse`` and ``<workload>: <parent> -> <change> MiB stored by
-transitions``. The other gates compare dense reads, so a change of
+u0 at full precision, the sha256 of its tree (``pairs.tree_digest``) and
+the bytes its transitions store (``stored_bytes``), and each workload the
+sums of those, printed as ``<workload>: <parent> -> <change> MiB stored
+by transitions``. The other gates compare dense reads, so a change of
 storage form shows only there and in the peak RSS below; unlike the peak
 RSS, the stored bytes do not move with where the heap places things.
 
@@ -24,8 +22,8 @@ A third set, the envelope, holds 36 Black-Scholes builds (the defaults'
 r = 0.04, K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3,
 0.5, 0.7, 1, 1.5, 2, 3 and T in 0.25, 1, 2, 5. Each records whether it converged
 or stalled (``ConvergenceError``, with the step), its calls, sigma sqrt(T),
-its u0 (None when stalled), its sparse count and stored bytes (0 when
-stalled) and a sha256: of its tree, or for a stalled build of the error
+its u0 (None when stalled), its stored bytes (0 when stalled) and a
+sha256: of its tree, or for a stalled build of the error
 message and the last grid (``stall_digest``). Beyond sigma sqrt(T) = 0.75
 the Euler chain puts mass on negative prices and some builds stall.
 
@@ -44,14 +42,24 @@ peak RSS: <parent> -> <change> MB`` is printed, and both numbers are kept
 the paired benchmark.
 
 After that reading, and with the count's wrappers taken off, the same
-interpreter builds the bs-refine ladder once more under ``tracemalloc``,
-one trace per build (``transients``): the bytes each tree retains and the
-peak traced above them, the build's transient workspace. The (200, 80)
-build's transient is printed as ``bs-refine: <parent> -> <change> MiB
-build transient (peak above retained)`` and kept as ``build_transient``.
-Unlike the peak RSS, it does not move with where the heap places things,
-and the count run itself stays untraced, so its counts and time are as
-before.
+interpreter builds and solves the bs-refine ladder once to warm up, then
+once more, untraced, reading the process's minor page faults
+(``ru_minflt`` of ``resource.getrusage``) over that second ladder
+(``minor_faults``), printed as ``bs-refine: <parent> -> <change> minor
+faults per warm ladder``. The stats kernel allocates its tables per call,
+and its speed hangs on how often the allocator returns that memory to the
+system and faults it back in, which this count shows and a timing may not.
+The count follows the heap's layout, which the process's history sets:
+one kernel read 301 faults from one checkout path and 4450 from another,
+so a difference is a lead to follow with more harnesses, not a verdict.
+
+Then it builds the ladder once more under ``tracemalloc``, one trace per
+build (``transients``): the bytes each tree retains and the peak traced
+above them, the build's transient workspace. The (200, 80) build's
+transient is printed as ``bs-refine: <parent> -> <change> MiB build
+transient (peak above retained)`` and kept as ``build_transient``. Unlike
+the peak RSS, it does not move with where the heap places things, and the
+count run itself stays untraced, so its counts and time are as before.
 
 With ``--rev`` that revision is exported once with ``git archive`` into a
 temporary directory (``pairs.parent_checkout``) and counted the same way,
@@ -94,6 +102,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -119,12 +128,6 @@ def stall_digest(exc) -> str:
     h = hashlib.sha256(str(exc).encode())
     h.update(np.asarray(exc.last_grid, dtype=np.float64).tobytes())
     return h.hexdigest()
-
-
-def sparse(tree) -> int:
-    """How many of ``tree``'s transitions are stored sparse; 0 on a
-    revision that stores every transition as it is (no ``_stored``)."""
-    return sum(isinstance(getattr(tr, "_stored", None), tuple) for tr in tree.transitions)
 
 
 def stored_bytes(tree) -> int:
@@ -167,8 +170,7 @@ def count(src: Path) -> tuple[dict, dict]:
         return {"N": N, "n": n, "calls": sum(per_layer),
                 "later_mean": sum(later) / len(later) if later else None,
                 "per_layer": list(per_layer), "u0": bsde_solver.solve(tree, problem).u0,
-                "sha256": tree_digest(tree), "sparse": sparse(tree),
-                "stored_bytes": stored_bytes(tree)}
+                "sha256": tree_digest(tree), "stored_bytes": stored_bytes(tree)}
 
     def default_problem(name: str, T: float | None = None, **params):
         """The model ``name`` at its defaults, with ``T`` and ``params`` replaced."""
@@ -193,10 +195,10 @@ def count(src: Path) -> tuple[dict, dict]:
         except rmq.ConvergenceError as exc:
             return {**out, "converged": False, "stalled_at": exc.step,
                     "calls": sum(per_layer), "u0": None, "sha256": stall_digest(exc),
-                    "sparse": 0, "stored_bytes": 0}
+                    "stored_bytes": 0}
         return {**out, "converged": True, "calls": sum(per_layer),
                 "u0": bsde_solver.solve(tree, problem).u0, "sha256": tree_digest(tree),
-                "sparse": sparse(tree), "stored_bytes": stored_bytes(tree)}
+                "stored_bytes": stored_bytes(tree)}
 
     N, steps = LADDER
     cells = {"bs-refine": [(bs, N, n) for n in steps],
@@ -209,7 +211,6 @@ def count(src: Path) -> tuple[dict, dict]:
 
     def totals(cases: list) -> dict:
         return {"calls": sum(c["calls"] for c in cases),
-                "sparse": sum(c["sparse"] for c in cases),
                 "stored_bytes": sum(c["stored_bytes"] for c in cases), "cases": cases}
 
     tight = rmq.OptimizerSettings(fixed_point_tol=TIGHT_TOL)
@@ -222,14 +223,37 @@ def count(src: Path) -> tuple[dict, dict]:
     return counts, tight_cases
 
 
+def ladder_problem():
+    """The bs-refine ladder's problem: Black-Scholes at its defaults."""
+    from quantbsde import model
+
+    spec = model.MODELS["black-scholes"]
+    return spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+
+
+def minor_faults() -> int:
+    """Build and solve the bs-refine ladder once to warm up, then return the
+    minor page faults of the calling process over one more ladder."""
+    from quantbsde import bsde_solver, rmq
+
+    problem = ladder_problem()
+    N, steps = LADDER
+    faults = []
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for n in steps:
+            bsde_solver.solve(rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N), problem)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults[-1]
+
+
 def transients() -> list:
     """Build the bs-refine ladder with the package ``count`` imported, each
     build traced on its own by ``tracemalloc``; return, per build, the
     bytes its tree retains and the peak traced above them."""
-    from quantbsde import model, rmq
+    from quantbsde import rmq
 
-    spec = model.MODELS["black-scholes"]
-    problem = spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+    problem = ladder_problem()
     N, steps = LADDER
     out = []
     for n in steps:
@@ -254,8 +278,9 @@ def peak_rss_mb() -> float:
 
 def count_in_child(src: Path) -> dict:
     """``count(src)`` in a fresh interpreter, as ``counts`` and ``tight``,
-    that interpreter's peak RSS (``peak_rss_mb``), then ``transients()`` and
-    the (200, 80) build's transient (``build_transient``)."""
+    that interpreter's peak RSS (``peak_rss_mb``), then ``minor_faults()``,
+    ``transients()`` and the (200, 80) build's transient
+    (``build_transient``)."""
     proc = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -447,9 +472,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.src:
         counts, tight = count(Path(args.src))
-        rss, traced = peak_rss_mb(), transients()
+        rss, faults, traced = peak_rss_mb(), minor_faults(), transients()
         json.dump({"counts": counts, "tight": tight, "peak_rss_mb": rss,
-                   "transients": traced,
+                   "minor_faults": faults, "transients": traced,
                    "build_transient": traced[-1]["transient_bytes"]}, sys.stdout)
         return 0
     if not args.out:
@@ -466,12 +491,12 @@ def main(argv=None) -> int:
     before = f"{doc['parent']['build_transient'] / 2**20:.2f} -> " if args.rev else ""
     print(f"bs-refine: {before}{doc['build_transient'] / 2**20:.2f} MiB build transient "
           "(peak above retained)", file=sys.stderr)
+    before = f"{doc['parent']['minor_faults']} -> " if args.rev else ""
+    print(f"bs-refine: {before}{doc['minor_faults']} minor faults per warm ladder",
+          file=sys.stderr)
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)
-        before = f"{doc['parent']['counts'][workload]['sparse']} -> " if args.rev else ""
-        print(f"{workload}: {before}{side['sparse']} transitions stored sparse",
-              file=sys.stderr)
         before = (f"{doc['parent']['counts'][workload]['stored_bytes'] / 2**20:.2f} -> "
                   if args.rev else "")
         print(f"{workload}: {before}{side['stored_bytes'] / 2**20:.2f} MiB stored by "

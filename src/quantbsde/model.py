@@ -93,10 +93,14 @@ def _positive(name: str, value) -> float:
 def _map_values(what: str, step: int, y, values) -> np.ndarray:
     """``values``, those of map ``what`` at the codewords ``y`` of step
     ``step``, as a new float array of ``y``'s shape: a scalar stands for
-    every node, and any other shape is a ValueError naming it, as is the
-    first node and codeword whose value is not finite. The one rule for
+    every node, and any other shape is a ValueError naming it, as are
+    complex values (a cast to float would drop their imaginary parts) and
+    the first node and codeword whose value is not finite. The one rule for
     every map value."""
-    x = np.asarray(values, dtype=float)
+    x = np.asarray(values)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} returned complex values at step {step}")
+    x = np.asarray(x, dtype=float)
     if x.ndim and x.shape != y.shape:
         raise ValueError(
             f"{what} returned shape {x.shape} at step {step}, expected {y.shape} or a scalar"

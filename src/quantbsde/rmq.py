@@ -11,15 +11,16 @@ masses are differences of Phi(a) - 1{a > 0}, so both tails keep their
 relative precision. Building a tree involves no sampling of any kind.
 
 Each layer of ``build_tree`` is one pass: one conditional law, one grid
-optimization, and one transition matrix built from the optimizer's last cell
-masses. ``optimize_grid`` and ``transition_matrix`` expose the two halves of
-that pass on their own. The pass reads one per-layer mixture object, which
-holds the law, its mean and spread, the kernel's grid-free coefficients, its
-two tables and the last cell masses. A layer after the first starts from
-the mixture's component means, standardized and mapped through the first
-Cornish-Fisher term to the mixture's mean, spread and skewness, plus the
-misses of earlier layers extrapolated in that spread; the first starts from
-Gaussian quantiles matched to the mixture's mean and variance.
+optimization, and one transition matrix built from the cell masses the
+optimizer returns with its grid. ``optimize_grid`` and ``transition_matrix``
+expose the two halves of that pass on their own. The pass reads one
+per-layer mixture object, which holds only the law, its mean and spread and
+the kernel's grid-free coefficients; each kernel call allocates its own
+tables and returns the cell masses with the moments. A layer after the first
+starts from the mixture's component means, standardized and mapped through the
+first Cornish-Fisher term to the mixture's mean, spread and skewness, plus
+the misses of earlier layers extrapolated in that spread; the first starts
+from Gaussian quantiles matched to the mixture's mean and variance.
 
 Voronoi cells are the midpoint intervals of the sorted codewords, with
 infinite outer edges; a point exactly on a midpoint belongs to the cell on
@@ -347,48 +348,35 @@ def _mixture_input(means, stds, probs) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 class _Mixture:
-    """One layer's Gaussian mixture sum_i p_i N(m_i, v_i^2) and the work of
-    quantizing it with n codewords; every step of the layer reads it.
+    """One layer's Gaussian mixture sum_i p_i N(m_i, v_i^2); the start and
+    every kernel call of the layer read it, on grids of any size.
 
-    It holds the float arrays ``m``, ``v``, ``p`` as given, the count ``n``,
-    the mean ``c``, the centred means ``mc``, the spread ``s``, the 3 x K
-    rows of the kernel's two moment products (``q`` for the density table,
-    ``r`` for the cell masses), and the kernel's K x (n+1) arrays, allocated
-    once per layer instead of once per kernel call: the cdf table ``C``, the
-    density table ``P`` and the two band masks. These are the only K x (n+1)
-    arrays the kernel keeps; the cdf's work arrays are sized by the in-band
-    boundaries alone and live only for its call (``gaussian.cdf_and_pdf``).
-    The cell masses ``raw`` (K x n) of the last kernel call reuse the first
-    K x n doubles of ``P`` once it is spent; every reader of the cell masses
-    takes them from here. ``_normalized_transition`` normalizes ``raw`` in
-    place and builds the layer's transition from it; the transition copies
-    its nonzero entries, so ``P`` is freed with the rest of the mixture.
+    It holds the float arrays ``m``, ``v``, ``p`` as given, the mean ``c``,
+    the centred means ``mc``, the spread ``s`` and the 3 x K rows of the
+    kernel's two moment products (``q`` for the density table, ``r`` for the
+    cell masses), and nothing whose shape depends on a grid: each kernel
+    call allocates its own tables (``_mixture_stats``).
     """
 
-    def __init__(self, m: np.ndarray, v: np.ndarray, p: np.ndarray, n: int):
-        self.m, self.v, self.p, self.n = m, v, p, n
+    def __init__(self, m: np.ndarray, v: np.ndarray, p: np.ndarray):
+        self.m, self.v, self.p = m, v, p
         self.c = float(p @ m)
         self.mc = mc = m - self.c
         e2 = mc * mc + v * v
         self.s = math.sqrt(float(p @ e2))
         self.q = np.array([p * v, p * v * mc, p / v])
         self.r = np.array([p, p * mc, p * e2])
-        shape = (m.size, n + 1)
-        self.C = np.empty(shape)
-        self.P = np.empty(shape)
-        self.raw = self.P.reshape(-1)[: m.size * n].reshape(m.size, n)
-        self.band, self.below = np.empty((2,) + shape, dtype=bool)
 
 
 def _mixture_stats(x: np.ndarray, mix: _Mixture):
     """Aggregated cell statistics of the Gaussian mixture ``mix`` over the
     Voronoi cells of the increasing float array ``x``.
 
-    Returns (M0, M1, distortion, F) where, for cell j, M0_j / M1_j are the
-    mixture's zeroth/first partial moments and F holds the mixture density
-    at the n+1 cell boundaries (exact zeros at the infinite ends); the
-    per-component cell masses, which give the transition probabilities, are
-    left in ``mix.raw``. The cdf table holds Phi(a) - 1{a > 0}, 0 at infinite
+    Returns (M0, M1, distortion, F, raw) where, for cell j, M0_j / M1_j are
+    the mixture's zeroth/first partial moments, F holds the mixture density
+    at the n+1 cell boundaries (exact zeros at the infinite ends) and raw
+    (K x n) holds the per-component cell masses, which give the transition
+    probabilities. The cdf table holds Phi(a) - 1{a > 0}, 0 at infinite
     boundaries and outside the band (_BAND_LO, _BAND_HI) of standardized
     values, where the pdf is 0 too; so a cell mass is a difference of small
     numbers, plus 1 in the cell that holds the component's mean.
@@ -400,33 +388,35 @@ def _mixture_stats(x: np.ndarray, mix: _Mixture):
     to the second. Centring keeps the distortion from cancelling terms of
     size c^2 against each other.
 
-    The tables are written into ``mix``, which must have been built for
-    ``x``'s size, and are overwritten by the next call that shares it. The
-    cdf runs on the in-band boundaries alone, on work arrays of their count
-    that it frees on return. With the mixture's tables and masks, this puts
-    the peak of the Black-Scholes (200, 80) build 1.2 MB above the tree it
-    retains (tracemalloc).
+    Each call allocates its two K x (n+1) tables as one block, and ``raw``
+    is a view into it, so the tables live as long as the caller keeps
+    ``raw``. The cdf runs on the in-band boundaries alone, on work arrays
+    of their count that it frees on return. This puts the peak of the
+    Black-Scholes (200, 80) build 1.2 MB above the tree it retains
+    (tracemalloc).
     """
-    n = x.size
+    n, K = x.size, mix.m.size
     bounds = np.empty(n + 1)
     bounds[0] = -np.inf
     bounds[-1] = np.inf
     bounds[1:-1] = 0.5 * (x[:-1] + x[1:])
 
-    C, P = mix.C, mix.P
+    # one block, not two arrays: two per call cross glibc's trim threshold
+    # more often and fault about four times as many pages per build
+    C, P = tables = np.empty((2, K, n + 1))
     a = np.subtract(bounds[None, :], mix.m[:, None], out=C)
     a /= mix.v[:, None]  # standardized, comps x (n+1); C replaces it below
-    band = np.greater(a, _BAND_LO, out=mix.band)
-    band &= np.less(a, _BAND_HI, out=mix.below)
+    band = a > _BAND_LO
+    band &= a < _BAND_HI
     in_band = a[band]
-    C.fill(0.0)
-    P.fill(0.0)
+    tables.fill(0.0)
     C[band], P[band] = cdf_and_pdf(in_band)
 
     c = mix.c
     Q = mix.q @ P
-    raw = np.subtract(C[:, 1:], C[:, :-1], out=mix.raw)  # per-component cell masses
-    raw[np.arange(raw.shape[0]), np.searchsorted(bounds, mix.m, side="right") - 1] += 1.0
+    # per-component cell masses, in the first K x n doubles of the spent P
+    raw = np.subtract(C[:, 1:], C[:, :-1], out=P.reshape(-1)[: K * n].reshape(K, n))
+    raw[np.arange(K), np.searchsorted(bounds, mix.m, side="right") - 1] += 1.0
     R = mix.r @ raw
 
     M0 = R[0]
@@ -436,7 +426,7 @@ def _mixture_stats(x: np.ndarray, mix: _Mixture):
     t[1:-1] = (bounds[1:-1] - c) * Q[0, 1:-1] + Q[1, 1:-1]
     xc = x - c
     dist = float(((R[2] + t[:-1] - t[1:]) - 2.0 * xc * M1c + xc * xc * M0).sum())
-    return M0, M1, dist, Q[2]
+    return M0, M1, dist, Q[2], raw
 
 
 def mixture_distortion(grid, means, stds, probs) -> float:
@@ -449,13 +439,13 @@ def mixture_distortion(grid, means, stds, probs) -> float:
     partial moments up to order two.
     """
     x = _ordered_grid(grid)
-    return _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs), x.size))[2]
+    return _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs)))[2]
 
 
 def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     """Analytic gradient of mixture_distortion: g_j = 2 (x_j M0_j - M1_j)."""
     x = _ordered_grid(grid)
-    M0, M1, _, _ = _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs), x.size))
+    M0, M1, _, _, _ = _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs)))
     return 2.0 * (x * M0 - M1)
 
 
@@ -521,31 +511,32 @@ def _optimize_codewords(mix: _Mixture, x: np.ndarray, settings: OptimizerSetting
     stationarity residual max_j |x_j - M1_j/M0_j| = max_j |g_j| / (2 M0_j)
     is read off the stats already computed on the current grid, so the stop
     costs no kernel call. The iteration returns as soon as the residual is
-    below the fixed-point tolerance, with the grid and its distortion. All
-    stats calls share the layer's ``mix``, and the last one is on the grid
-    returned, so ``mix.raw`` then holds that grid's cell masses.
+    below the fixed-point tolerance, with the grid, its distortion and its
+    per-component cell masses ``raw`` (``_mixture_stats``).
     """
-    M0, M1, dist, F = _mixture_stats(x, mix)
+    M0, M1, dist, F, raw = _mixture_stats(x, mix)
     for it in range(settings.max_iterations + 1):
         g = 2.0 * (x * M0 - M1)
         resid = float(np.max(np.abs(g) / np.maximum(2.0 * M0, 1e-300)))
         if resid < settings.fixed_point_tol:
-            return x, dist
+            return x, dist, raw
         if it == settings.max_iterations:
             break
-        x_new = stats_new = None
+        # one set of kernel tables at a time: this grid's, and each rejected
+        # candidate's, go before the next call allocates its own
+        raw = stats = None
         delta = _newton_direction(x, M0, F, g)
         if delta is not None and np.isfinite(delta).all():
             lam = 1.0
             for _h in range(9):
                 cand = x + lam * delta
                 if _increasing(cand):
-                    st = _mixture_stats(cand, mix)
-                    if st[2] <= dist + 1e-12 * (abs(dist) + 1.0):
-                        x_new, stats_new = cand, st
+                    stats = _mixture_stats(cand, mix)
+                    if stats[2] <= dist + 1e-12 * (abs(dist) + 1.0):
                         break
+                    stats = None
                 lam *= 0.5
-        if x_new is None:
+        if stats is None:
             # Lloyd step; empty cells keep their codeword. Exact Lloyd maps
             # preserve ordering, so only float noise can produce ties.
             cand = np.where(M0 > 0.0, M1 / np.maximum(M0, 1e-300), x)
@@ -554,10 +545,9 @@ def _optimize_codewords(mix: _Mixture, x: np.ndarray, settings: OptimizerSetting
                 idx = np.nonzero(bad)[0]
                 cand[idx + 1] = np.nextafter(cand[idx], np.inf)
                 bad = np.diff(cand) <= 0
-            x_new = cand
-            stats_new = _mixture_stats(cand, mix)
-        x = x_new
-        M0, M1, dist, F = stats_new
+            stats = _mixture_stats(cand, mix)
+        x = cand
+        M0, M1, dist, F, raw = stats
     raise ConvergenceError(
         f"grid optimization stalled at step {step}: stationarity residual "
         f"{resid:.3e} after {settings.max_iterations} iterations "
@@ -568,14 +558,14 @@ def _optimize_codewords(mix: _Mixture, x: np.ndarray, settings: OptimizerSetting
     )
 
 
-def _quantile_start(mix: _Mixture) -> np.ndarray:
-    """Moment-matched Gaussian quantile points for ``mix``. The variance is
-    sum p (v^2 + m^2) - c^2, not ``mix.s``^2: the two round differently, and
-    that moves builds on a knife edge."""
+def _quantile_start(mix: _Mixture, n: int) -> np.ndarray:
+    """``n`` moment-matched Gaussian quantile points for ``mix``. The
+    variance is sum p (v^2 + m^2) - c^2, not ``mix.s``^2: the two round
+    differently, and that moves builds on a knife edge."""
     var = float(mix.p @ (mix.v**2 + mix.m**2)) - mix.c * mix.c
     sd = math.sqrt(max(var, 1e-300))
     inv_cdf = NormalDist().inv_cdf
-    q = [(2.0 * j - 1.0) / (2.0 * mix.n) for j in range(1, mix.n + 1)]
+    q = [(2.0 * j - 1.0) / (2.0 * n) for j in range(1, n + 1)]
     return mix.c + sd * np.array([inv_cdf(qj) for qj in q])
 
 
@@ -600,25 +590,23 @@ def _normalized_transition(step: int, raw) -> TransitionMatrix:
 
 
 def _quantize_layer(
-    prev: QuantizedLayer, mix: _Mixture, settings: OptimizerSettings, start
+    prev: QuantizedLayer, mix: _Mixture, settings: OptimizerSettings, start: np.ndarray
 ) -> tuple[QuantizedLayer, TransitionMatrix]:
     """Optimize the layer after ``prev`` against its conditional mixture
-    ``mix``, from ``start`` or, if None, from moment-matched quantiles, and
-    link the two by their transition matrix.
+    ``mix`` from ``start``, and link the two by their transition matrix.
 
-    The transition comes from the optimizer's last cell masses, and the
-    layer's weights are ``prev.weights`` pushed through those masses, read
-    from ``mix.raw`` rather than from the transition, so that the
-    transition is not rebuilt; the two are the same numbers, so the
-    propagation invariant holds exactly. If the optimizer stalls while the
-    component means ``mix.m`` are not strictly increasing in the codewords
-    of ``prev``, the ConvergenceError's message also says that the Euler map
-    reverses order at that step and gives the smallest slope dm/dy; this is
-    computed only on that failure path.
+    The transition comes from the cell masses the optimizer returns with its
+    grid, and the layer's weights are ``prev.weights`` pushed through those
+    masses rather than through the transition, so that the transition is
+    not rebuilt; the two are the same numbers, so the propagation invariant
+    holds exactly. If the optimizer stalls while the component means
+    ``mix.m`` are not strictly increasing in the codewords of ``prev``, the
+    ConvergenceError's message also says that the Euler map reverses order
+    at that step and gives the smallest slope dm/dy; this is computed only
+    on that failure path.
     """
-    x0 = _quantile_start(mix) if start is None else start
     try:
-        x, dist = _optimize_codewords(mix, x0, settings, prev.step + 1)
+        x, dist, raw = _optimize_codewords(mix, start, settings, prev.step + 1)
     except ConvergenceError as exc:
         slope = np.diff(mix.m) / np.diff(prev.codewords)
         if slope.size and not slope.min() > 0.0:
@@ -628,8 +616,8 @@ def _quantize_layer(
                 exc.last_grid, exc.gradient_norm, exc.step,
             ) from None
         raise
-    tr = _normalized_transition(prev.step, mix.raw)
-    return QuantizedLayer(prev.step + 1, x, prev.weights @ mix.raw, dist), tr
+    tr = _normalized_transition(prev.step, raw)
+    return QuantizedLayer(prev.step + 1, x, prev.weights @ raw, dist), tr
 
 
 def optimize_grid(
@@ -654,8 +642,9 @@ def optimize_grid(
     ``transition_matrix``).
     """
     N = _integer("codeword count N", N, 1)
-    mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights, N)
-    return _quantize_layer(prev, mix, settings or OptimizerSettings(), None)[0]
+    mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights)
+    start = _quantile_start(mix, N)
+    return _quantize_layer(prev, mix, settings or OptimizerSettings(), start)[0]
 
 
 def transition_matrix(
@@ -669,10 +658,8 @@ def transition_matrix(
     renormalized if off by at most 1e-10 and rejected otherwise, since a
     larger defect means the grid or cdf is broken upstream.
     """
-    x = next_layer.codewords
-    mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights, x.size)
-    _mixture_stats(x, mix)
-    return _normalized_transition(prev.step, mix.raw)
+    mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights)
+    return _normalized_transition(prev.step, _mixture_stats(next_layer.codewords, mix)[4])
 
 
 def _warm_start_from(mix: _Mixture) -> np.ndarray | None:
@@ -738,9 +725,9 @@ def build_tree(
     history = []  # (spread, miss) of the last four warm layers, oldest first
     for k in range(grid.n):
         prev = layers[-1]
-        mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights, N)
+        mix = _Mixture(*conditional_law(prev, dt, problem), prev.weights)
         warm = _warm_start_from(mix) if prev.size == N else None
-        start = warm
+        start = _quantile_start(mix, N) if warm is None else warm
         if warm is not None:
             # Lagrange weights divide by node differences: nodes stay distinct
             history = [h for h in history if h[0] != mix.s]
@@ -749,7 +736,6 @@ def build_tree(
                 start = carried if _increasing(carried) else warm
         layer, tr = _quantize_layer(prev, mix, settings, start)
         history = [] if warm is None else [*history[-3:], (mix.s, layer.codewords - warm)]
-        del mix  # free its work arrays before the next layer allocates its own
         layers.append(layer)
         transitions.append(tr)
     return QuantizationTree(grid, tuple(layers), tuple(transitions))

@@ -106,13 +106,6 @@ def test_tree_digest_survives_a_round_trip_and_sees_the_solution(tmp_path):
     assert pairs.tree_digest(loaded, solution) != pairs.tree_digest(tree, in_memory)
 
 
-def test_sparse_counts_the_transitions_stored_sparse():
-    # a transition of an older revision has no _stored and counts as dense
-    stored = [rmq.TransitionMatrix(0, np.eye(4)), rmq.TransitionMatrix(0, np.full((4, 4), 0.25))]
-    assert isinstance(stored[0]._stored, tuple)
-    assert calls.sparse(SimpleNamespace(transitions=[*stored, SimpleNamespace()])) == 2
-
-
 def test_stored_bytes_counts_the_mask_and_nonzeros_or_every_double():
     # np.eye(4): a 2-byte mask and 4 doubles; stored dense, or on a revision
     # with no _stored, its 16 doubles

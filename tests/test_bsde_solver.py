@@ -295,6 +295,29 @@ class TestBackwardStep:
         with pytest.raises(ValueError, match=message):
             solve(build_tree(problem, TimeGrid(3, 1.0), 6), problem)
 
+    @pytest.mark.parametrize(
+        "what, message",
+        [
+            ("drift", r"^drift returned complex values at step 0$"),
+            ("driver", r"^driver returned complex values at step 2$"),
+        ],
+        ids=["drift-in-build", "driver-in-solve"],
+    )
+    def test_a_map_of_complex_values_is_named(self, what, message):
+        # both used to be cast to float with their imaginary parts dropped,
+        # and priced with only numpy's ComplexWarning to show for it
+        problem = bs_problem()
+        if what == "drift":
+            bad = dataclasses.replace(problem, drift=lambda y: problem.drift(y) + 0j)
+            with pytest.raises(ValueError, match=message):
+                build_tree(bad, TimeGrid(3, 1.0), 6)
+        else:
+            tree = build_tree(problem, TimeGrid(3, 1.0), 6)
+            bad = dataclasses.replace(
+                problem, driver=lambda t, y, u, v: problem.driver(t, y, u, v) + 0j)
+            with pytest.raises(ValueError, match=message):
+                solve(tree, bad)
+
     def test_floored_sigma_warning_names_its_step(self):
         # sigma(y) = 0.05 + |y| is below the floor 0.3 at 2 codewords of layer 3
         problem = FbsdeProblem(

@@ -80,17 +80,16 @@ def unit_gaussian_problem():
 
 
 def kernel_stats(grid, means, stds, probs):
-    """``rmq._mixture_stats`` of ``grid`` with a fresh ``_Mixture`` object,
-    followed by the cell masses it leaves in ``_Mixture.raw``; the inputs
-    are taken as float arrays, the form the kernel is given in the package."""
+    """``rmq._mixture_stats`` of ``grid`` with a fresh ``_Mixture`` object;
+    the inputs are taken as float arrays, the form the kernel is given in
+    the package."""
     grid, means, stds, probs = (np.asarray(a, dtype=float) for a in (grid, means, stds, probs))
-    mix = rmq_mod._Mixture(means, stds, probs, len(grid))
-    return (*rmq_mod._mixture_stats(grid, mix), mix.raw)
+    return rmq_mod._mixture_stats(grid, rmq_mod._Mixture(means, stds, probs))
 
 
 def layer_mixture(layer, dt, problem):
-    """The ``_Mixture`` of the layer after ``layer``, for as many codewords."""
-    return rmq_mod._Mixture(*conditional_law(layer, dt, problem), layer.weights, layer.size)
+    """The ``_Mixture`` of the layer after ``layer``."""
+    return rmq_mod._Mixture(*conditional_law(layer, dt, problem), layer.weights)
 
 
 def b64_float64s(values):
@@ -353,26 +352,35 @@ class TestBandedKernel:
 
 
 class TestKernelWork:
-    """The per-layer mixture object that the stats kernel reuses, and the
-    warm start that extrapolates the last layers' misses."""
+    """The per-layer mixture object that every stats-kernel call of a layer
+    reads, and the warm start that extrapolates the last layers' misses."""
 
     def test_reused_work_matches_fresh_calls(self):
-        # one _Mixture per mixture, reused across grids whose in-band share
-        # ranges from a few entries to all of them
+        # one _Mixture per mixture, reused across grids of several sizes
+        # whose in-band share ranges from a few entries to all of them; each
+        # call's cell masses are its own, and no later call writes them
         rng = np.random.default_rng(2024)
-        K, n = 7, 12
+        K = 7
         for _ in range(3):
             means = rng.normal(100.0, 2.0, K)
             stds = rng.uniform(0.2, 2.0, K)
             probs = rng.dirichlet(np.ones(K))
-            mix = rmq_mod._Mixture(means, stds, probs, n)
-            for spread in (0.01, 0.3, 1.0, 3.0, 10.0, 60.0, 1.0, 0.01):
+            mix = rmq_mod._Mixture(means, stds, probs)
+            earlier = []
+            for spread, n in ((0.01, 12), (0.3, 5), (1.0, 12), (3.0, 1), (10.0, 20),
+                              (60.0, 12), (1.0, 2), (0.01, 30)):
                 grid = 100.0 + spread * np.sort(rng.normal(0.0, 3.0, n))
                 assert np.all(np.diff(grid) > 0)
                 fresh = kernel_stats(grid, means, stds, probs)
-                reused = (*rmq_mod._mixture_stats(grid, mix), mix.raw)
+                reused = rmq_mod._mixture_stats(grid, mix)
                 for got, want in zip(reused, fresh):
-                    assert np.array_equal(got, want), spread
+                    assert np.array_equal(got, want), (spread, n)
+                raw = reused[4]
+                assert raw.shape == (K, n)
+                for before, kept in earlier:
+                    assert not np.shares_memory(raw, before)
+                    assert np.array_equal(before, kept)
+                earlier.append((raw, raw.copy()))
 
     def test_extrapolation_is_exact_on_polynomial_misses(self):
         # misses placed at non-uniform spreads; these nodes and this point
@@ -627,11 +635,11 @@ class TestOptimizeGrid:
 
         def tied(grid, mix):
             grids.append(grid.copy())
-            M0, M1, dist, F = real(grid, mix)
+            M0, M1, dist, F, raw = real(grid, mix)
             if len(grids) == 1:
                 M0, M1 = M0.copy(), M1.copy()
                 M0[1], M1[1] = M0[0], M1[0]
-            return M0, M1, dist, F
+            return M0, M1, dist, F, raw
 
         monkeypatch.setattr(rmq_mod, "_mixture_stats", tied)
         monkeypatch.setattr(rmq_mod, "_newton_direction", lambda *args: None)
@@ -675,7 +683,7 @@ class TestOptimizeGrid:
     def test_stationary_start_costs_one_kernel_call(self, monkeypatch):
         layer = optimize_grid(dirac(0.0), 1.0, unit_gaussian_problem(), 5)
         means, stds = conditional_law(dirac(0.0), 1.0, unit_gaussian_problem())
-        mix = rmq_mod._Mixture(means, stds, np.array([1.0]), 5)
+        mix = rmq_mod._Mixture(means, stds, np.array([1.0]))
         calls = []
         real = rmq_mod._mixture_stats
 
@@ -684,10 +692,11 @@ class TestOptimizeGrid:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rmq_mod, "_mixture_stats", counted)
-        x, dist = rmq_mod._optimize_codewords(mix, layer.codewords, OptimizerSettings(), 1)
+        x, dist, raw = rmq_mod._optimize_codewords(mix, layer.codewords, OptimizerSettings(), 1)
         assert len(calls) == 1
         assert np.array_equal(x, layer.codewords)
         assert dist == layer.distortion
+        assert np.array_equal(raw, kernel_stats(x, means, stds, [1.0])[4])
 
     def test_tight_tolerance_converges_at_black_scholes_50_20(self):
         # 1e-12 is about 70 ulps at codewords near 100, and still in reach here
@@ -758,9 +767,8 @@ class TestTransitionMatrix:
         real = rmq_mod._mixture_stats
 
         def leaky(grid, mix):
-            stats = real(grid, mix)
-            mix.raw *= 0.9
-            return stats
+            *stats, raw = real(grid, mix)
+            return (*stats, raw * 0.9)
 
         monkeypatch.setattr(rmq_mod, "_mixture_stats", leaky)
         nxt = QuantizedLayer(1, np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 0.0)
@@ -1023,7 +1031,7 @@ class TestBuildTree:
             return real_layer(prev, mix, settings, start)
 
         def stats(grid, mix):
-            layers[-1][2].append(mix)
+            layers[-1][2].append((mix, grid.size))
             return real_stats(grid, mix)
 
         def warm(mix):
@@ -1043,8 +1051,8 @@ class TestBuildTree:
         assert len(starts) == n - 1
         assert all(a is b for a, b in zip(starts, mixtures[1:]))
         for prev, mix, seen in layers:
-            assert mix.p is prev.weights and mix.n == N
-            assert seen and all(m is mix for m in seen)
+            assert mix.p is prev.weights
+            assert seen and all(m is mix and size == N for m, size in seen)
 
     def test_stalled_layer_is_named(self):
         settings = OptimizerSettings(max_iterations=1, fixed_point_tol=1e-12)
