@@ -15,8 +15,8 @@ u0 at full precision, the sha256 of its tree (``pairs.tree_digest``) and
 the bytes its transitions store (``stored_bytes``), and each workload the
 sums of those, printed as ``<workload>: <parent> -> <change> MiB stored
 by transitions``. The other gates compare dense reads, so a change of
-storage form shows only there and in the peak RSS below; unlike the peak
-RSS, the stored bytes do not move with where the heap places things.
+storage form shows only there; the stored bytes do not move with where
+the heap places things.
 
 A third set, the envelope, holds 36 Black-Scholes builds (the defaults'
 r = 0.04, K = 100, y0 = 100) at N=50, n=10 over sigma in 0.1, 0.2, 0.3,
@@ -34,32 +34,15 @@ alone moves Bergman u0 by about 1e-10 relative. These
 builds are kept apart (``tight``) and all converge; a stall stops the
 script with its ``ConvergenceError``.
 
-The count runs in a fresh interpreter per side, which reads its own peak
-resident memory (VmHWM of ``/proc/self/status``, as
-``perfbench/cli_child.py`` does) when the builds are done; ``count run
-peak RSS: <parent> -> <change> MB`` is printed, and both numbers are kept
-(``peak_rss_mb``), so a change in how a tree is stored shows there without
-the paired benchmark.
-
-After that reading, and with the count's wrappers taken off, the same
-interpreter builds and solves the bs-refine ladder once to warm up, then
-once more, untraced, reading the process's minor page faults
-(``ru_minflt`` of ``resource.getrusage``) over that second ladder
-(``minor_faults``), printed as ``bs-refine: <parent> -> <change> minor
-faults per warm ladder``. The stats kernel allocates its tables per call,
-and its speed hangs on how often the allocator returns that memory to the
-system and faults it back in, which this count shows and a timing may not.
-The count follows the heap's layout, which the process's history sets:
-one kernel read 301 faults from one checkout path and 4450 from another,
-so a difference is a lead to follow with more harnesses, not a verdict.
-
-Then it builds the ladder once more under ``tracemalloc``, one trace per
-build (``transients``): the bytes each tree retains and the peak traced
-above them, the build's transient workspace. The (200, 80) build's
-transient is printed as ``bs-refine: <parent> -> <change> MiB build
-transient (peak above retained)`` and kept as ``build_transient``. Unlike
-the peak RSS, it does not move with where the heap places things, and the
-count run itself stays untraced, so its counts and time are as before.
+The count runs in a fresh interpreter per side. With the count's
+wrappers taken off, that interpreter then builds the bs-refine ladder once
+more under ``tracemalloc``, one trace per build (``transients``): the
+bytes each tree retains and the peak traced above them, the build's
+transient workspace. The (200, 80) build's transient is printed as
+``bs-refine: <parent> -> <change> MiB build transient (peak above
+retained)``. Like the stored bytes, it does not move with where the heap
+places things, and the count itself stays untraced, so its counts are as
+before. The benchmark's ``peak_rss_mb`` stays the end-to-end memory figure.
 
 With ``--rev`` that revision is exported once with ``git archive`` into a
 temporary directory (``pairs.parent_checkout``) and counted the same way,
@@ -102,7 +85,6 @@ import json
 import math
 import os
 import re
-import resource
 import shlex
 import subprocess
 import sys
@@ -131,22 +113,24 @@ def stall_digest(exc) -> str:
 
 
 def stored_bytes(tree) -> int:
-    """The bytes ``tree``'s transitions store: for one stored as a tuple, its
-    mask plus its nonzero entries; for any other, its K x N doubles."""
+    """The bytes ``tree``'s transitions store: for one stored as a tuple, the
+    ``nbytes`` of every array in it (its mask and its nonzero entries); for
+    any other, its K x N doubles."""
     total = 0
     for tr in tree.transitions:
         stored = getattr(tr, "_stored", None)
         if isinstance(stored, tuple):
-            total += stored[1].nbytes + stored[2].nbytes
+            total += sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
         else:
             total += 8 * tr.entries.size
     return total
 
 
-def count(src: Path) -> tuple[dict, dict]:
+def count(src: Path) -> tuple[dict, dict, list]:
     """Count kernel calls with the package found under ``src``; return the
-    counts and, per workload but the envelope, the cases built again at
-    ``TIGHT_TOL``."""
+    counts, the cases built again at ``TIGHT_TOL`` per workload but the
+    envelope, and, untraced by the count, the bs-refine ladder's
+    ``transients``."""
     sys.path.insert(0, str(src))
     from quantbsde import bsde_solver, model, rmq
 
@@ -220,41 +204,15 @@ def count(src: Path) -> tuple[dict, dict]:
     tight_cases = {workload: [case(*cell, tight) for cell in cs]
                    for workload, cs in cells.items()}
     rmq._mixture_stats, rmq._quantize_layer = real_stats, real_layer
-    return counts, tight_cases
+    return counts, tight_cases, transients(bs, *LADDER)
 
 
-def ladder_problem():
-    """The bs-refine ladder's problem: Black-Scholes at its defaults."""
-    from quantbsde import model
-
-    spec = model.MODELS["black-scholes"]
-    return spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
-
-
-def minor_faults() -> int:
-    """Build and solve the bs-refine ladder once to warm up, then return the
-    minor page faults of the calling process over one more ladder."""
-    from quantbsde import bsde_solver, rmq
-
-    problem = ladder_problem()
-    N, steps = LADDER
-    faults = []
-    for _ in range(2):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for n in steps:
-            bsde_solver.solve(rmq.build_tree(problem, rmq.TimeGrid(n, problem.T), N), problem)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return faults[-1]
-
-
-def transients() -> list:
-    """Build the bs-refine ladder with the package ``count`` imported, each
-    build traced on its own by ``tracemalloc``; return, per build, the
-    bytes its tree retains and the peak traced above them."""
+def transients(problem, N: int, steps) -> list:
+    """Build ``problem``'s trees at ``N`` and each n of ``steps``, each build
+    traced on its own by ``tracemalloc``; return, per build, the bytes its
+    tree retains and the peak traced above them."""
     from quantbsde import rmq
 
-    problem = ladder_problem()
-    N, steps = LADDER
     out = []
     for n in steps:
         tracemalloc.start()
@@ -269,18 +227,9 @@ def transients() -> list:
     return out
 
 
-def peak_rss_mb() -> float:
-    """VmHWM of the calling process, in MB (2**20 bytes)."""
-    with open("/proc/self/status", encoding="ascii") as fh:
-        kb = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-    return kb / 1024
-
-
 def count_in_child(src: Path) -> dict:
-    """``count(src)`` in a fresh interpreter, as ``counts`` and ``tight``,
-    that interpreter's peak RSS (``peak_rss_mb``), then ``minor_faults()``,
-    ``transients()`` and the (200, 80) build's transient
-    (``build_transient``)."""
+    """``count(src)`` in a fresh interpreter, as ``counts``, ``tight`` and
+    ``transients``."""
     proc = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -471,11 +420,8 @@ def main(argv=None) -> int:
                                   "print the counts as JSON on stdout")
     args = ap.parse_args(argv)
     if args.src:
-        counts, tight = count(Path(args.src))
-        rss, faults, traced = peak_rss_mb(), minor_faults(), transients()
-        json.dump({"counts": counts, "tight": tight, "peak_rss_mb": rss,
-                   "minor_faults": faults, "transients": traced,
-                   "build_transient": traced[-1]["transient_bytes"]}, sys.stdout)
+        counts, tight, traced = count(Path(args.src))
+        json.dump({"counts": counts, "tight": tight, "transients": traced}, sys.stdout)
         return 0
     if not args.out:
         ap.error("--out is required")
@@ -486,14 +432,11 @@ def main(argv=None) -> int:
             cli = same_output(sha, parent_root)
         doc.update(agreement(doc["parent"]["counts"], doc["counts"]), cli=cli,
                    tight_agreement=tight_agreement(doc["parent"]["tight"], doc["tight"]))
-    before = f"{doc['parent']['peak_rss_mb']:.1f} -> " if args.rev else ""
-    print(f"count run peak RSS: {before}{doc['peak_rss_mb']:.1f} MB", file=sys.stderr)
-    before = f"{doc['parent']['build_transient'] / 2**20:.2f} -> " if args.rev else ""
-    print(f"bs-refine: {before}{doc['build_transient'] / 2**20:.2f} MiB build transient "
+    transient = doc["transients"][-1]["transient_bytes"]
+    before = (f"{doc['parent']['transients'][-1]['transient_bytes'] / 2**20:.2f} -> "
+              if args.rev else "")
+    print(f"bs-refine: {before}{transient / 2**20:.2f} MiB build transient "
           "(peak above retained)", file=sys.stderr)
-    before = f"{doc['parent']['minor_faults']} -> " if args.rev else ""
-    print(f"bs-refine: {before}{doc['minor_faults']} minor faults per warm ladder",
-          file=sys.stderr)
     for workload, side in doc["counts"].items():
         before = f"{doc['parent']['counts'][workload]['calls']} -> " if args.rev else ""
         print(f"{workload}: {before}{side['calls']} kernel calls", file=sys.stderr)

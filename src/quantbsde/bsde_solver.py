@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FbsdeProblem, _map_values
+from .model import FbsdeProblem, _map_values, _real
 from .rmq import QuantizationTree, _floored_diffusion, _integer, _read_only
 
 __all__ = [
@@ -47,7 +47,7 @@ class ValueLayer:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=float)))
+        object.__setattr__(self, "values", _read_only(_real("values", self.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ class ControlLayer:
     controls: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", _read_only(np.asarray(self.controls, dtype=float)))
+        object.__setattr__(self, "controls", _read_only(_real("controls", self.controls)))
 
 
 @dataclass(frozen=True, eq=False)

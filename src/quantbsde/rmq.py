@@ -40,7 +40,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gaussian import cdf_and_pdf
-from .model import FbsdeProblem, _finite_number, _map_values, _positive
+from .model import FbsdeProblem, _finite_number, _map_values, _positive, _real
 
 __all__ = [
     "TimeGrid",
@@ -168,8 +168,8 @@ class QuantizedLayer:
     distortion: float
 
     def __post_init__(self) -> None:
-        cw = np.asarray(self.codewords, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        cw = _real("codewords", self.codewords)
+        w = _real("weights", self.weights)
         object.__setattr__(self, "codewords", _read_only(cw))
         object.__setattr__(self, "weights", _read_only(w))
         if cw.ndim != 1 or cw.size < 1:
@@ -206,7 +206,7 @@ class _Entries:
         return _read_only(dense)
 
     def __set__(self, tr, value):
-        e = np.asarray(value, dtype=float)
+        e = _real("entries", value)
         if e.ndim != 2:
             raise ValueError(f"entries must be a matrix, got shape {e.shape}")
         if 0 in e.shape:
@@ -300,7 +300,10 @@ def conditional_law(
     v_i = sqrt(dt) max(|sigma(y_i)|, floor). Falling back to the floor is
     reported through a DegenerateDiffusionWarning (with the count of floored
     nodes), never silently. Drift and diffusion go through ``_map_values``.
+    ``dt`` is a positive finite real number (``model._positive``);
+    ``optimize_grid`` and ``transition_matrix`` pass theirs through here.
     """
+    dt = _positive("time step dt", dt)
     y = source.codewords
     drift = _map_values("drift", source.step, y, problem.drift(y))
     sig = np.abs(_floored_diffusion(problem, y, source.step))
@@ -316,7 +319,7 @@ _BAND_LO, _BAND_HI = -8.5, 8.3
 
 def _ordered_grid(grid) -> np.ndarray:
     """``grid`` as a float array; ValueError unless ``_increasing``."""
-    x = np.asarray(grid, dtype=float)
+    x = _real("grid", grid)
     if not _increasing(x):
         raise ValueError("grid must be finite and strictly increasing")
     return x
@@ -328,7 +331,8 @@ def _mixture_input(means, stds, probs) -> tuple[np.ndarray, np.ndarray, np.ndarr
     the probabilities finite, nonnegative and summing to 1 within 1e-12 (the
     rule ``QuantizedLayer`` applies to weights); ValueError naming the
     argument otherwise."""
-    m, v, p = (np.asarray(a, dtype=float) for a in (means, stds, probs))
+    m, v, p = (_real(name, a) for name, a in
+               (("means", means), ("stds", stds), ("probs", probs)))
     if m.ndim != 1:
         raise ValueError(f"means must be a 1-d array, got shape {m.shape}")
     if m.size == 0:

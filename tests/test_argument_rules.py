@@ -1,10 +1,12 @@
-"""One integer rule and one positive-number rule across every entry point.
+"""One integer rule, one positive-number rule and one real-array rule
+across every entry point.
 
-Every integer argument of the library goes through ``rmq._integer`` and
-every positive number through ``model._positive``. These tests pin both
-rules at each entry point: a boolean, a fraction or a string is a
-ValueError that names the argument, and a numpy integer gives the result
-the equal int gives.
+Every integer argument of the library goes through ``rmq._integer``,
+every positive number through ``model._positive`` and every array cast to
+float through ``model._real``. These tests pin the rules at each entry
+point: a boolean, a fraction or a string is a ValueError that names the
+integer argument, and a numpy integer gives the result the equal int
+gives; complex values are a ValueError that names the array.
 """
 
 import dataclasses
@@ -16,20 +18,26 @@ import pytest
 from quantbsde import (
     BergmanParams,
     BlackScholesParams,
+    ControlLayer,
     OptimizerSettings,
     QuantizedLayer,
     SweepSpec,
     TimeGrid,
+    TransitionMatrix,
     ValueLayer,
     backward_step,
     bs_control,
     bs_price,
     build_tree,
+    conditional_law,
+    distortion_gradient,
     hedge_compare,
     make_black_scholes,
+    mixture_distortion,
     optimize_grid,
     ps_control_benchmark,
     solve,
+    transition_matrix,
 )
 
 BS = BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0)
@@ -115,6 +123,11 @@ POSITIVES = {
     "y0": ("y0", lambda v: make_black_scholes(BS, 1.0, v)),
     "bs_price.spot": ("spot", lambda v: bs_price(BS, 0.0, 1.0, v)),
     "bs_control.spot": ("spot", lambda v: bs_control(BS, 0.0, 1.0, v)),
+    "conditional_law.dt": ("time step dt", lambda v: conditional_law(ROOT, v, PROBLEM)),
+    "optimize_grid.dt": ("time step dt", lambda v: optimize_grid(ROOT, v, PROBLEM, 3)),
+    "transition_matrix.dt": (
+        "time step dt", lambda v: transition_matrix(ROOT, TREE.layers[1], v, PROBLEM),
+    ),
 }
 
 
@@ -126,3 +139,29 @@ def test_positive_numbers_reject_the_rest(entry, bad):
     name, call = POSITIVES[entry]
     with pytest.raises(ValueError, match=f"{name} must be (positive|a finite number)"):
         call(bad)
+
+
+PAIR, HALVES = np.array([99.0, 101.0]), np.array([0.5, 0.5])
+MIXTURE = (np.array([100.0]), np.array([1.0]), np.array([1.0]))
+
+# an argument that is cast to float, and the call that passes it complex
+# values, zero imaginary parts included
+COMPLEX = {
+    "codewords": lambda: QuantizedLayer(1, PAIR + 3j, HALVES, 0.0),
+    "weights": lambda: QuantizedLayer(1, PAIR, HALVES + 0j, 0.0),
+    "entries": lambda: TransitionMatrix(0, np.eye(2) + 0j),
+    "values": lambda: ValueLayer(0, PAIR + 1j),
+    "controls": lambda: ControlLayer(0, PAIR + 0j),
+    "grid": lambda: mixture_distortion(PAIR + 0j, *MIXTURE),
+    "means": lambda: distortion_gradient(PAIR, MIXTURE[0] + 0j, *MIXTURE[1:]),
+    "stds": lambda: distortion_gradient(PAIR, MIXTURE[0], MIXTURE[1] + 0j, MIXTURE[2]),
+    "probs": lambda: mixture_distortion(PAIR, *MIXTURE[:2], MIXTURE[2] + 0j),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPLEX))
+def test_complex_arrays_are_named_not_cast(name):
+    # a cast to float would keep the real parts alone, with only numpy's
+    # ComplexWarning to show for it
+    with pytest.raises(ValueError, match=f"^{name} must be real, got complex values$"):
+        COMPLEX[name]()

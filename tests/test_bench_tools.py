@@ -117,6 +117,15 @@ def test_stored_bytes_counts_the_mask_and_nonzeros_or_every_double():
         34 + 2 * 16 * 8)
 
 
+def test_transients_traces_each_build_of_the_ladder():
+    spec = MODELS["black-scholes"]
+    problem = spec.factory(spec.param_type(**spec.defaults), spec.T, spec.y0)
+    traced = calls.transients(problem, 20, (2, 4))
+    assert [(t["N"], t["n"]) for t in traced] == [(20, 2), (20, 4)]
+    assert all(t["retained_bytes"] > 0 and t["transient_bytes"] > 0 for t in traced)
+    assert traced[0]["retained_bytes"] < traced[1]["retained_bytes"]
+
+
 def test_number_diffs_yields_unequal_numbers_then_names_the_first_other_mismatch():
     a = {"x": [1, 2.0], "y": "a", "z": [1]}
     b = {"x": [1, 2.5], "y": "b", "z": []}
