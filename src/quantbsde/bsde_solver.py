@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FbsdeProblem, _map_values, _real
+from .gaussian import _real
+from .model import FbsdeProblem, _map_values
 from .rmq import QuantizationTree, _floored_diffusion, _integer, _read_only
 
 __all__ = [
@@ -41,24 +42,24 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ValueLayer:
-    """u_k on the codewords of step k, kept read-only and not copied (``_read_only``)."""
+    """u_k on step k's codewords: nonempty 1-d (``_real``), read-only, not copied."""
 
     step: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _read_only(_real("values", self.values)))
+        object.__setattr__(self, "values", _read_only(_real("values", self.values, 1)))
 
 
 @dataclass(frozen=True, eq=False)
 class ControlLayer:
-    """v_k on the codewords of step k, kept read-only and not copied (``_read_only``)."""
+    """v_k on step k's codewords: nonempty 1-d (``_real``), read-only, not copied."""
 
     step: int
     controls: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", _read_only(_real("controls", self.controls)))
+        object.__setattr__(self, "controls", _read_only(_real("controls", self.controls, 1)))
 
 
 @dataclass(frozen=True, eq=False)

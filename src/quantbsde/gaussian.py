@@ -13,6 +13,9 @@ the coefficients of the cephes ``ndtr``: with x = a/sqrt(2), the erf
 rational for |x| < 1, exp(-x^2) P(|x|)/Q(|x|) for 1 <= |x| < 8 and
 exp(-x^2) R(|x|)/S(|x|) beyond. It agrees with cephes to about 5e-16
 relative wherever the value is a normal double.
+
+``_real`` is here, in the leaf module, as the one rule for the kind and
+shape of every array the package is given.
 """
 
 from __future__ import annotations
@@ -120,10 +123,29 @@ def cdf_and_pdf(a) -> tuple[np.ndarray, np.ndarray]:
     return cdf, pdf
 
 
+def _real(name: str, value, ndim: int | None = None, step: int | None = None) -> np.ndarray:
+    """``value`` as a float array, not copied if it is one. Booleans (a
+    digital payoff ``y > K`` is a map), integers and floats pass; complex
+    values, which a cast would drop, and strings or objects, which it would
+    parse, raise ``<name> must be real, got <kind> values``, or for a map's
+    values ``<name> returned <kind> values at step <step>``. Given ``ndim``:
+    ``<name> must be a nonempty <ndim>-d array, got shape <shape>`` unless it
+    has that many dimensions and an element."""
+    x = np.asarray(value)
+    if x.dtype.kind not in "biuf":
+        kind = x.dtype.name.rstrip("0123456789")  # complex128 -> complex, str32 -> str
+        if step is None:
+            raise ValueError(f"{name} must be real, got {kind} values")
+        raise ValueError(f"{name} returned {kind} values at step {step}")
+    if ndim is not None and (x.ndim != ndim or x.size < 1):
+        raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {x.shape}")
+    return np.asarray(x, dtype=float)
+
+
 def normal_cdf(x):
-    """Distribution function of N(0,1), within ~5e-16 relative of cephes
-    ``ndtr``; exactly 0/1 at -inf/+inf, NaN for NaN."""
-    x = np.asarray(x, dtype=float)
+    """Distribution function of N(0,1) at a real ``x`` of any shape (``_real``),
+    within ~5e-16 relative of cephes ``ndtr``; exactly 0/1 at -inf/+inf, NaN for NaN."""
+    x = _real("x", x)
     # Phi rounds to exactly 0/1 beyond |x| = 40, where exp(-x^2/2) is 0
     out = cdf_and_pdf(np.clip(x, -40.0, 40.0).ravel())[0].reshape(x.shape) + (x > 0.0)
     return float(out) if out.ndim == 0 else out

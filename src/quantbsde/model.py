@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gaussian import normal_cdf
+from .gaussian import _real, normal_cdf
 
 __all__ = [
     "FbsdeProblem",
@@ -90,28 +90,13 @@ def _positive(name: str, value) -> float:
     return x
 
 
-def _real(name: str, value, step: int | None = None) -> np.ndarray:
-    """``value`` as a float array, not copied if it is one; ValueError naming
-    ``name`` if it holds complex values, even with zero imaginary parts,
-    since a cast to float would drop them: ``<name> must be real, got
-    complex values``, or for a map's values at ``step``, ``<name> returned
-    complex values at step <step>``. The one rule for the arrays of the
-    public dataclasses, the grid and mixture checks and every map value."""
-    x = np.asarray(value)
-    if np.iscomplexobj(x):
-        if step is None:
-            raise ValueError(f"{name} must be real, got complex values")
-        raise ValueError(f"{name} returned complex values at step {step}")
-    return np.asarray(x, dtype=float)
-
-
 def _map_values(what: str, step: int, y, values) -> np.ndarray:
     """``values``, those of map ``what`` at the codewords ``y`` of step
     ``step``, as a new float array of ``y``'s shape: a scalar stands for
     every node, and any other shape is a ValueError naming it, as are
-    complex values (``_real``) and the first node and codeword whose value
-    is not finite. The one rule for every map value."""
-    x = _real(what, values, step)
+    values that are not real (``_real``) and the first node and codeword
+    whose value is not finite. The one rule for every map value."""
+    x = _real(what, values, step=step)
     if x.ndim and x.shape != y.shape:
         raise ValueError(
             f"{what} returned shape {x.shape} at step {step}, expected {y.shape} or a scalar"

@@ -256,7 +256,8 @@ def emit_json(result: SweepResult, path) -> None:
 
     A numpy scalar in the problem's ``params`` is written as the Python
     number it holds. The document is serialized before the file is opened,
-    so a value ``json`` cannot write raises TypeError and writes nothing."""
+    so a value strict JSON cannot write raises and writes nothing: TypeError,
+    or ValueError for a NaN or infinite number, which has no JSON token."""
     doc = {
         "model": result.spec.problem.label,
         "params": result.spec.problem.params,
@@ -268,6 +269,6 @@ def emit_json(result: SweepResult, path) -> None:
         "timings_seconds": result.timings.tolist(),
         "errors": {f"N={N},n={n}": msg for (N, n), msg in result.errors.items()},
     }
-    text = json.dumps(doc, indent=2, default=_json_number)
+    text = json.dumps(doc, indent=2, default=_json_number, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

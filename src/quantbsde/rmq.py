@@ -39,8 +39,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .gaussian import cdf_and_pdf
-from .model import FbsdeProblem, _finite_number, _map_values, _positive, _real
+from .gaussian import _real, cdf_and_pdf
+from .model import FbsdeProblem, _finite_number, _map_values, _positive
 
 __all__ = [
     "TimeGrid",
@@ -159,8 +159,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # its tree by ``is``.
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    """One layer's codebook: sorted codewords, marginal weights, distortion;
-    the two arrays are kept read-only and not copied (``_read_only``)."""
+    """One layer's codebook: sorted codewords (nonempty 1-d, ``_real``), weights
+    of their shape, distortion; both arrays read-only, not copied (``_read_only``)."""
 
     step: int
     codewords: np.ndarray
@@ -168,12 +168,10 @@ class QuantizedLayer:
     distortion: float
 
     def __post_init__(self) -> None:
-        cw = _real("codewords", self.codewords)
+        cw = _real("codewords", self.codewords, 1)
         w = _real("weights", self.weights)
         object.__setattr__(self, "codewords", _read_only(cw))
         object.__setattr__(self, "weights", _read_only(w))
-        if cw.ndim != 1 or cw.size < 1:
-            raise ValueError("codewords must be a nonempty 1-d array")
         if not _increasing(cw):
             raise ValueError("codewords must be finite and strictly increasing")
         if w.shape != cw.shape:
@@ -206,11 +204,7 @@ class _Entries:
         return _read_only(dense)
 
     def __set__(self, tr, value):
-        e = _real("entries", value)
-        if e.ndim != 2:
-            raise ValueError(f"entries must be a matrix, got shape {e.shape}")
-        if 0 in e.shape:
-            raise ValueError(f"entries must not be empty, got shape {e.shape}")
+        e = _real("entries", value, 2)
         if not (e.min() >= 0 and e.max() <= 1):  # a NaN fails both
             raise ValueError("entries must lie in [0, 1]")
         if not np.max(np.abs(e.sum(axis=1) - 1.0)) <= 1e-10:
@@ -318,25 +312,21 @@ _BAND_LO, _BAND_HI = -8.5, 8.3
 
 
 def _ordered_grid(grid) -> np.ndarray:
-    """``grid`` as a float array; ValueError unless ``_increasing``."""
-    x = _real("grid", grid)
+    """``grid`` as a float array if it is a nonempty 1-d array (``_real``)
+    and ``_increasing``; ValueError naming ``grid`` otherwise."""
+    x = _real("grid", grid, 1)
     if not _increasing(x):
         raise ValueError("grid must be finite and strictly increasing")
     return x
 
 
 def _mixture_input(means, stds, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``means``, ``stds`` and ``probs`` as float arrays if they are 1-d of
-    one nonzero length, the means finite, the stds finite and positive and
-    the probabilities finite, nonnegative and summing to 1 within 1e-12 (the
-    rule ``QuantizedLayer`` applies to weights); ValueError naming the
-    argument otherwise."""
-    m, v, p = (_real(name, a) for name, a in
-               (("means", means), ("stds", stds), ("probs", probs)))
-    if m.ndim != 1:
-        raise ValueError(f"means must be a 1-d array, got shape {m.shape}")
-    if m.size == 0:
-        raise ValueError("means must hold at least one component")
+    """``means``, ``stds`` and ``probs`` as float arrays (``_real``) if the
+    means are a nonempty 1-d array and the others of its shape, the means
+    finite, the stds finite and positive and the probabilities finite,
+    nonnegative and summing to 1 within 1e-12 (the rule ``QuantizedLayer``
+    applies to weights); ValueError naming the argument otherwise."""
+    m, v, p = _real("means", means, 1), _real("stds", stds), _real("probs", probs)
     for name, a in (("stds", v), ("probs", p)):
         if a.shape != m.shape:
             raise ValueError(f"{name} must have the shape {m.shape} of means, got {a.shape}")

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import solve_banded
 from scipy.special import ndtr
 
 # frozen at 50-digit precision
@@ -156,3 +157,53 @@ def bachelier_control(tau: float, y):
     """Closed-form control ``sigma Phi(d)`` of the call."""
     s = BACHELIER_SIGMA * math.sqrt(tau)
     return BACHELIER_SIGMA * ndtr((np.asarray(y, dtype=float) - BACHELIER_STRIKE) / s)
+
+
+# Bergman bull spread (Bergman, Rev. Financ. Stud. 1995) at the built-in
+# model's defaults: lending rate r, borrowing rate R, payoff (S - K1)+ -
+# 2 (S - K2)+ at T. With v = sigma S u_S the driver turns the BSDE into the
+# PDE, in x = ln S,
+#   u_t + (r - sigma^2/2) u_x + sigma^2/2 u_xx - r u - (R - r) min(u - u_x, 0) = 0,
+# whose min term switches to the borrowing rate where the hedge borrows.
+BERGMAN_R, BERGMAN_BORROW, BERGMAN_SIGMA = 0.01, 0.06, 0.2
+BERGMAN_STRIKES, BERGMAN_T, BERGMAN_Y0 = (95.0, 105.0), 0.25, 100.0
+
+
+def bergman_fd_price(M: int, L: int) -> float:
+    """u(0, y0) of the Bergman PDE by a fully implicit finite-difference
+    solve on ``M`` nodes over ln y0 +- 1 and ``L`` time steps.
+
+    Central differences; at each step, policy iteration on the min term
+    (Howard's algorithm: each pass fixes the borrowing set, c = 1 where
+    u - u_x < 0, and solves the tridiagonal system with
+    ``scipy.linalg.solve_banded``) until the set stops changing. The
+    boundary values are 0 below and 115 exp(-r tau) - S above, where the
+    claim is a riskless 115 less a short share.
+    """
+    r, R, s = BERGMAN_R, BERGMAN_BORROW, BERGMAN_SIGMA
+    K1, K2 = BERGMAN_STRIKES
+    x = np.linspace(math.log(BERGMAN_Y0) - 1.0, math.log(BERGMAN_Y0) + 1.0, M)
+    h, dt = x[1] - x[0], BERGMAN_T / L
+    S = np.exp(x)
+    u = np.maximum(S - K1, 0.0) - 2.0 * np.maximum(S - K2, 0.0)
+    diff = 0.5 * s * s / (h * h)
+    ab = np.empty((3, M - 2))
+    for step in range(1, L + 1):
+        top = (2.0 * K2 - K1) * math.exp(-r * step * dt) - S[-1]
+        c = np.zeros(M - 2)
+        for _ in range(50):
+            drift = (r - 0.5 * s * s + (R - r) * c) / (2.0 * h)
+            ab[0, 1:] = -dt * (diff + drift[:-1])  # upper diagonal
+            ab[1] = 1.0 + dt * (2.0 * diff + r + (R - r) * c)
+            ab[2, :-1] = -dt * (diff - drift[1:])  # lower diagonal
+            rhs = u[1:-1].copy()
+            rhs[-1] += dt * (diff + drift[-1]) * top  # the lower boundary, 0, adds nothing
+            new = np.concatenate(([0.0], solve_banded((1, 1), ab, rhs), [top]))
+            borrow = (new[1:-1] - (new[2:] - new[:-2]) / (2.0 * h) < 0.0).astype(float)
+            if np.array_equal(borrow, c):
+                break
+            c = borrow
+        else:
+            raise RuntimeError(f"policy iteration did not settle at step {step}")
+        u = new
+    return float(u[M // 2])

@@ -2,15 +2,18 @@
 across every entry point.
 
 Every integer argument of the library goes through ``rmq._integer``,
-every positive number through ``model._positive`` and every array cast to
-float through ``model._real``. These tests pin the rules at each entry
-point: a boolean, a fraction or a string is a ValueError that names the
-integer argument, and a numpy integer gives the result the equal int
-gives; complex values are a ValueError that names the array.
+every positive number through ``model._positive`` and every array the
+package is given through ``gaussian._real``, which owns its kind and shape.
+These tests pin the rules at each entry point: a boolean, a fraction or a
+string is a ValueError that names the integer argument, and a numpy
+integer gives the result the equal int gives; complex or string values are
+a ValueError that names the array, and so is an array of the wrong
+dimension or with no element.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from quantbsde import (
     hedge_compare,
     make_black_scholes,
     mixture_distortion,
+    normal_cdf,
     optimize_grid,
     ps_control_benchmark,
     solve,
@@ -156,6 +160,7 @@ COMPLEX = {
     "means": lambda: distortion_gradient(PAIR, MIXTURE[0] + 0j, *MIXTURE[1:]),
     "stds": lambda: distortion_gradient(PAIR, MIXTURE[0], MIXTURE[1] + 0j, MIXTURE[2]),
     "probs": lambda: mixture_distortion(PAIR, *MIXTURE[:2], MIXTURE[2] + 0j),
+    "x": lambda: normal_cdf(PAIR + 0j),
 }
 
 
@@ -165,3 +170,63 @@ def test_complex_arrays_are_named_not_cast(name):
     # ComplexWarning to show for it
     with pytest.raises(ValueError, match=f"^{name} must be real, got complex values$"):
         COMPLEX[name]()
+
+
+# the same arguments given strings, which a cast to float would parse
+TEXT_PAIR, TEXT_ONE = np.array(["99", "101"]), np.array(["1"])
+STRINGS = {
+    "codewords": lambda: QuantizedLayer(1, TEXT_PAIR, HALVES, 0.0),
+    "weights": lambda: QuantizedLayer(1, PAIR, np.array(["0.5", "0.5"]), 0.0),
+    "entries": lambda: TransitionMatrix(0, np.array([["1"]])),
+    "values": lambda: ValueLayer(0, TEXT_PAIR),
+    "controls": lambda: ControlLayer(0, TEXT_PAIR),
+    "grid": lambda: mixture_distortion(TEXT_PAIR, *MIXTURE),
+    "means": lambda: distortion_gradient(PAIR, np.array(["100"]), *MIXTURE[1:]),
+    "stds": lambda: distortion_gradient(PAIR, MIXTURE[0], TEXT_ONE, MIXTURE[2]),
+    "probs": lambda: mixture_distortion(PAIR, *MIXTURE[:2], TEXT_ONE),
+    "x": lambda: normal_cdf(TEXT_PAIR),
+}
+
+
+@pytest.mark.parametrize("name", list(STRINGS))
+def test_string_arrays_are_named_not_parsed(name):
+    with pytest.raises(ValueError, match=f"^{name} must be real, got str values$"):
+        STRINGS[name]()
+
+
+def test_a_boolean_payoff_is_a_map_not_an_error():
+    # a digital call: booleans pass the array rule, cast to 0.0 and 1.0
+    def u0(terminal):
+        problem = dataclasses.replace(PROBLEM, terminal=terminal)
+        return solve(build_tree(problem, TimeGrid(5, 1.0), 10), problem).u0
+
+    assert u0(lambda y: y > 100.0) == u0(lambda y: np.where(y > 100.0, 1.0, 0.0))
+
+
+def test_a_map_that_returns_strings_is_named_with_its_step():
+    problem = dataclasses.replace(PROBLEM, drift=lambda y: "0.5")
+    with pytest.raises(ValueError, match="^drift returned str values at step 0$"):
+        conditional_law(ROOT, 0.5, problem)
+
+
+# an array argument of the wrong dimension or with no element: its name, the
+# dimension it must have, the shape it was given, and the call
+SHAPES = {
+    "0-d-grid-distortion": ("grid", 1, (), lambda: mixture_distortion(0.0, *MIXTURE)),
+    "empty-grid-distortion": ("grid", 1, (0,), lambda: mixture_distortion([], *MIXTURE)),
+    "0-d-grid-gradient": ("grid", 1, (), lambda: distortion_gradient(0.0, *MIXTURE)),
+    "empty-grid-gradient": ("grid", 1, (0,), lambda: distortion_gradient([], *MIXTURE)),
+    "2-d-values": ("values", 1, (1, 2), lambda: ValueLayer(0, PAIR[None])),
+    "empty-values": ("values", 1, (0,), lambda: ValueLayer(0, [])),
+    "2-d-controls": ("controls", 1, (2, 1), lambda: ControlLayer(0, PAIR[:, None])),
+    "empty-controls": ("controls", 1, (0,), lambda: ControlLayer(0, np.empty(0))),
+    "empty-means": ("means", 1, (0,), lambda: mixture_distortion(PAIR, np.empty(0), [], [])),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPES))
+def test_arrays_of_the_wrong_shape_are_named(case):
+    name, ndim, shape, call = SHAPES[case]
+    message = f"{name} must be a nonempty {ndim}-d array, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from quantbsde import (
+    MODELS,
     BlackScholesParams,
     ControlLayer,
     DegenerateDiffusionWarning,
@@ -34,6 +35,12 @@ from quantbsde import (
 from oracles import (
     BACHELIER_SIGMA,
     BACHELIER_STRIKE,
+    BERGMAN_BORROW,
+    BERGMAN_R,
+    BERGMAN_SIGMA,
+    BERGMAN_STRIKES,
+    BERGMAN_T,
+    BERGMAN_Y0,
     EULER_STEP_Z1,
     INV_SQRT_2PI,
     VASICEK_A,
@@ -41,6 +48,7 @@ from oracles import (
     VASICEK_SIGMA,
     bachelier_control,
     bachelier_price,
+    bergman_fd_price,
     vasicek_bond,
     vasicek_control,
 )
@@ -450,6 +458,25 @@ class TestSolve:
         for coarse, fine in zip(control_errors, control_errors[1:]):
             assert coarse >= 3.0 * fine
         assert control_errors[-1] < 0.01
+
+    def test_bergman_claim_converges_to_its_finite_difference_price(self):
+        # the one nonlinear driver: at n=50, |u0 - oracle| near 2.9e-2, 8.0e-3
+        # and 1.9e-3 at N = 50, 100, 200 (ratios 3.63, 4.22), against the
+        # implicit solve on (1601, 400), which sits 4.1e-4 from (3201, 800)
+        spec = MODELS["bergman"]
+        d = spec.defaults
+        assert (d["lend_rate"], d["borrow_rate"], d["sigma"]) == (
+            BERGMAN_R, BERGMAN_BORROW, BERGMAN_SIGMA)
+        assert (d["strike_low"], d["strike_high"]) == BERGMAN_STRIKES
+        assert (spec.T, spec.y0) == (BERGMAN_T, BERGMAN_Y0)
+        oracle = bergman_fd_price(1601, 400)
+        assert abs(oracle - bergman_fd_price(3201, 800)) < 5e-4
+        problem = spec.factory(spec.param_type(**d), spec.T, spec.y0)
+        errors = [abs(solve(build_tree(problem, TimeGrid(50, spec.T), N), problem).u0 - oracle)
+                  for N in (50, 100, 200)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse >= 2.5 * fine
+        assert errors[-1] < 5e-3
 
 
 class TestSamplingBenchmark:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -482,3 +483,14 @@ class TestEmission:
         with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
             emit_json(unwritable, bad)
         assert not bad.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float64("inf"), -math.inf],
+                             ids=["nan", "numpy-inf", "minus-inf"])
+    def test_json_sidecar_writes_no_bare_nan_or_infinity(self, bs_problem, tmp_path, value):
+        # strict JSON has no NaN or Infinity token; json's default writes them bare
+        custom = dataclasses.replace(bs_problem, params={"shift": value})
+        result = run_sweep(SweepSpec(custom, (3,), (2,)))
+        path = tmp_path / "sweep.json"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            emit_json(result, path)
+        assert not path.exists()

@@ -303,9 +303,9 @@ class TestDistortion:
             ([0.0, 1.0], [1.0], [0.5, 0.5], "stds must have the shape"),
             ([0.0], [math.inf], [1.0], "stds must be finite and positive"),
             ([0.0], [1.0], [math.nan], "probs must be finite and nonnegative"),
-            (0.0, [1.0], [1.0], "means must be a 1-d array"),
+            (0.0, [1.0], [1.0], r"^means must be a nonempty 1-d array, got shape \(\)$"),
             # these two used to return 0.0 and half the normalized distortion
-            ([], [], [], "means must hold at least one component"),
+            ([], [], [], r"^means must be a nonempty 1-d array, got shape \(0,\)$"),
             ([0.0], [1.0], [0.5], "probs must sum to 1 within 1e-12, got 0.5"),
             ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5 + 4e-12], "probs must sum to 1 within 1e-12"),
         ],
@@ -1281,7 +1281,7 @@ class TestMalformedTreeFiles:
              "entries must be finite numbers"),
             (lambda doc: doc.update(version=1), "unsupported tree format version 1$"),
             (lambda doc: doc["transitions"][1].update(shape=[0, 4], entries=""),
-             r"entries must not be empty, got shape \(0, 4\)"),
+             r"entries must be a nonempty 2-d array, got shape \(0, 4\)"),
             # the shape is checked before the entries are decoded
             *[(lambda doc, shape=shape: doc["transitions"][1].update(shape=shape), message)
               for shape, message in (
@@ -1384,12 +1384,12 @@ class TestDataTypes:
     def test_transition_rejects_an_empty_matrix(self, shape):
         with pytest.raises(ValueError) as info:
             TransitionMatrix(0, np.zeros(shape))
-        assert str(info.value) == f"entries must not be empty, got shape {shape}"
+        assert str(info.value) == f"entries must be a nonempty 2-d array, got shape {shape}"
 
     def test_transition_rejects_a_vector_naming_its_shape(self):
         with pytest.raises(ValueError) as info:
             TransitionMatrix(0, np.full(3, 1 / 3))
-        assert str(info.value) == "entries must be a matrix, got shape (3,)"
+        assert str(info.value) == "entries must be a nonempty 2-d array, got shape (3,)"
 
     def test_sparse_entries_read_back_bit_for_bit(self):
         # Rows with one contiguous run, a run with a zero inside it, and a
