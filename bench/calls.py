@@ -34,7 +34,13 @@ alone moves Bergman u0 by about 1e-10 relative. These
 builds are kept apart (``tight``) and all converge; a stall stops the
 script with its ``ConvergenceError``.
 
-The count runs in a fresh interpreter per side. With the count's
+The count runs in a fresh interpreter per side. Before it imports
+anything else, that interpreter records the three figures of ROADMAP aim 2
+(``source``): the lines of ``quantbsde/*.py``, the public names of the
+fresh ``import quantbsde`` (those of its ``dir`` without a leading
+underscore, as ``tests/test_public_names.py`` reads them) and the fields of
+``OptimizerSettings``, printed as ``src: <parent> -> <change> lines, ...
+public names, ... settings``. With the count's
 wrappers taken off, that interpreter then builds the bs-refine ladder once
 more under ``tracemalloc``, one trace per build (``transients``): the
 bytes each tree retains and the peak traced above them, the build's
@@ -80,6 +86,7 @@ entries included (``decoded``), in the same way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -124,6 +131,20 @@ def stored_bytes(tree) -> int:
         else:
             total += 8 * tr.entries.size
     return total
+
+
+def source(src: Path) -> dict:
+    """The lines of ``src``'s ``quantbsde/*.py`` (newlines, as ``wc -l``
+    counts them), the public names of ``quantbsde`` imported from ``src``
+    and the fields of its ``OptimizerSettings``; the names are those of a
+    fresh import only in an interpreter that has not imported the package."""
+    sys.path.insert(0, str(src))
+    import quantbsde
+
+    files = sorted((src / "quantbsde").glob("*.py"))
+    return {"lines": sum(path.read_bytes().count(b"\n") for path in files),
+            "public_names": sum(not name.startswith("_") for name in dir(quantbsde)),
+            "settings": len(dataclasses.fields(quantbsde.OptimizerSettings))}
 
 
 def count(src: Path) -> tuple[dict, dict, list]:
@@ -228,8 +249,8 @@ def transients(problem, N: int, steps) -> list:
 
 
 def count_in_child(src: Path) -> dict:
-    """``count(src)`` in a fresh interpreter, as ``counts``, ``tight`` and
-    ``transients``."""
+    """``source(src)`` and ``count(src)`` in a fresh interpreter, as
+    ``source``, ``counts``, ``tight`` and ``transients``."""
     proc = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -420,8 +441,10 @@ def main(argv=None) -> int:
                                   "print the counts as JSON on stdout")
     args = ap.parse_args(argv)
     if args.src:
+        src = source(Path(args.src))  # before count imports the rest of the package
         counts, tight, traced = count(Path(args.src))
-        json.dump({"counts": counts, "tight": tight, "transients": traced}, sys.stdout)
+        json.dump({"source": src, "counts": counts, "tight": tight, "transients": traced},
+                  sys.stdout)
         return 0
     if not args.out:
         ap.error("--out is required")
@@ -432,6 +455,11 @@ def main(argv=None) -> int:
             cli = same_output(sha, parent_root)
         doc.update(agreement(doc["parent"]["counts"], doc["counts"]), cli=cli,
                    tight_agreement=tight_agreement(doc["parent"]["tight"], doc["tight"]))
+    figures = []
+    for key in ("lines", "public_names", "settings"):
+        before = f"{doc['parent']['source'][key]} -> " if args.rev else ""
+        figures.append(f"{before}{doc['source'][key]} {key.replace('_', ' ')}")
+    print(f"src: {', '.join(figures)}", file=sys.stderr)
     transient = doc["transients"][-1]["transient_bytes"]
     before = (f"{doc['parent']['transients'][-1]['transient_bytes'] / 2**20:.2f} -> "
               if args.rev else "")

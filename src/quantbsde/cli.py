@@ -50,8 +50,8 @@ def _integers(cfg, key, default=None, least=1, many=False):
     """``cfg[key]`` as an integer of at least ``least``, or with ``many`` as a
     non-empty list of them, given as a JSON list or a comma-separated string.
 
-    An integer is a JSON integer, an integral float or a string of digits;
-    booleans, fractions and non-finite numbers are not.
+    A string of digits or an integral float is read as its int, and each item
+    then goes through ``rmq._integer`` under the name ``key``.
     """
     raw = cfg.get(key, default)
     items = raw if many else [raw]
@@ -59,17 +59,12 @@ def _integers(cfg, key, default=None, least=1, many=False):
         items = [tok for tok in items.replace(" ", "").split(",") if tok]
     if not isinstance(items, list) or not items:
         raise ConfigError(f"{key}: needs a non-empty list of integers")
-    vals = []
-    for item in items:
-        if (isinstance(item, str) and item.removeprefix("-").isdecimal()) or (
-            isinstance(item, float) and item.is_integer()
-        ):
-            item = int(item)
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(f"{key}: {raw!r}: not {'integers' if many else 'an integer'}")
-        if item < least:
-            raise ConfigError(f"{key}: must be at least {least}")
-        vals.append(item)
+    ints = [int(i) if (isinstance(i, str) and i.removeprefix("-").isdecimal())
+            or (isinstance(i, float) and i.is_integer()) else i for i in items]
+    try:
+        vals = [rmq._integer(key, i, least) for i in ints]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return vals if many else vals[0]
 
 

@@ -159,8 +159,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # its tree by ``is``.
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    """One layer's codebook: sorted codewords (nonempty 1-d, ``_real``), weights
-    of their shape, distortion; both arrays read-only, not copied (``_read_only``)."""
+    """One layer's codebook: codewords (``_ordered_grid``), their weights
+    (``_probabilities``), distortion; both arrays read-only, not copied
+    (``_read_only``)."""
 
     step: int
     codewords: np.ndarray
@@ -168,16 +169,10 @@ class QuantizedLayer:
     distortion: float
 
     def __post_init__(self) -> None:
-        cw = _real("codewords", self.codewords, 1)
-        w = _real("weights", self.weights)
+        cw = _ordered_grid("codewords", self.codewords)
+        w = _probabilities("weights", self.weights, cw, "codewords")
         object.__setattr__(self, "codewords", _read_only(cw))
         object.__setattr__(self, "weights", _read_only(w))
-        if not _increasing(cw):
-            raise ValueError("codewords must be finite and strictly increasing")
-        if w.shape != cw.shape:
-            raise ValueError("weights and codewords must have matching shape")
-        if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
-            raise ValueError("weights must be nonnegative and sum to 1")
         distortion = _finite_number("distortion", self.distortion)
         if distortion < 0.0:
             raise ValueError(f"distortion must be nonnegative, got {distortion!r}")
@@ -311,34 +306,42 @@ def conditional_law(
 _BAND_LO, _BAND_HI = -8.5, 8.3
 
 
-def _ordered_grid(grid) -> np.ndarray:
+def _ordered_grid(name: str, grid) -> np.ndarray:
     """``grid`` as a float array if it is a nonempty 1-d array (``_real``)
-    and ``_increasing``; ValueError naming ``grid`` otherwise."""
-    x = _real("grid", grid, 1)
+    and ``_increasing``; ValueError naming ``name`` otherwise. The one rule
+    for layer codewords and the grids of the distortion functions."""
+    x = _real(name, grid, 1)
     if not _increasing(x):
-        raise ValueError("grid must be finite and strictly increasing")
+        raise ValueError(f"{name} must be finite and strictly increasing")
     return x
 
 
+def _probabilities(name: str, p, like: np.ndarray, like_name: str) -> np.ndarray:
+    """``p`` as a float array (``_real``) of the shape of ``like``, named
+    ``like_name``, finite, nonnegative and summing to 1 within 1e-12; else
+    ValueError naming ``name``. The one rule for weights and mixture probs."""
+    p = _real(name, p)
+    if p.shape != like.shape:
+        raise ValueError(f"{name} must have the shape {like.shape} of {like_name}, got {p.shape}")
+    if not (np.isfinite(p) & (p >= 0.0)).all():
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if not abs(float(p.sum()) - 1.0) <= 1e-12:
+        raise ValueError(f"{name} must sum to 1 within 1e-12, got {float(p.sum())!r}")
+    return p
+
+
 def _mixture_input(means, stds, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``means``, ``stds`` and ``probs`` as float arrays (``_real``) if the
-    means are a nonempty 1-d array and the others of its shape, the means
-    finite, the stds finite and positive and the probabilities finite,
-    nonnegative and summing to 1 within 1e-12 (the rule ``QuantizedLayer``
-    applies to weights); ValueError naming the argument otherwise."""
-    m, v, p = _real("means", means, 1), _real("stds", stds), _real("probs", probs)
-    for name, a in (("stds", v), ("probs", p)):
-        if a.shape != m.shape:
-            raise ValueError(f"{name} must have the shape {m.shape} of means, got {a.shape}")
+    """``means`` (nonempty 1-d, finite), ``stds`` (their shape, finite and
+    positive) and ``probs`` (``_probabilities`` of the means' shape) as float
+    arrays (``_real``); ValueError naming the argument otherwise."""
+    m, v = _real("means", means, 1), _real("stds", stds)
+    if v.shape != m.shape:
+        raise ValueError(f"stds must have the shape {m.shape} of means, got {v.shape}")
     if not np.isfinite(m).all():
         raise ValueError("means must be finite")
     if not (np.isfinite(v) & (v > 0.0)).all():
         raise ValueError("stds must be finite and positive")
-    if not (np.isfinite(p) & (p >= 0.0)).all():
-        raise ValueError("probs must be finite and nonnegative")
-    if not abs(float(p.sum()) - 1.0) <= 1e-12:
-        raise ValueError(f"probs must sum to 1 within 1e-12, got {float(p.sum())!r}")
-    return m, v, p
+    return m, v, _probabilities("probs", probs, m, "means")
 
 
 class _Mixture:
@@ -432,13 +435,13 @@ def mixture_distortion(grid, means, stds, probs) -> float:
     sorted grid with infinite outer edges. Computed in closed form from
     partial moments up to order two.
     """
-    x = _ordered_grid(grid)
+    x = _ordered_grid("grid", grid)
     return _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs)))[2]
 
 
 def distortion_gradient(grid, means, stds, probs) -> np.ndarray:
     """Analytic gradient of mixture_distortion: g_j = 2 (x_j M0_j - M1_j)."""
-    x = _ordered_grid(grid)
+    x = _ordered_grid("grid", grid)
     M0, M1, _, _, _ = _mixture_stats(x, _Mixture(*_mixture_input(means, stds, probs)))
     return 2.0 * (x * M0 - M1)
 
@@ -827,10 +830,10 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     naming ``path``. The version and the step labels are JSON integers, so
     not ``true`` or ``2.0``, and each transition's shape is two of them,
     neither negative (``_matrix_shape``), checked before its entries are
-    decoded. Every other number read is finite: transition entries through
-    ``_float64s``, and JSON numbers, each an int or float but not a boolean,
-    through ``_numbers`` (lists) and ``_finite_number`` (distortions and
-    u0). Top-level keys other than those above are ignored.
+    decoded (``_float64s``), which lie in [0, 1] (``TransitionMatrix``). Every
+    other number read is a finite JSON int or float, not a boolean, through
+    ``_numbers`` (lists) and ``_finite_number`` (distortions and u0).
+    Top-level keys other than those above are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -867,10 +870,9 @@ def _numbers(name: str, items) -> np.ndarray:
 
 
 def _float64s(name: str, text, shape) -> np.ndarray:
-    """A transition matrix: ``text`` decoded as base64 of the row-major
-    little-endian float64 bytes of an array of ``shape``, if it holds 8 bytes
-    per element and every value is finite; ValueError naming ``name``
-    otherwise."""
+    """``text`` decoded as base64 of the row-major little-endian float64
+    bytes of an array of ``shape``, if it holds 8 bytes per element; else
+    ValueError naming ``name``. ``TransitionMatrix`` checks the values."""
     if not isinstance(text, str):
         raise ValueError(f"{name} must be a base64 string, got {type(text).__name__}")
     try:
@@ -880,18 +882,15 @@ def _float64s(name: str, text, shape) -> np.ndarray:
     want = 8 * math.prod(shape)
     if len(raw) != want:
         raise ValueError(f"{name} hold {len(raw)} bytes, not {want} for shape {shape}")
-    x = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} must be finite numbers")
-    return x
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
 def _matrix_shape(shape) -> list[int]:
     """A transition's ``shape`` if it is a list of two JSON integers, each at
-    least 0 (``_integer``); ValueError otherwise. Checked before the entries
-    are decoded, whose byte count it sets."""
+    least 0 (``_integer``); else ValueError, in ``_real``'s form if it is not.
+    Checked before the entries are decoded, whose byte count it sets."""
     if not (isinstance(shape, list) and len(shape) == 2):
-        raise ValueError(f"entries must be a matrix, got shape {shape!r}")
+        raise ValueError(f"entries must be a nonempty 2-d array, got shape {shape!r}")
     return [_integer("transition shape", size, 0) for size in shape]
 
 

@@ -187,7 +187,7 @@ def bergman_fd_price(M: int, L: int) -> float:
     S = np.exp(x)
     u = np.maximum(S - K1, 0.0) - 2.0 * np.maximum(S - K2, 0.0)
     diff = 0.5 * s * s / (h * h)
-    ab = np.empty((3, M - 2))
+    ab = np.zeros((3, M - 2))  # solve_banded scans the unused corners too
     for step in range(1, L + 1):
         top = (2.0 * K2 - K1) * math.exp(-r * step * dt) - S[-1]
         c = np.zeros(M - 2)

@@ -1,5 +1,4 @@
-"""One integer rule, one positive-number rule and one real-array rule
-across every entry point.
+"""One rule per kind of argument, across every entry point.
 
 Every integer argument of the library goes through ``rmq._integer``,
 every positive number through ``model._positive`` and every array the
@@ -9,9 +8,16 @@ string is a ValueError that names the integer argument, and a numpy
 integer gives the result the equal int gives; complex or string values are
 a ValueError that names the array, and so is an array of the wrong
 dimension or with no element.
+
+The last tables send one bad value of each outside kind through every
+entry point that takes it, and pin one message: a count from the CLI or
+the library (``rmq._integer``), a probability vector (``rmq._probabilities``),
+a sorted grid (``rmq._ordered_grid``) and a tree file's transition.
 """
 
+import base64
 import dataclasses
+import json
 import math
 import re
 
@@ -37,12 +43,15 @@ from quantbsde import (
     hedge_compare,
     make_black_scholes,
     mixture_distortion,
+    load_tree,
     normal_cdf,
     optimize_grid,
     ps_control_benchmark,
+    save_tree,
     solve,
     transition_matrix,
 )
+from quantbsde.cli import main
 
 BS = BlackScholesParams(rate=0.04, sigma=0.25, strike=100.0)
 PROBLEM = make_black_scholes(BS, T=1.0, y0=100.0)
@@ -230,3 +239,120 @@ def test_arrays_of_the_wrong_shape_are_named(case):
     message = f"{name} must be a nonempty {ndim}-d array, got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _message(call):
+    """The message of the ValueError that ``call`` raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.fixture
+def cli(capsys, tmp_path):
+    """Run the CLI, with ``config`` written as its --config file; the message
+    it prints on stderr, once it has exited with code 2."""
+
+    def run(*argv, config=None):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(path))
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert (code, err[:7], err.count("\n")) == (2, "error: ", 1), err
+        return err[7:-1]
+
+    return run
+
+
+# a count as the CLI and the library take it: the name in the message, and
+# the call that gives the message (flags are strings, config values as they are)
+COUNTS = {
+    "solve --steps": ("steps", lambda v, cli: cli("solve", "--steps", str(v))),
+    "sweep --steps": (
+        "steps", lambda v, cli: cli("sweep", "--quantizers", "3", "--steps", f"2,{v}"),
+    ),
+    "optimizer.max_iterations": (
+        "max_iterations",
+        lambda v, cli: cli("solve", config={"optimizer": {"max_iterations": v}}),
+    ),
+    "SweepSpec": ("step count", lambda v, cli: _message(lambda: SweepSpec(PROBLEM, (5,), (v,)))),
+    "OptimizerSettings": (
+        "max_iterations", lambda v, cli: _message(lambda: OptimizerSettings(max_iterations=v)),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(COUNTS))
+@pytest.mark.parametrize(
+    "bad, message",
+    [(0, "{} must be at least 1, got 0"), ("2.5", "{} must be an integer, got '2.5'")],
+    ids=["zero", "fraction-string"],
+)
+def test_a_bad_count_has_one_message_at_every_entry_point(cli, entry, bad, message):
+    name, call = COUNTS[entry]
+    assert call(bad, cli) == message.format(name)
+
+
+# a probability vector: which array's shape it must have, and the call
+PROBABILITIES = {
+    "weights": ("codewords", lambda p: QuantizedLayer(1, PAIR, p, 0.0)),
+    "probs": ("means", lambda p: mixture_distortion(PAIR, PAIR, np.ones(2), p)),
+}
+
+
+@pytest.mark.parametrize("name", list(PROBABILITIES))
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([1.0], "{} must have the shape (2,) of {}, got (1,)"),
+        ([0.5, math.nan], "{} must be finite and nonnegative"),
+        ([0.5, 0.6], "{} must sum to 1 within 1e-12, got 1.1"),
+    ],
+    ids=["wrong-shape", "nan", "sum-1.1"],
+)
+def test_a_bad_probability_vector_has_one_message(name, bad, message):
+    like, call = PROBABILITIES[name]
+    assert _message(lambda: call(np.array(bad))) == message.format(name, like)
+
+
+GRIDS = {
+    "codewords": lambda x: QuantizedLayer(1, x, HALVES, 0.0),
+    "grid": lambda x: mixture_distortion(x, *MIXTURE),
+}
+
+
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_a_decreasing_grid_has_one_message(name):
+    message = _message(lambda: GRIDS[name](PAIR[::-1]))
+    assert message == f"{name} must be finite and strictly increasing"
+
+
+# a flat transition and one with a NaN entry, and the message: the tree file
+# names its shape as the JSON list it holds, the array as its tuple
+NAN_ENTRY = np.full((4, 4), 0.25)
+NAN_ENTRY[0, 0] = math.nan
+TRANSITIONS = {
+    "flat": (np.full(16, 0.25), "entries must be a nonempty 2-d array, got shape {}"),
+    "nan-entry": (NAN_ENTRY, "entries must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(TRANSITIONS))
+def test_a_bad_transition_in_a_tree_file_has_one_message(tmp_path, case):
+    entries, message = TRANSITIONS[case]
+    path = tmp_path / "tree.rmq.json"
+    save_tree(TREE, path)
+    doc = json.loads(path.read_text())
+    encoded = base64.b64encode(entries.astype("<f8").tobytes()).decode("ascii")
+    doc["transitions"][1].update(shape=list(entries.shape), entries=encoded)
+    path.write_text(json.dumps(doc))
+    want = f"malformed tree file {path}: " + message.format(list(entries.shape))
+    assert _message(lambda: load_tree(path)) == want
+
+
+@pytest.mark.parametrize("case", list(TRANSITIONS))
+def test_a_bad_transition_matrix_has_one_message(case):
+    entries, message = TRANSITIONS[case]
+    assert _message(lambda: TransitionMatrix(0, entries)) == message.format(entries.shape)

@@ -1,12 +1,15 @@
-"""The helpers of the ``bench/`` gate scripts, without git or subprocesses.
+"""The helpers of the ``bench/`` gate scripts, without git.
 
 The scripts are loaded by path, as they are run; ``calls`` imports
-``pairs`` by that name.
+``pairs`` by that name. Only ``calls.source`` runs in a fresh interpreter,
+as the count's child runs it.
 """
 
 import dataclasses
 import importlib.util
+import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -199,3 +202,15 @@ def test_tight_agreement_is_the_largest_u0_move_at_the_tight_tolerance():
         "max_rel_diff": 0.0, "at": "bs-refine N=200,n=10"}
     assert calls.tight_agreement(side(2.0), side(2.5)) == {
         "max_rel_diff": 0.5 / 2.5, "at": "bergman-sweep N=5,n=10"}
+
+
+def test_source_counts_the_lines_public_names_and_settings_of_this_checkout():
+    # a fresh interpreter: here a submodule that another test imports
+    # (quantbsde.cli) would be one more public name
+    src = BENCH.with_name("src")
+    code = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+            "import calls; print(json.dumps(calls.source(Path(sys.argv[2]))))")
+    proc = subprocess.run([sys.executable, "-c", code, str(BENCH), str(src)],
+                          capture_output=True, text=True, check=True)
+    lines = sum(len(path.read_text().splitlines()) for path in src.glob("quantbsde/*.py"))
+    assert json.loads(proc.stdout) == {"lines": lines, "public_names": 44, "settings": 2}

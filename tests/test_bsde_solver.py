@@ -32,6 +32,7 @@ from quantbsde import (
     terminal_layer,
 )
 
+import oracles
 from oracles import (
     BACHELIER_SIGMA,
     BACHELIER_STRIKE,
@@ -477,6 +478,20 @@ class TestSolve:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse >= 2.5 * fine
         assert errors[-1] < 5e-3
+
+    def test_bergman_oracle_reads_no_uninitialized_memory(self, monkeypatch):
+        # solve_banded checks every entry of its banded matrix, the two
+        # corners no diagonal fills included, for NaN and inf
+        class NanEmpty:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, dtype=float):
+                return np.full(shape, np.nan, dtype=dtype)
+
+        want = bergman_fd_price(801, 200)
+        monkeypatch.setattr(oracles, "np", NanEmpty())
+        assert bergman_fd_price(801, 200) == want
 
 
 class TestSamplingBenchmark:

@@ -245,7 +245,7 @@ class TestSweep:
             capsys, "sweep", "--quantizers", "a,b", "--steps", "5"
         )
         assert code == 2
-        assert "not integers" in err
+        assert err == "error: quantizers must be an integer, got 'a'\n"
 
 
 class TestHedge:

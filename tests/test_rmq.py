@@ -1248,7 +1248,8 @@ class TestMalformedTreeFiles:
              "int too large to convert to float"),
             (lambda doc: doc["layers"][1].update(codewords=[], weights=[]),
              "codewords must be a nonempty 1-d array"),
-            (lambda doc: doc["transitions"][1].update(shape=[16]), "entries must be a matrix"),
+            (lambda doc: doc["transitions"][1].update(shape=[16]),
+             r"entries must be a nonempty 2-d array, got shape \[16\]"),
             (lambda doc: doc["transitions"][1].update(
                 entries=b64_float64s([0.5] * 8), shape=[4, 2]),
              "transition 1 shape does not match its layers"),
@@ -1275,10 +1276,10 @@ class TestMalformedTreeFiles:
              r"entries hold 136 bytes, not 128 for shape \[4, 4\]"),
             (lambda doc: doc["transitions"][1].update(
                 entries=b64_float64s([math.nan] + [0.25] * 15)),
-             "entries must be finite numbers"),
+             r"entries must lie in \[0, 1\]"),
             (lambda doc: doc["transitions"][1].update(
                 entries=b64_float64s([0.25] * 15 + [math.inf])),
-             "entries must be finite numbers"),
+             r"entries must lie in \[0, 1\]"),
             (lambda doc: doc.update(version=1), "unsupported tree format version 1$"),
             (lambda doc: doc["transitions"][1].update(shape=[0, 4], entries=""),
              r"entries must be a nonempty 2-d array, got shape \(0, 4\)"),
@@ -1288,7 +1289,7 @@ class TestMalformedTreeFiles:
                   ([-1, 4], "transition shape must be at least 0, got -1"),
                   ([True, 4], "transition shape must be an integer, got True"),
                   ([4.0, 4], "transition shape must be an integer, got 4.0"),
-                  ([4, 4, 1], r"entries must be a matrix, got shape \[4, 4, 1\]"))],
+                  ([4, 4, 1], r"entries must be a nonempty 2-d array, got shape \[4, 4, 1\]"))],
         ],
         ids=["missing-key", "string-n", "string-step", "short-values", "short-controls",
              "nan-weights", "nan-distortion", "string-value", "nan-u0",
