@@ -4,8 +4,11 @@
         [--workload bs-refine --workload cli]
 
 The parent revision ``--rev`` is exported with ``git archive`` into a
-temporary directory, so no worktree is added and nothing under ``.git`` is
-written. The change side is this checkout as it stands on disk. Each pair
+temporary directory, and the change side, this checkout as it stands on
+disk, is copied into another (``change_checkout``), so both sides run from
+exports of the same kind, whose paths have the same length: a workload's
+peak RSS moves with where its process runs, not only with its code. No
+worktree is added and nothing under ``.git`` is written. Each pair
 runs ``perfbench/run.py --trace 0`` once on each side with the same seed,
 for the ``run_seconds`` of ``BENCHMARK.json``, and the side that runs first
 alternates from pair to pair, so slow drift of the machine falls on both
@@ -55,6 +58,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -106,6 +110,24 @@ def parent_checkout(rev: str):
         with tarfile.open(fileobj=io.BytesIO(data)) as tar:
             tar.extractall(tmp, filter="data")
         yield sha, Path(tmp)
+
+
+@contextlib.contextmanager
+def change_checkout(root: Path = ROOT):
+    """Yield a temporary directory holding the files of the checkout ``root``
+    that ``git ls-files --cached --others --exclude-standard`` lists, as they
+    are on disk: tracked files with their edits and new files that are not
+    ignored. Listed files missing from disk are skipped. Removed on exit."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True).stdout.decode()
+    with tempfile.TemporaryDirectory(prefix="bench-change-") as tmp:
+        for name in filter(None, listed.split("\0")):
+            src, dst = root / name, Path(tmp) / name
+            if src.is_file():
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy(src, dst)
+        yield Path(tmp)
 
 
 def tree_digest(tree, solution=None) -> str:
@@ -232,8 +254,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "workloads": {},
     }
-    with parent_checkout(args.rev) as (doc["parent"], parent_root):
-        sides = {"parent": parent_root, "change": ROOT}
+    with parent_checkout(args.rev) as (doc["parent"], parent_root), \
+            change_checkout() as change_root:
+        sides = {"parent": parent_root, "change": change_root}
         for workload in args.workload:
             runs = []
             for i in range(args.pairs):

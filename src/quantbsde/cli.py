@@ -37,10 +37,11 @@ def _build_problem(cfg):
 
 
 def _optimizer_settings(cfg):
+    """The ``optimizer`` section as settings; each of its errors starts ``optimizer: ``."""
     opt = cfg.get("optimizer") or {}
-    if isinstance(opt, dict) and "max_iterations" in opt:
-        opt = {**opt, "max_iterations": _integers(opt, "max_iterations")}
     try:
+        if isinstance(opt, dict) and "max_iterations" in opt:
+            opt = {**opt, "max_iterations": _integers(opt, "max_iterations")}
         return rmq.OptimizerSettings(**opt)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer: {exc}") from exc

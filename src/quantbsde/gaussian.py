@@ -30,9 +30,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 
 # Numerator and denominator coefficients of the three rationals, highest
-# power first, as the two rows of one array so that Horner's rule runs on
-# both at once; leading zeros pad the lower-degree row, and a leading 1 is a
-# monic denominator. Padding leaves every intermediate bit-identical.
+# power first, as the two rows of one array, for Horner's rule on both at
+# once or on one row (P and Q); leading zeros pad the lower-degree row, a
+# leading 1 is a monic denominator, and padding changes no intermediate bit.
 # erfc(z) = exp(-z^2) P(z)/Q(z) on 1 <= z < 8
 _PQ = (
     (2.46196981473530512524e-10, 1.0),
@@ -68,8 +68,8 @@ _PQ, _RS, _TU = (np.array(c)[:, :, None] for c in (_PQ, _RS, _TU))
 
 
 def _horner2(x, coefs):
-    """Numerator and denominator rows of a rational in ``x``, as one 2-row
-    array."""
+    """Horner's rule in ``x`` on ``coefs`` (highest power first): both rows of
+    a rational as one 2-row array, or one row ``coefs[:, i]`` as one array."""
     y = coefs[0] * x
     y += coefs[1]
     for c in coefs[2:]:
@@ -82,29 +82,31 @@ def cdf_and_pdf(a) -> tuple[np.ndarray, np.ndarray]:
     """Phi(a) - 1{a > 0} and phi(a) of a finite 1-d float array, sharing one
     exp: -Phi(-a) on a > 0, which stays small in the upper tail.
 
-    ``a`` is not written, and each call returns arrays of its own. The work
-    arrays have ``a``'s length and live only for the call: x = a/sqrt(2),
-    whose memory then holds |x| and then exp(-x^2), which becomes the pdf,
-    and the two rows of the 1 <= |x| < 8 rational, the first of which
-    becomes the cdf. NaN passes through; infinite entries are the caller's
-    to handle (see ``normal_cdf``). Each branch keeps the cephes order of
-    operations.
+    ``a`` is written: it must be a float64 temporary of the caller's, whose
+    memory holds x = a/sqrt(2), then |x|, then exp(-x^2), and is returned as
+    the pdf. The cdf is an array of its own, the numerator of the
+    1 <= |x| < 8 rational, whose denominator is freed once divided. So a call
+    peaks about 19.5 bytes per value above ``a`` and returns 8 beyond it.
+    NaN passes through; infinite entries are the caller's to handle (see
+    ``normal_cdf``). Each branch keeps the cephes order of operations.
     """
-    x = a * _SQRT1_2
+    x = np.multiply(a, _SQRT1_2, out=a)
     positive = x > 0.0
     near = np.abs(x) < 1.0
     xs = x[near]
     z = np.abs(x, out=x)  # the sign is kept in ``positive`` and ``xs``
     far = np.flatnonzero(z >= 8.0)
     # erfc(|x|) = exp(-x^2) P/Q on 1 <= |x| < 8 and exp(-x^2) R/S beyond
-    pq = _horner2(z, _PQ)
+    cdf = _horner2(z, _PQ[:, 0])
+    q = _horner2(z, _PQ[:, 1])
     rs = _horner2(z[far], _RS) if far.size else None
     e = np.multiply(z, z, out=z)  # |x| is spent; exp(-x^2) takes its place
     np.negative(e, out=e)
     np.exp(e, out=e)
     # cdf = erfc(|x|)/2 = Phi(-|a|), negated where a > 0
-    cdf = np.multiply(e, pq[0], out=pq[0])
-    cdf /= pq[1]
+    np.multiply(e, cdf, out=cdf)  # e first: a NaN keeps e's sign bit
+    cdf /= q
+    del q
     cdf *= 0.5
     if far.size:
         cdf[far] = 0.5 * (e[far] * rs[0] / rs[1])

@@ -387,10 +387,10 @@ def _mixture_stats(x: np.ndarray, mix: _Mixture):
 
     Each call allocates its two K x (n+1) tables as one block, and ``raw``
     is a view into it, so the tables live as long as the caller keeps
-    ``raw``. The cdf runs on the in-band boundaries alone, on work arrays
-    of their count that it frees on return. This puts the peak of the
-    Black-Scholes (200, 80) build 1.2 MB above the tree it retains
-    (tracemalloc).
+    ``raw``. The cdf runs on the in-band boundaries alone: on their copy
+    ``in_band``, which it returns as the pdf, and on about 19.5 bytes per
+    boundary of work arrays. This puts the peak of the Black-Scholes
+    (200, 80) build 0.97 MB above the 13.3 MB tree it retains (tracemalloc).
     """
     n, K = x.size, mix.m.size
     bounds = np.empty(n + 1)
@@ -831,8 +831,8 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
     not ``true`` or ``2.0``, and each transition's shape is two of them,
     neither negative (``_matrix_shape``), checked before its entries are
     decoded (``_float64s``), which lie in [0, 1] (``TransitionMatrix``). Every
-    other number read is a finite JSON int or float, not a boolean, through
-    ``_numbers`` (lists) and ``_finite_number`` (distortions and u0).
+    other number read is a finite JSON int or float, not a boolean: lists by
+    ``_numbers`` and then their reader, distortions and u0 by ``_finite_number``.
     Top-level keys other than those above are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -859,13 +859,11 @@ def load_tree(path) -> tuple[QuantizationTree, dict | None]:
 
 def _numbers(name: str, items) -> np.ndarray:
     """``items`` as a float array if it is a 1-d float array or a list of
-    JSON numbers (int or float, not a boolean), all finite; ValueError
-    naming ``name`` otherwise."""
+    JSON numbers (int or float, not a boolean), finite or not: its reader
+    checks that, as ``_check_solution`` does; ValueError naming ``name`` otherwise."""
     if (isinstance(items, np.ndarray) and items.dtype == float and items.ndim == 1
             or isinstance(items, list) and set(map(type, items)) <= {int, float}):
-        x = np.asarray(items, dtype=float)
-        if np.isfinite(x).all():
-            return x
+        return np.asarray(items, dtype=float)
     raise ValueError(f"{name} must be finite numbers")
 
 
@@ -914,14 +912,16 @@ def _tree_from_doc(doc: dict) -> QuantizationTree:
 
 def _check_solution(solution: dict, tree: QuantizationTree) -> dict:
     """``solution`` if its value and control layers (0..n, 0..n-1) match the
-    tree's layer sizes, they and u0 are finite numbers, and u0 is exactly the
-    first value of layer 0 (JSON keeps floats bit for bit); ValueError otherwise."""
+    tree's layer sizes, they (``_numbers``, then a finiteness scan here) and
+    u0 are finite numbers, and u0 is exactly the first value of layer 0 (JSON
+    keeps floats bit for bit); ValueError otherwise."""
     sizes = [la.size for la in tree.layers]
     for key, want in (("values", sizes), ("controls", sizes[:-1])):
         if [len(row) for row in solution[key]] != want:
             raise ValueError(f"solution {key} do not match the layer sizes")
         for row in solution[key]:
-            _numbers(f"solution {key}", row)
+            if not np.isfinite(_numbers(f"solution {key}", row)).all():
+                raise ValueError(f"solution {key} must be finite numbers")
     u0, first = _finite_number("solution u0", solution["u0"]), solution["values"][0][0]
     if u0 != first:
         raise ValueError(f"solution u0 {u0!r} is not the layer-0 value {float(first)!r}")

@@ -12,7 +12,8 @@ dimension or with no element.
 The last tables send one bad value of each outside kind through every
 entry point that takes it, and pin one message: a count from the CLI or
 the library (``rmq._integer``), a probability vector (``rmq._probabilities``),
-a sorted grid (``rmq._ordered_grid``) and a tree file's transition.
+a sorted grid (``rmq._ordered_grid``), a tree file's layer and transition, and
+any error of the CLI's optimizer section, which names that section.
 """
 
 import base64
@@ -274,7 +275,7 @@ COUNTS = {
         "steps", lambda v, cli: cli("sweep", "--quantizers", "3", "--steps", f"2,{v}"),
     ),
     "optimizer.max_iterations": (
-        "max_iterations",
+        "optimizer: max_iterations",
         lambda v, cli: cli("solve", config={"optimizer": {"max_iterations": v}}),
     ),
     "SweepSpec": ("step count", lambda v, cli: _message(lambda: SweepSpec(PROBLEM, (5,), (v,)))),
@@ -293,6 +294,20 @@ COUNTS = {
 def test_a_bad_count_has_one_message_at_every_entry_point(cli, entry, bad, message):
     name, call = COUNTS[entry]
     assert call(bad, cli) == message.format(name)
+
+
+@pytest.mark.parametrize(
+    "optimizer, message",
+    [
+        ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+        ({"fixed_point_tol": -1}, "fixed_point_tol must be positive, got -1.0"),
+        ({"tolerance": 1e-9},
+         "OptimizerSettings.__init__() got an unexpected keyword argument 'tolerance'"),
+    ],
+    ids=["fraction", "negative-tolerance", "unknown-key"],
+)
+def test_every_error_of_the_optimizer_section_has_its_prefix(cli, optimizer, message):
+    assert cli("solve", config={"optimizer": optimizer}) == "optimizer: " + message
 
 
 # a probability vector: which array's shape it must have, and the call
@@ -337,6 +352,28 @@ TRANSITIONS = {
     "flat": (np.full(16, 0.25), "entries must be a nonempty 2-d array, got shape {}"),
     "nan-entry": (NAN_ENTRY, "entries must lie in [0, 1]"),
 }
+
+
+# a layer with a NaN codeword or weight: the tree file gives the message the
+# arrays give as a QuantizedLayer
+NAN_LAYERS = {
+    "codewords": "codewords must be finite and strictly increasing",
+    "weights": "weights must be finite and nonnegative",
+}
+
+
+@pytest.mark.parametrize("key", list(NAN_LAYERS))
+def test_a_nan_codeword_or_weight_has_one_message(tmp_path, key):
+    layer = TREE.layers[1]
+    arrays = {"codewords": layer.codewords.copy(), "weights": layer.weights.copy()}
+    arrays[key][0] = math.nan
+    path = tmp_path / "tree.rmq.json"
+    save_tree(TREE, path)
+    doc = json.loads(path.read_text())
+    doc["layers"][1].update({k: v.tolist() for k, v in arrays.items()})
+    path.write_text(json.dumps(doc))
+    assert _message(lambda: load_tree(path)) == f"malformed tree file {path}: {NAN_LAYERS[key]}"
+    assert _message(lambda: QuantizedLayer(1, *arrays.values(), 0.0)) == NAN_LAYERS[key]
 
 
 @pytest.mark.parametrize("case", list(TRANSITIONS))

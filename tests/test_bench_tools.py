@@ -1,4 +1,5 @@
-"""The helpers of the ``bench/`` gate scripts, without git.
+"""The helpers of the ``bench/`` gate scripts; only the change side's
+export runs git, on a repository of its own in a temporary directory.
 
 The scripts are loaded by path, as they are run; ``calls`` imports
 ``pairs`` by that name. Only ``calls.source`` runs in a fresh interpreter,
@@ -91,6 +92,29 @@ def test_parse_args_rejects_fewer_than_two_pairs(capsys):
         pairs.parse_args(["--rev", "HEAD", "--pairs", "1", "--out", "unused.json"])
     assert exc.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_change_export_holds_what_git_lists_as_it_is_on_disk(tmp_path):
+    # a tracked file edited on disk, a new file, an ignored one, and a tracked
+    # file deleted from disk, which the export skips
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "src" / "kept.py").write_text("old\n")
+    (repo / "gone.py").write_text("gone\n")
+    for argv in (["init", "-q"], ["add", "."]):
+        subprocess.run(["git", *argv], cwd=repo, check=True, capture_output=True)
+    (repo / "src" / "kept.py").write_text("edited\n")
+    (repo / "new.py").write_text("new\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    git_files = {p: p.read_bytes() for p in (repo / ".git").rglob("*") if p.is_file()}
+    with pairs.change_checkout(repo) as out:
+        exported = {p.relative_to(out).as_posix(): p.read_text()
+                    for p in out.rglob("*") if p.is_file()}
+    assert exported == {".gitignore": "*.log\n", "src/kept.py": "edited\n", "new.py": "new\n"}
+    assert out.name.startswith("bench-change-") and not out.exists()
+    assert {p: p.read_bytes() for p in (repo / ".git").rglob("*") if p.is_file()} == git_files
 
 
 def test_tree_digest_survives_a_round_trip_and_sees_the_solution(tmp_path):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quantbsde import normal_cdf
 from quantbsde.gaussian import cdf_and_pdf
+from quantbsde.rmq import _BAND_HI, _BAND_LO
 
 from oracles import (
     CDF_196,
@@ -15,8 +17,9 @@ from oracles import (
 
 
 def normal_pdf(x):
-    """The density ``cdf_and_pdf`` returns, the one the stats kernel uses."""
-    pdf = cdf_and_pdf(np.atleast_1d(np.asarray(x, dtype=float)))[1]
+    """The density ``cdf_and_pdf`` returns, the one the stats kernel uses,
+    of a copy of ``x``: the cdf writes the pdf into its argument."""
+    pdf = cdf_and_pdf(np.array(x, dtype=float, ndmin=1))[1]
     return float(pdf[0]) if np.ndim(x) == 0 else pdf
 
 
@@ -104,7 +107,7 @@ class TestAgainstCephes:
 
     def test_shared_pdf_matches_the_density(self):
         a = np.linspace(-8.5, 8.3, 10_001)
-        cdf, pdf = cdf_and_pdf(a)
+        cdf, pdf = cdf_and_pdf(a.copy())
         # the kernel's table is Phi(a) - 1{a > 0}: minus the survival
         # function above 0, from the same erfc rational beyond sqrt(2)
         assert np.array_equal(cdf + (a > 0), normal_cdf(a))
@@ -113,16 +116,31 @@ class TestAgainstCephes:
         exact = INV_SQRT_2PI * np.exp(-0.5 * a * a)
         assert np.max(np.abs(pdf - exact) / exact) <= 5e-14
 
-    def test_leaves_its_argument_and_earlier_results_alone(self):
+    def test_returns_the_pdf_in_its_argument_and_leaves_earlier_results_alone(self):
         # every branch: |x| < 1, 1 <= |x| < 8 and |x| >= 8, signed zeros, NaN
         a = np.concatenate([np.linspace(-13.0, 13.0, 2_001), [0.0, -0.0, np.nan]])
-        before = a.tobytes()
-        first = cdf_and_pdf(a)
-        assert a.tobytes() == before
+        work = a.copy()
+        first = cdf, pdf = cdf_and_pdf(work)
+        assert pdf is work
+        assert not np.shares_memory(cdf, work)
         kept = [r.tobytes() for r in first]
         for other in (-a, a[::7].copy(), np.zeros(4)):
             second = cdf_and_pdf(other)
             assert not any(np.shares_memory(r, s) for r in first for s in second)
-        assert not any(np.shares_memory(r, a) for r in first)
         assert [r.tobytes() for r in first] == kept
-        assert [r.tobytes() for r in cdf_and_pdf(a)] == kept
+        assert [r.tobytes() for r in cdf_and_pdf(a.copy())] == kept
+
+    def test_peaks_under_24_bytes_per_value_above_its_argument(self):
+        # values spread over the stats kernel's band, as it passes them; a
+        # copy of the argument and both rows of the rational kept until the
+        # end peaked at 31.6 bytes per value
+        n = 40_000
+        a = np.linspace(_BAND_LO, _BAND_HI, n + 2)[1:-1].copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cdf, pdf = cdf_and_pdf(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / n <= 24.0
